@@ -15,17 +15,12 @@ Usage:
 
 import argparse
 import shutil
-import sys
 from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-
-import synthcases  # noqa: E402  (test-suite scene constructions, reused here)
-
-from chromabench import audit, cli  # noqa: E402
-from chromabench.groundtruth import read_gt  # noqa: E402
+from chromabench import audit, cli, synth
+from chromabench.groundtruth import read_gt
 
 
 def main() -> int:
@@ -43,7 +38,7 @@ def main() -> int:
 
     rng = np.random.default_rng(args.seed)
     print(f"rendering {args.scenes} reversal-engineered scenes into {scenes} ...")
-    truths = synthcases.write_reversal_corpus(scenes, rng, count=args.scenes)
+    truths = synth.write_reversal_corpus(scenes, rng, count=args.scenes)
 
     def run(argv):
         code = cli.main([str(a) for a in argv])

@@ -63,6 +63,16 @@ def _as_map(records: GTSet) -> dict[str, GroundTruthRecord]:
     return records_by_id(records)
 
 
+def _aligned(a: GTSet, b: GTSet) -> tuple[dict, dict, list[str]]:
+    """Both sets as id -> record maps, plus their sorted common ids (nonempty)."""
+    map_a = _as_map(a)
+    map_b = _as_map(b)
+    common = sorted(set(map_a) & set(map_b))
+    if not common:
+        raise ValueError("no common images between the two sets")
+    return map_a, map_b, common
+
+
 @dataclass(frozen=True)
 class DivergenceReport:
     """Per-image angular differences between two ground-truth sets."""
@@ -92,11 +102,7 @@ def diff_ground_truths(
     outlier_threshold_deg: float = DEFAULT_OUTLIER_THRESHOLD_DEG,
 ) -> DivergenceReport:
     """Compare two sets image by image; intensity differences are invisible."""
-    map_a = _as_map(a)
-    map_b = _as_map(b)
-    common = sorted(set(map_a) & set(map_b))
-    if not common:
-        raise ValueError("no common images between the two sets")
+    map_a, map_b, common = _aligned(a, b)
     angles = {
         image_id: recovery_error(map_a[image_id].illuminant, map_b[image_id].illuminant)
         for image_id in common
@@ -124,13 +130,7 @@ class OffsetFit:
 _WITHIN_DEG = 0.1
 
 
-def explain_offset(a: GTSet, b: GTSet, offset: float) -> OffsetFit:
-    """Residual angles between (a + offset) and b over the common images."""
-    map_a = _as_map(a)
-    map_b = _as_map(b)
-    common = sorted(set(map_a) & set(map_b))
-    if not common:
-        raise ValueError("no common images between the two sets")
+def _offset_fit(map_a: dict, map_b: dict, common: list[str], offset: float) -> OffsetFit:
     residuals = []
     for image_id in common:
         shifted = np.asarray(map_a[image_id].illuminant, dtype=np.float64) + offset
@@ -144,14 +144,20 @@ def explain_offset(a: GTSet, b: GTSet, offset: float) -> OffsetFit:
     )
 
 
+def explain_offset(a: GTSet, b: GTSet, offset: float) -> OffsetFit:
+    """Residual angles between (a + offset) and b over the common images."""
+    return _offset_fit(*_aligned(a, b), offset)
+
+
 def scan_offset(a: GTSet, b: GTSet, lo: int = 0, hi: int = 512) -> OffsetFit:
     """Sweep integer offsets and return the fit with the smallest median residual.
 
     Ties go to the smaller offset.
     """
+    aligned = _aligned(a, b)
     best: OffsetFit | None = None
     for offset in range(lo, hi + 1):
-        fit = explain_offset(a, b, float(offset))
+        fit = _offset_fit(*aligned, float(offset))
         if best is None or fit.median_residual_deg < best.median_residual_deg:
             best = fit
     assert best is not None

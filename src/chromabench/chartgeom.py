@@ -33,6 +33,7 @@ __all__ = [
     "apply_homography",
     "default_corner_patch_centers",
     "fit_homography",
+    "format_chart",
     "patch_centers",
     "read_chart_file",
     "rectify_chart",
@@ -351,7 +352,10 @@ def read_chart_file(path: str | Path) -> ChartLayout:
         elif key == "corner_patch_centers":
             cpc = _parse_numbers(rest, 8, "corner_patch_centers").reshape(4, 2)
         elif key == "half_size":
-            half = int(_parse_numbers(rest, 1, "half_size")[0])
+            value = float(_parse_numbers(rest, 1, "half_size")[0])
+            if not value.is_integer():
+                raise ValueError("malformed chart file: half_size must be an integer")
+            half = int(value)
         else:
             raise ValueError(f"malformed chart file: unknown key {key!r}")
     if corners is None:
@@ -359,7 +363,8 @@ def read_chart_file(path: str | Path) -> ChartLayout:
     return ChartLayout(corners, cpc, half)
 
 
-def write_chart_file(layout: ChartLayout, path: str | Path) -> None:
+def format_chart(layout: ChartLayout) -> str:
+    """The '.chart' text of a layout, in the line format :func:`read_chart_file` parses."""
     lines = ["corners: " + " ".join(fmt9(v) for v in layout.corners.ravel())]
     if layout.corner_patch_centers is not None:
         lines.append(
@@ -368,4 +373,8 @@ def write_chart_file(layout: ChartLayout, path: str | Path) -> None:
         )
     if layout.half_size is not None:
         lines.append(f"half_size: {layout.half_size}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def write_chart_file(layout: ChartLayout, path: str | Path) -> None:
+    atomic_write_text(path, format_chart(layout))

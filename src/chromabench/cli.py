@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -301,28 +302,23 @@ def cmd_rank(args) -> int:
     rank_of = {
         label: {row.algorithm: row for row in tables[label].rows} for label in labels
     }
-    ordered_algos = [row.algorithm for row in tables[labels[0]].rows]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
     header = ["algorithm"]
     for label in labels:
         header += [f"rank_{label}", f"{args.stat}_{label}"]
-    writer.writerow(header)
-    text_rows = []
-    for algo in ordered_algos:
-        row_out = [algo]
+    rows = []
+    for first in tables[labels[0]].rows:
+        row_out = [first.algorithm]
         for label in labels:
-            row = rank_of[label][algo]
+            row = rank_of[label][first.algorithm]
             row_out += [str(row.rank), fmt9(metrics.summary_stat(row.summary, args.stat))]
-        writer.writerow(row_out)
-        text_rows.append(row_out)
+        rows.append(row_out)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
     atomic_write_text(out, buf.getvalue())
 
-    widths = [max(len(header[i]), *(len(r[i]) for r in text_rows)) for i in range(len(header))]
-    print("rank comparison:")
-    print("  ".join(header[i].ljust(widths[i]) for i in range(len(header))))
-    for r in text_rows:
-        print("  ".join(r[i].ljust(widths[i]) for i in range(len(header))))
+    print(metrics.format_table(header, rows, title="rank comparison:"))
     print(f"wrote comparison to {out}")
     return EXIT_OK
 
@@ -380,76 +376,35 @@ def cmd_diff_gt(args) -> int:
 # synth
 
 
-_SCENE_KEYS = {
-    "image_id",
-    "illuminant",
-    "pose",
-    "corners",
-    "width",
-    "height",
-    "exposure",
-    "reflectance_table",
-    "achromatic_reflectances",
-    "background",
-    "black_level",
-    "noise_sigma",
-    "bit_depth",
-    "clip_level",
-    "rng_seed",
-    "camera_id",
-    "saturation_level",
-}
+# Keys a JSON scene spec may carry besides the SceneSpec fields.
+_JSON_ONLY_KEYS = {"image_id", "corners", "achromatic_reflectances"}
 
 
 def _scene_from_json(payload: dict) -> tuple[synth.SceneSpec, str]:
-    unknown = set(payload) - _SCENE_KEYS
+    spec_fields = {f.name for f in dataclasses.fields(synth.SceneSpec)}
+    unknown = set(payload) - spec_fields - _JSON_ONLY_KEYS
     if unknown:
         raise CliError(f"unknown scene spec fields: {sorted(unknown)}")
     if "pose" in payload and "corners" in payload:
         raise CliError("give either 'pose' or 'corners', not both")
-    image_id = str(payload.get("image_id", "scene"))
-    kwargs: dict = {}
+    kwargs = {key: value for key, value in payload.items() if key in spec_fields}
     if "corners" in payload:
         corners = np.asarray(payload["corners"], dtype=np.float64).reshape(4, 2)
         kwargs["pose"] = synth.pose_from_corners(corners)
-    elif "pose" in payload:
-        kwargs["pose"] = np.asarray(payload["pose"], dtype=np.float64)
-    table = None
-    if "reflectance_table" in payload:
-        table = np.asarray(payload["reflectance_table"], dtype=np.float64)
     if "achromatic_reflectances" in payload:
-        base = table if table is not None else synth.DEFAULT_REFLECTANCES.copy()
-        base = np.array(base, dtype=np.float64)
         ramp = np.asarray(payload["achromatic_reflectances"], dtype=np.float64)
         if ramp.shape != (6,):
             raise CliError("achromatic_reflectances must be 6 values")
-        base[18:24] = ramp[:, None]
-        table = base
-    if table is not None:
+        table = np.array(
+            kwargs.get("reflectance_table", synth.DEFAULT_REFLECTANCES), dtype=np.float64
+        )
+        table[18:24] = ramp[:, None]
         kwargs["reflectance_table"] = table
-    for key in (
-        "illuminant",
-        "width",
-        "height",
-        "exposure",
-        "background",
-        "black_level",
-        "noise_sigma",
-        "bit_depth",
-        "clip_level",
-        "rng_seed",
-        "camera_id",
-        "saturation_level",
-    ):
-        if key in payload:
-            kwargs[key] = (
-                tuple(payload[key]) if key in ("illuminant", "background") else payload[key]
-            )
     try:
         spec = synth.SceneSpec(**kwargs)
     except (TypeError, ValueError) as exc:
         raise CliError(f"invalid scene spec: {exc}") from exc
-    return spec, image_id
+    return spec, str(payload.get("image_id", "scene"))
 
 
 def cmd_synth(args) -> int:

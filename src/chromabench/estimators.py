@@ -17,9 +17,6 @@ padding; the second-order magnitude is the Frobenius norm of the Hessian,
 sqrt(fxx^2 + 2*fxy^2 + fyy^2).  Pooling is ((1/N) * sum v^p)^(1/p) so that
 p = 1 is exactly the mean; p = inf is the maximum.  Estimates are invariant
 to exposure scaling by construction.
-
-External estimators (learned or otherwise) plug into the same evaluation
-interface through :class:`Registry`.
 """
 
 from __future__ import annotations
@@ -29,7 +26,6 @@ import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 from scipy import ndimage
@@ -41,12 +37,10 @@ __all__ = [
     "EstimatorSpec",
     "IlluminantEstimate",
     "PRESETS",
-    "Registry",
     "chart_region_mask",
     "derivative_magnitude",
     "estimate",
     "gaussian_smooth",
-    "list_presets",
     "minkowski_pool",
     "read_estimates",
     "saturation_mask",
@@ -72,8 +66,8 @@ class EstimatorSpec:
             raise ValueError("derivative order n must be 0, 1 or 2")
         if not (self.p >= 1.0):  # also rejects NaN
             raise ValueError("Minkowski norm p must be >= 1 (or inf)")
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
+        if not (0.0 <= self.sigma < math.inf):  # also rejects NaN
+            raise ValueError("sigma must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -101,11 +95,6 @@ PRESETS: dict[str, EstimatorSpec] = {
     "grey-edge-1": EstimatorSpec("grey-edge-1", 1, 6.0, 2.0),
     "grey-edge-2": EstimatorSpec("grey-edge-2", 2, 6.0, 2.0),
 }
-
-
-def list_presets() -> dict[str, tuple[int, float, float]]:
-    """Preset catalog as name -> (n, p, sigma)."""
-    return {name: (s.n, s.p, s.sigma) for name, s in PRESETS.items()}
 
 
 _FAMILY_BY_ORDER = {0: "grey-world", 1: "grey-edge-1", 2: "grey-edge-2"}
@@ -245,44 +234,6 @@ def estimate(
         raise ValueError("degenerate estimate: zero channel under mask")
     rgb = normalize_estimate(pooled)
     return IlluminantEstimate(image_id=image_id, algorithm=spec.name, rgb=tuple(rgb))
-
-
-# An external estimator receives (image, mask-or-None) and returns any
-# RGB-like vector; the registry normalizes it.
-ExternalEstimator = Callable[[LinearImage, np.ndarray | None], object]
-
-
-class Registry:
-    """Catalog of runnable estimators: built-in presets plus external hooks.
-
-    Built once at setup, then treated as read-only while a corpus evaluation
-    fans out over images.
-    """
-
-    def __init__(self) -> None:
-        self._external: dict[str, ExternalEstimator] = {}
-
-    def register_external(self, name: str, fn: ExternalEstimator) -> None:
-        if name in PRESETS or name in self._external:
-            raise ValueError(f"duplicate estimator name: {name!r}")
-        self._external[name] = fn
-
-    def names(self) -> list[str]:
-        return list(PRESETS) + list(self._external)
-
-    def run(
-        self,
-        name: str,
-        img: LinearImage,
-        mask: np.ndarray | None = None,
-        image_id: str = "",
-    ) -> IlluminantEstimate:
-        if name in self._external:
-            rgb = normalize_estimate(np.asarray(self._external[name](img, mask), float))
-            return IlluminantEstimate(image_id=image_id, algorithm=name, rgb=tuple(rgb))
-        if name in PRESETS:
-            return estimate(img, PRESETS[name], mask, image_id)
-        raise ValueError(f"unknown estimator: {name!r}")
 
 
 def saturation_mask(img: LinearImage, saturation_level: float) -> np.ndarray:

@@ -30,6 +30,7 @@ __all__ = [
     "RankingTable",
     "STAT_KEYS",
     "format_ranking_text",
+    "format_table",
     "rank",
     "recovery_error",
     "reproduction_error",
@@ -172,6 +173,17 @@ def write_ranking_csv(table: RankingTable, path: str | Path) -> None:
     atomic_write_text(path, buf.getvalue())
 
 
+def format_table(
+    headers: Sequence[str], rows: Sequence[Sequence[str]], title: str = ""
+) -> str:
+    """Aligned plain-text table: left-justified columns, two spaces apart."""
+    widths = [max([len(h)] + [len(r[i]) for r in rows]) for i, h in enumerate(headers)]
+    lines = [title] if title else []
+    for r in [headers, *rows]:
+        lines.append("  ".join(cell.ljust(w) for cell, w in zip(r, widths)))
+    return "\n".join(lines)
+
+
 def format_ranking_text(table: RankingTable, title: str = "") -> str:
     """Aligned plain-text rendering of a ranking table."""
     headers = ["rank", "algorithm"] + list(STAT_KEYS)
@@ -180,14 +192,4 @@ def format_ranking_text(table: RankingTable, title: str = "") -> str:
         + [f"{summary_stat(row.summary, k):.4f}" for k in STAT_KEYS]
         for row in table.rows
     ]
-    widths = [
-        max(len(headers[i]), *(len(r[i]) for r in body)) if body else len(headers[i])
-        for i in range(len(headers))
-    ]
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append("  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)))
-    for r in body:
-        lines.append("  ".join(r[i].ljust(widths[i]) for i in range(len(headers))))
-    return "\n".join(lines)
+    return format_table(headers, body, title)

@@ -14,19 +14,22 @@ not measurements of any physical target.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from ._util import atomic_write_text, fmt9
+from ._util import atomic_write_text
 from .chartgeom import (
     CHART_COLS,
     CHART_ROWS,
     DEFAULT_HALF_SIZE,
+    ChartLayout,
     apply_homography,
     default_corner_patch_centers,
     fit_homography,
+    format_chart,
 )
 from .imagecore import CameraProfile, LinearImage, save_image
 
@@ -37,10 +40,13 @@ __all__ = [
     "DEFAULT_REFLECTANCES",
     "RenderedScene",
     "SceneSpec",
+    "WHITE_REFLECTANCE",
     "default_pose",
     "make_grayworld_scene",
     "pose_from_corners",
+    "random_pose",
     "render",
+    "write_reversal_corpus",
     "write_scene",
 ]
 
@@ -83,6 +89,7 @@ DEFAULT_REFLECTANCES = np.array(
         [0.03, 0.03, 0.03],
     ]
 )
+WHITE_REFLECTANCE = float(DEFAULT_REFLECTANCES[18][0])
 
 
 def pose_from_corners(corners) -> np.ndarray:
@@ -104,6 +111,28 @@ def default_pose(width: int, height: int, scale: float = 0.5) -> np.ndarray:
             [cx - w / 2, cy + h / 2],
         ]
     )
+    return pose_from_corners(corners)
+
+
+def random_pose(
+    rng: np.random.Generator,
+    width: int = 640,
+    height: int = 480,
+    scale_range: tuple[float, float] = (0.45, 0.60),
+    max_rot_deg: float = 12.0,
+    jitter: float = 8.0,
+) -> np.ndarray:
+    """Mildly projective pose: scaled/rotated chart with jittered corners."""
+    s = rng.uniform(*scale_range)
+    theta = math.radians(rng.uniform(-max_rot_deg, max_rot_deg))
+    w = (CHART_W - 1) * s
+    h = (CHART_H - 1) * s
+    base = np.array([[-w / 2, -h / 2], [w / 2, -h / 2], [w / 2, h / 2], [-w / 2, h / 2]])
+    rot = np.array(
+        [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
+    )
+    center = np.array([(width - 1) / 2.0, (height - 1) / 2.0])
+    corners = base @ rot.T + center + rng.uniform(-jitter, jitter, size=(4, 2))
     return pose_from_corners(corners)
 
 
@@ -186,16 +215,6 @@ class RenderedScene:
     camera: CameraProfile
 
 
-def _chart_text(corners: np.ndarray) -> str:
-    centers = default_corner_patch_centers(CHART_W, CHART_H)
-    lines = [
-        "corners: " + " ".join(fmt9(v) for v in corners.ravel()),
-        "corner_patch_centers: " + " ".join(fmt9(v) for v in centers.ravel()),
-        f"half_size: {DEFAULT_HALF_SIZE}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
 def render(spec: SceneSpec) -> RenderedScene:
     """Render a chart scene to integer digital counts, deterministically.
 
@@ -249,7 +268,11 @@ def render(spec: SceneSpec) -> RenderedScene:
     return RenderedScene(
         image=image,
         true_illuminant=spec.illuminant,
-        chart_text=_chart_text(corners),
+        chart_text=format_chart(
+            ChartLayout(
+                corners, default_corner_patch_centers(CHART_W, CHART_H), DEFAULT_HALF_SIZE
+            )
+        ),
         camera=camera,
     )
 
@@ -295,3 +318,49 @@ def write_scene(scene: RenderedScene, out_dir: str | Path, image_id: str) -> Pat
     if scene.chart_text is not None:
         atomic_write_text(out_dir / f"{image_id}.chart", scene.chart_text)
     return image_path
+
+
+def write_reversal_corpus(
+    out_dir: str | Path, rng: np.random.Generator, count: int
+) -> dict[str, np.ndarray]:
+    """Scenes engineered so estimator rankings flip between GT conventions.
+
+    The background mean is aligned with the true illuminant (grey-world wins
+    against the subtracted ground truth) while a bright highlight square is
+    aimed at the direction of the unsubtracted ground truth (white-patch wins
+    against that one).  Returns image_id -> unit true illuminant.
+    """
+    width, height = 640, 480
+    truths: dict[str, np.ndarray] = {}
+    for i in range(count):
+        v = np.array(
+            [rng.integers(850, 950), rng.integers(540, 620), rng.integers(290, 350)],
+            dtype=np.float64,
+        )
+        truth = v / np.linalg.norm(v)
+        exposure = float(np.linalg.norm(v)) / WHITE_REFLECTANCE
+        shifted = v + 129.0
+        aim = shifted / shifted.max()
+        # Highlight intensity: above the background's per-channel maximum but
+        # within reflectance <= 1 and clear of the saturation threshold.
+        limit = ((v / WHITE_REFLECTANCE) / aim).min()
+        floor = ((0.5 * v / WHITE_REFLECTANCE) / aim).max()
+        assert floor < limit
+        intensity = 0.5 * (floor + limit)
+        background = rng.uniform(0.1, 0.5, size=(height, width, 3))
+        background += 0.3 - background.mean(axis=(0, 1))
+        background[20:50, 20:50, :] = intensity * aim * WHITE_REFLECTANCE / v
+        spec = SceneSpec(
+            illuminant=tuple(truth),
+            pose=random_pose(rng, width, height, scale_range=(0.45, 0.55), jitter=6.0),
+            width=width,
+            height=height,
+            exposure=exposure,
+            background=background,
+            black_level=129.0,
+            rng_seed=int(rng.integers(0, 2**31)),
+        )
+        image_id = f"rev{i:03d}"
+        write_scene(render(spec), out_dir, image_id)
+        truths[image_id] = truth
+    return truths

@@ -9,14 +9,11 @@ parallel to the true illuminant up to float rounding.
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
 
 import numpy as np
 
 from chromabench import synth
-
-WHITE_REFLECTANCE = float(synth.DEFAULT_REFLECTANCES[18][0])
 
 # Achromatic ramp of exact binary fractions: products with integer exposures
 # stay exactly representable, which the saturation boundary tests rely on.
@@ -33,28 +30,6 @@ def exact_reflectance_table() -> np.ndarray:
 def translation_pose(dx: float = 20.0, dy: float = 40.0) -> np.ndarray:
     """Exact integer translation: rectification copies counts bit-for-bit."""
     return synth.pose_from_corners(synth.CANONICAL_CORNERS + np.array([dx, dy]))
-
-
-def random_pose(
-    rng: np.random.Generator,
-    width: int = 640,
-    height: int = 480,
-    scale_range: tuple[float, float] = (0.45, 0.60),
-    max_rot_deg: float = 12.0,
-    jitter: float = 8.0,
-) -> np.ndarray:
-    """Mildly projective pose: scaled/rotated chart with jittered corners."""
-    s = rng.uniform(*scale_range)
-    theta = math.radians(rng.uniform(-max_rot_deg, max_rot_deg))
-    w = (synth.CHART_W - 1) * s
-    h = (synth.CHART_H - 1) * s
-    base = np.array([[-w / 2, -h / 2], [w / 2, -h / 2], [w / 2, h / 2], [-w / 2, h / 2]])
-    rot = np.array(
-        [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
-    )
-    center = np.array([(width - 1) / 2.0, (height - 1) / 2.0])
-    corners = base @ rot.T + center + rng.uniform(-jitter, jitter, size=(4, 2))
-    return synth.pose_from_corners(corners)
 
 
 def scene_for_target(
@@ -74,7 +49,7 @@ def scene_for_target(
         pose=pose,
         width=width,
         height=height,
-        exposure=float(np.linalg.norm(v)) / WHITE_REFLECTANCE,
+        exposure=float(np.linalg.norm(v)) / synth.WHITE_REFLECTANCE,
         black_level=black_level,
         noise_sigma=noise_sigma,
         rng_seed=rng_seed,
@@ -97,7 +72,7 @@ def write_corpus(
         v = rng.integers(*counts_range, size=3).astype(np.float64)
         spec, truth = scene_for_target(
             v,
-            random_pose(rng),
+            synth.random_pose(rng),
             black_level=black_levels[i % len(black_levels)],
             noise_sigma=noise_sigma,
             rng_seed=int(rng.integers(0, 2**31)),
@@ -128,7 +103,7 @@ def write_nonneutral_corpus(
         )
         spec, truth = scene_for_target(
             v,
-            random_pose(rng),
+            synth.random_pose(rng),
             black_level=black_level,
             rng_seed=int(rng.integers(0, 2**31)),
         )
@@ -137,48 +112,3 @@ def write_nonneutral_corpus(
         truths[image_id] = truth
     return truths
 
-
-def write_reversal_corpus(
-    out_dir: Path, rng: np.random.Generator, count: int = 6
-) -> dict[str, np.ndarray]:
-    """Scenes engineered so estimator rankings flip between GT conventions.
-
-    The background mean is aligned with the true illuminant (grey-world wins
-    against the subtracted ground truth) while a bright highlight square is
-    aimed at the direction of the unsubtracted ground truth (white-patch wins
-    against that one).
-    """
-    width, height = 640, 480
-    truths: dict[str, np.ndarray] = {}
-    for i in range(count):
-        v = np.array(
-            [rng.integers(850, 950), rng.integers(540, 620), rng.integers(290, 350)],
-            dtype=np.float64,
-        )
-        truth = v / np.linalg.norm(v)
-        exposure = float(np.linalg.norm(v)) / WHITE_REFLECTANCE
-        shifted = v + 129.0
-        aim = shifted / shifted.max()
-        # Highlight intensity: above the background's per-channel maximum but
-        # within reflectance <= 1 and clear of the saturation threshold.
-        limit = ((v / WHITE_REFLECTANCE) / aim).min()
-        floor = ((0.5 * v / WHITE_REFLECTANCE) / aim).max()
-        assert floor < limit
-        intensity = 0.5 * (floor + limit)
-        background = rng.uniform(0.1, 0.5, size=(height, width, 3))
-        background += 0.3 - background.mean(axis=(0, 1))
-        background[20:50, 20:50, :] = intensity * aim * WHITE_REFLECTANCE / v
-        spec = synth.SceneSpec(
-            illuminant=tuple(truth),
-            pose=random_pose(rng, width, height, scale_range=(0.45, 0.55), jitter=6.0),
-            width=width,
-            height=height,
-            exposure=exposure,
-            background=background,
-            black_level=129.0,
-            rng_seed=int(rng.integers(0, 2**31)),
-        )
-        image_id = f"rev{i:03d}"
-        synth.write_scene(synth.render(spec), out_dir, image_id)
-        truths[image_id] = truth
-    return truths

@@ -137,7 +137,7 @@ def test_ranking_reversal(tmp_path):
     rng = np.random.default_rng(4096)
     corpus = tmp_path / "corpus"
     corpus.mkdir()
-    synthcases.write_reversal_corpus(corpus, rng, count=6)
+    synth.write_reversal_corpus(corpus, rng, count=6)
     gt_sub = tmp_path / "sub.csv"
     gt_raw = tmp_path / "raw.csv"
     est_csv = tmp_path / "est.csv"

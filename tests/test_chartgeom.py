@@ -224,6 +224,9 @@ def test_chart_file_optional_lines_default(tmp_path):
         "corners: a b c d e f g h\n",
         "mystery: 1\n",
         "half_size: 3\n",  # corners missing
+        "corners: 0 0 99 0 99 49 0 49\nhalf_size: 2.7\n",
+        "corners: 0 0 99 0 99 49 0 49\nhalf_size: nan\n",
+        "corners: 0 0 99 0 99 49 0 49\nhalf_size: inf\n",
     ],
 )
 def test_chart_file_malformed(tmp_path, content):
@@ -231,3 +234,4 @@ def test_chart_file_malformed(tmp_path, content):
     path.write_text(content)
     with pytest.raises(ValueError, match="malformed chart file"):
         read_chart_file(path)
+

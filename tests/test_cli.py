@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -58,6 +59,53 @@ def test_synth_unknown_field_exits_1(tmp_path, capsys):
     spec = write_scene_json(tmp_path / "scene.json", exposur=5.0)
     assert run(["synth", "--spec", spec, "--out", tmp_path / "o"]) == 1
     assert "unknown scene spec fields" in capsys.readouterr().err
+
+
+def test_synth_pose_with_corners_exits_1(tmp_path, capsys):
+    spec = write_scene_json(
+        tmp_path / "scene.json",
+        pose=synth.default_pose(640, 480).tolist(),
+        corners=synth.CANONICAL_CORNERS.ravel().tolist(),
+    )
+    assert run(["synth", "--spec", spec, "--out", tmp_path / "o"]) == 1
+    assert "not both" in capsys.readouterr().err
+
+
+def test_synth_json_sets_every_scene_field(tmp_path):
+    table = synth.DEFAULT_REFLECTANCES.copy()
+    table[0] = (0.6, 0.2, 0.1)
+    ramp = (0.8, 0.5, 0.3, 0.15, 0.07, 0.02)
+    fields = dict(
+        illuminant=(0.9, 0.6, 0.4),
+        pose=synth.pose_from_corners(
+            synth.CANONICAL_CORNERS * 0.8 + np.array([40.0, 30.0])
+        ),
+        width=700,
+        height=500,
+        exposure=1800.0,
+        reflectance_table=table,
+        background=(0.3, 0.4, 0.2),
+        black_level=64.0,
+        noise_sigma=2.5,
+        bit_depth=12,
+        clip_level=4000.0,
+        rng_seed=3,
+        camera_id="cam-x",
+        saturation_level=3500.0,
+    )
+    assert set(fields) == {f.name for f in dataclasses.fields(synth.SceneSpec)}
+    payload = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in fields.items()}
+    spec = write_scene_json(
+        tmp_path / "scene.json", image_id="full", achromatic_reflectances=ramp, **payload
+    )
+    assert run(["synth", "--spec", spec, "--out", tmp_path / "cli"]) == 0
+
+    table[18:24] = np.array(ramp)[:, None]
+    expected = synth.render(synth.SceneSpec(**{**fields, "reflectance_table": table}))
+    synth.write_scene(expected, tmp_path / "lib", "full")
+    for suffix in (".ppm", ".meta.json", ".chart"):
+        name = f"full{suffix}"
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
 
 
 # --- extract-gt --------------------------------------------------------------
@@ -186,7 +234,7 @@ def test_estimate_mask_chart_ignores_chart_pixels(tmp_path):
     rng = np.random.default_rng(41)
     corpus = tmp_path / "masked"
     corpus.mkdir()
-    spec, truth = synthcases.scene_for_target((2000, 1600, 1200), synthcases.random_pose(rng))
+    spec, truth = synthcases.scene_for_target((2000, 1600, 1200), synth.random_pose(rng))
     synth.write_scene(synth.render(spec), corpus, "scene")
     est_m = tmp_path / "masked.csv"
     est_u = tmp_path / "unmasked.csv"

@@ -1,0 +1,37 @@
+"""The demo script runs on the library alone, without the test suite on its path."""
+
+import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_demo_script_needs_only_the_library(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [
+            sys.executable,
+            str(ROOT / "scripts" / "run_synthetic_benchmark.py"),
+            "--scenes",
+            "4",
+            "--out",
+            str(tmp_path / "out"),
+        ],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "best offset: 129" in proc.stdout
+
+    with open(tmp_path / "out" / "ranking_recovery.csv", newline="") as fh:
+        ranks = {row["algorithm"]: row for row in csv.DictReader(fh)}
+    gw, wp = ranks["grey-world"], ranks["white-patch"]
+    sub, raw = "rank_errors_recovery_sub", "rank_errors_recovery_raw"
+    assert int(gw[sub]) < int(wp[sub])
+    assert int(wp[raw]) < int(gw[raw])

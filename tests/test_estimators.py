@@ -9,12 +9,10 @@ from chromabench.estimators import (
     EstimatorSpec,
     IlluminantEstimate,
     PRESETS,
-    Registry,
     chart_region_mask,
     derivative_magnitude,
     estimate,
     gaussian_smooth,
-    list_presets,
     minkowski_pool,
     read_estimates,
     saturation_mask,
@@ -211,37 +209,19 @@ def test_mask_dimension_mismatch_rejected():
         estimate(img, PRESETS["grey-world"], np.ones((3, 3), bool))
 
 
-# --- registry and specs ------------------------------------------------------
+# --- specs -------------------------------------------------------------------
 
 
 def test_preset_catalog():
-    presets = list_presets()
-    assert presets["grey-world"] == (0, 1.0, 0.0)
-    assert presets["white-patch"] == (0, math.inf, 0.0)
-    assert presets["grey-edge-1"][0] == 1
-    assert presets["grey-edge-2"][0] == 2
+    def params(name):
+        spec = PRESETS[name]
+        return (spec.n, spec.p, spec.sigma)
 
-
-def test_external_estimator_runs_through_registry():
-    reg = Registry()
-    reg.register_external("do-nothing", lambda img, mask: (1.0, 1.0, 1.0))
-    est = reg.run("do-nothing", random_image(RNG), image_id="x")
-    np.testing.assert_allclose(est.rgb, 1 / math.sqrt(3), atol=1e-12)
-    assert est.algorithm == "do-nothing"
-
-
-def test_duplicate_registration_rejected():
-    reg = Registry()
-    reg.register_external("mine", lambda img, mask: (1, 1, 1))
-    with pytest.raises(ValueError, match="duplicate"):
-        reg.register_external("mine", lambda img, mask: (1, 1, 1))
-    with pytest.raises(ValueError, match="duplicate"):
-        reg.register_external("grey-world", lambda img, mask: (1, 1, 1))
-
-
-def test_unknown_estimator_rejected():
-    with pytest.raises(ValueError, match="unknown"):
-        Registry().run("nope", random_image(RNG))
+    assert params("grey-world") == (0, 1.0, 0.0)
+    assert params("white-patch") == (0, math.inf, 0.0)
+    assert PRESETS["grey-edge-1"].n == 1
+    assert PRESETS["grey-edge-2"].n == 2
+    assert all(name == spec.name for name, spec in PRESETS.items())
 
 
 def test_spec_from_string_presets_and_custom():
@@ -263,6 +243,11 @@ def test_spec_validation():
         EstimatorSpec("x", 0, 0.5, 0.0)
     with pytest.raises(ValueError):
         EstimatorSpec("x", 0, 1.0, -1.0)
+    for sigma in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="sigma"):
+            EstimatorSpec("x", 0, 1.0, sigma)
+        with pytest.raises(ValueError, match="sigma"):
+            spec_from_string(f"n=1,p=6,sigma={sigma}")
 
 
 # --- masks -------------------------------------------------------------------

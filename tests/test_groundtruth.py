@@ -121,7 +121,7 @@ def render_and_load(tmp_path, spec, image_id):
 def test_pipeline_recovers_known_illuminant(tmp_path):
     rng = np.random.default_rng(21)
     spec, truth = synthcases.scene_for_target(
-        (2400, 1700, 1100), synthcases.random_pose(rng)
+        (2400, 1700, 1100), synth.random_pose(rng)
     )
     img, layout = render_and_load(tmp_path, spec, "a")
     rec = compute_ground_truth(img, layout, img.camera, image_id="a")
@@ -132,7 +132,7 @@ def test_pipeline_recovers_known_illuminant(tmp_path):
 
 def test_black_level_cancels_exactly(tmp_path):
     rng = np.random.default_rng(22)
-    pose = synthcases.random_pose(rng)
+    pose = synth.random_pose(rng)
     spec0, truth = synthcases.scene_for_target((2400, 1700, 1100), pose)
     spec129, _ = synthcases.scene_for_target((2400, 1700, 1100), pose, black_level=129.0)
     img0, layout0 = render_and_load(tmp_path, spec0, "zero")
@@ -146,7 +146,7 @@ def test_black_level_cancels_exactly(tmp_path):
 def test_skipping_subtraction_shifts_by_exactly_129(tmp_path):
     rng = np.random.default_rng(23)
     spec, _ = synthcases.scene_for_target(
-        (2400, 1700, 1100), synthcases.random_pose(rng), black_level=129.0
+        (2400, 1700, 1100), synth.random_pose(rng), black_level=129.0
     )
     img, layout = render_and_load(tmp_path, spec, "s")
     subtracted = compute_ground_truth(img, layout, img.camera, image_id="s")

@@ -3,7 +3,7 @@ import pytest
 
 import synthcases
 from chromabench import synth
-from chromabench.chartgeom import read_chart_file
+from chromabench.chartgeom import format_chart, read_chart_file
 from chromabench.estimators import PRESETS, estimate
 from chromabench.groundtruth import compute_ground_truth
 from chromabench.imagecore import load_image
@@ -100,7 +100,7 @@ def test_round_trip_recovers_parallel_illuminant(tmp_path):
     for i, black in enumerate((0.0, 129.0)):
         spec, truth = synthcases.scene_for_target(
             rng.integers(1500, 2800, size=3).astype(float),
-            synthcases.random_pose(rng),
+            synth.random_pose(rng),
             black_level=black,
             rng_seed=i,
         )
@@ -141,3 +141,5 @@ def test_written_scene_files(tmp_path):
     layout = read_chart_file(tmp_path / "files.chart")
     assert layout.half_size == 15
     assert layout.corner_patch_centers is not None
+    written = (tmp_path / "files.chart").read_text(encoding="utf-8")
+    assert written == scene.chart_text == format_chart(layout)
