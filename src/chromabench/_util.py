@@ -1,9 +1,12 @@
-"""Shared plumbing: deterministic float formatting and atomic file writes."""
+"""Shared plumbing: float formatting, atomic writes and the one CSV dialect."""
 
 from __future__ import annotations
 
+import csv
+import io
 import os
 from pathlib import Path
+from typing import Callable, Iterable, Sequence
 
 
 def fmt9(x: float) -> str:
@@ -27,3 +30,34 @@ def atomic_write_bytes(path: str | os.PathLike, payload: bytes) -> None:
 def atomic_write_text(path: str | os.PathLike, text: str) -> None:
     """UTF-8, LF line endings, atomic replace."""
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def write_csv(path: str | os.PathLike, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Every CSV the package writes: UTF-8, LF line endings, parent directory created."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    atomic_write_text(path, buf.getvalue())
+
+
+def read_csv(path: str | os.PathLike, required: Iterable[str], parse: Callable) -> list:
+    """``parse`` applied to every row (a column -> text dict) of a CSV table.
+
+    Extra columns are ignored.  A missing ``required`` column, or a
+    TypeError/ValueError raised by ``parse``, becomes a ValueError that names
+    the file (and the line on which the row ends).
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        missing = set(required) - set(reader.fieldnames or ())
+        if missing:
+            raise ValueError(f"{path}: missing columns {sorted(missing)}")
+        parsed = []
+        for row in reader:
+            try:
+                parsed.append(parse(row))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
+    return parsed

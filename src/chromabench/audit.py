@@ -11,7 +11,6 @@ hypothesis directly, and checks legacy files for same-patch violations.
 from __future__ import annotations
 
 import csv
-import io
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,7 +18,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from ._util import atomic_write_text, fmt9
+from ._util import fmt9, write_csv
 from .groundtruth import GroundTruthRecord, records_by_id
 from .metrics import recovery_error
 
@@ -202,12 +201,9 @@ def emit_chromaticity_scatter(sets: Mapping[str, GTSet], path: str | Path) -> No
     """
     if not sets:
         raise ValueError("no ground-truth sets given")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["set_name", "image_id", "r", "g"])
-    for set_name in sorted(sets):
-        by_id = _as_map(sets[set_name])
-        for image_id in sorted(by_id):
-            chrom = chromaticity(by_id[image_id].illuminant)
-            writer.writerow([set_name, image_id, fmt9(chrom.r), fmt9(chrom.g)])
-    atomic_write_text(path, buf.getvalue())
+    rows = (
+        [set_name, image_id, *(fmt9(c) for c in chromaticity(rec.illuminant))]
+        for set_name in sorted(sets)
+        for image_id, rec in sorted(_as_map(sets[set_name]).items())
+    )
+    write_csv(path, ["set_name", "image_id", "r", "g"], rows)

@@ -17,11 +17,8 @@ atomically and are byte-stable for fixed inputs regardless of --jobs.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io
 import json
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -30,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import audit, chartgeom, estimators, groundtruth, imagecore, metrics, synth
-from ._util import atomic_write_text, fmt9
+from ._util import fmt9, write_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -58,13 +55,6 @@ def _resolve_jobs(arg_jobs: int | None) -> int:
     return jobs
 
 
-def _map_tasks(fn, tasks: list, jobs: int) -> list:
-    if jobs == 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, tasks))
-
-
 def _discover_images(images_dir: str) -> list[tuple[str, Path]]:
     root = Path(images_dir)
     if not root.is_dir():
@@ -79,6 +69,25 @@ def _log_error(image_id: str, message: str) -> None:
     print(f"error: {image_id}: {message}", file=sys.stderr)
 
 
+def _run_per_image(worker, tasks: list, jobs: int) -> tuple[list, int]:
+    """Results of ``worker`` over ``tasks`` in task order, and the failure count.
+
+    A worker returns (image_id, results, error messages); each message is logged.
+    """
+    if jobs == 1 or len(tasks) <= 1:
+        outcomes = [worker(t) for t in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            outcomes = list(pool.map(worker, tasks))
+    results, failures = [], 0
+    for image_id, image_results, errors in outcomes:
+        results.extend(image_results)
+        for message in errors:
+            _log_error(image_id, message)
+        failures += len(errors)
+    return results, failures
+
+
 # ---------------------------------------------------------------------------
 # extract-gt
 
@@ -88,13 +97,12 @@ def _extract_one(task):
     try:
         img = imagecore.load_image(image_path)
         layout = chartgeom.read_chart_file(chart_path)
-        camera = img.camera or imagecore.CameraProfile("unknown")
         record = groundtruth.compute_ground_truth(
-            img, layout, camera, image_id=image_id, subtract_black=subtract_black
+            img, layout, img.camera, image_id=image_id, subtract_black=subtract_black
         )
-        return image_id, record, None
+        return image_id, [record], []
     except Exception as exc:  # noqa: BLE001 - per-image failures must not kill the run
-        return image_id, None, str(exc)
+        return image_id, [], [str(exc)]
 
 
 def cmd_extract_gt(args) -> int:
@@ -105,16 +113,7 @@ def cmd_extract_gt(args) -> int:
         (image_id, str(path), str(charts_dir / f"{image_id}.chart"), not args.no_black_subtract)
         for image_id, path in images
     ]
-    results = _map_tasks(_extract_one, tasks, jobs)
-    records = []
-    failures = 0
-    for image_id, record, error in results:
-        if error is not None:
-            failures += 1
-            _log_error(image_id, error)
-        else:
-            records.append(record)
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+    records, failures = _run_per_image(_extract_one, tasks, jobs)
     groundtruth.write_gt(records, args.out)
     print(f"wrote {len(records)} ground-truth records to {args.out}")
     return EXIT_PARTIAL if failures else EXIT_OK
@@ -130,17 +129,16 @@ def _estimate_one(task):
     errors = []
     try:
         img = imagecore.load_image(image_path)
-        camera = img.camera or imagecore.CameraProfile("unknown")
         mask = np.ones((img.height, img.width), dtype=bool)
         if sat_mask:
             # Clipping is judged on raw counts, before the dark offset is removed.
-            mask &= estimators.saturation_mask(img, camera.saturation_level)
+            mask &= estimators.saturation_mask(img, img.camera.saturation_level)
         if mask_chart:
             layout = chartgeom.read_chart_file(chart_path)
             mask &= estimators.chart_region_mask(
                 img.height, img.width, layout.corners, dilate_px=5
             )
-        linear = imagecore.subtract_black_level(img, camera.black_level)
+        linear = imagecore.subtract_black_level(img, img.camera.black_level)
     except Exception as exc:  # noqa: BLE001
         return image_id, [], [f"{exc}"]
     for spec in specs:
@@ -158,6 +156,10 @@ def cmd_estimate(args) -> int:
         specs = [estimators.spec_from_string(text) for text in args.algo]
     except ValueError as exc:
         raise CliError(str(exc)) from exc
+    names = [spec.name for spec in specs]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise CliError(f"--algo repeats {', '.join(repeated)}")
     images = _discover_images(args.images)
     charts_dir = Path(args.charts) if args.charts else Path(args.images)
     tasks = [
@@ -171,15 +173,7 @@ def cmd_estimate(args) -> int:
         )
         for image_id, path in images
     ]
-    results = _map_tasks(_estimate_one, tasks, jobs)
-    rows = []
-    failures = 0
-    for image_id, image_rows, errors in results:
-        rows.extend(image_rows)
-        for message in errors:
-            failures += 1
-            _log_error(image_id, message)
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+    rows, failures = _run_per_image(_estimate_one, tasks, jobs)
     estimators.write_estimates(rows, args.out)
     print(f"wrote {len(rows)} estimates to {args.out}")
     return EXIT_PARTIAL if failures else EXIT_OK
@@ -197,10 +191,7 @@ def cmd_evaluate(args) -> int:
     error_fn = (
         metrics.recovery_error if args.metric == "recovery" else metrics.reproduction_error
     )
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["image_id", "algorithm", "metric", "degrees"])
-    written = 0
+    rows = []
     failures = 0
     for est in ests:
         record = gt_map.get(est.image_id)
@@ -214,33 +205,16 @@ def cmd_evaluate(args) -> int:
             failures += 1
             _log_error(est.image_id, f"{est.algorithm}: {exc}")
             continue
-        writer.writerow([est.image_id, est.algorithm, args.metric, fmt9(degrees)])
-        written += 1
-    if written == 0:
+        rows.append((est.image_id, est.algorithm, args.metric, fmt9(degrees)))
+    if not rows:
         raise CliError("no estimate could be scored against this ground truth")
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    atomic_write_text(args.out, buf.getvalue())
-    print(f"wrote {written} {args.metric} errors to {args.out}")
+    write_csv(args.out, metrics.ERROR_FIELDS, rows)
+    print(f"wrote {len(rows)} {args.metric} errors to {args.out}")
     return EXIT_PARTIAL if failures else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # rank
-
-
-def _read_errors_csv(path: str) -> dict[str, list[float]]:
-    by_algo: dict[str, list[float]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        needed = {"image_id", "algorithm", "degrees"}
-        missing = needed - set(reader.fieldnames or ())
-        if missing:
-            raise CliError(f"{path}: missing columns {sorted(missing)}")
-        for row in reader:
-            by_algo.setdefault(row["algorithm"], []).append(float(row["degrees"]))
-    if not by_algo:
-        raise CliError(f"{path}: no error rows")
-    return by_algo
 
 
 def _labels_for(paths: list[str]) -> list[str]:
@@ -260,9 +234,9 @@ def cmd_rank(args) -> int:
     labels = _labels_for(args.errors)
     per_file: dict[str, dict[str, metrics.ErrorSummary]] = {}
     for label, path in zip(labels, args.errors):
-        grouped = _read_errors_csv(path)
         per_file[label] = {
-            algo: metrics.summarize(values) for algo, values in grouped.items()
+            algo: metrics.summarize(list(by_image.values()))
+            for algo, by_image in metrics.read_errors(path).items()
         }
 
     algo_sets = [set(summaries) for summaries in per_file.values()]
@@ -279,7 +253,6 @@ def cmd_rank(args) -> int:
         raise CliError("no algorithm appears in every error file")
 
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     tables: dict[str, metrics.RankingTable] = {}
     for label in labels:
         summaries = {a: s for a, s in per_file[label].items() if a in common}
@@ -312,11 +285,7 @@ def cmd_rank(args) -> int:
             row = rank_of[label][first.algorithm]
             row_out += [str(row.rank), fmt9(metrics.summary_stat(row.summary, args.stat))]
         rows.append(row_out)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    atomic_write_text(out, buf.getvalue())
+    write_csv(out, header, rows)
 
     print(metrics.format_table(header, rows, title="rank comparison:"))
     print(f"wrote comparison to {out}")
@@ -335,16 +304,11 @@ def cmd_diff_gt(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["image_id", "degrees", "outlier"])
-    for image_id in sorted(report.angles_deg):
-        angle = report.angles_deg[image_id]
-        writer.writerow(
-            [image_id, fmt9(angle), "true" if angle > report.threshold_deg else "false"]
-        )
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    atomic_write_text(args.out, buf.getvalue())
+    rows = (
+        [image_id, fmt9(angle), "true" if angle > report.threshold_deg else "false"]
+        for image_id, angle in sorted(report.angles_deg.items())
+    )
+    write_csv(args.out, ["image_id", "degrees", "outlier"], rows)
 
     print(f"matched images:   {report.matched}")
     print(f"only in A:        {len(report.only_in_a)}")

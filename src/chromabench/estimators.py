@@ -21,8 +21,6 @@ to exposure scaling by construction.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,8 +28,8 @@ from pathlib import Path
 import numpy as np
 from scipy import ndimage
 
-from ._util import atomic_write_text, fmt9
-from .imagecore import LinearImage, normalize_estimate
+from ._util import fmt9, read_csv, write_csv
+from .imagecore import LinearImage, clipped, normalize_estimate
 
 __all__ = [
     "EstimatorSpec",
@@ -146,12 +144,18 @@ def gaussian_smooth(img: LinearImage, sigma: float) -> LinearImage:
     """Separable Gaussian blur; sigma = 0 returns the input unchanged.
 
     Kernel radius is ceil(3*sigma); weights are the sampled Gaussian
-    normalized to sum 1, so constants pass through exactly.
+    normalized to sum 1, so constants pass through exactly.  A radius past
+    the longer image side is rejected before any kernel is built.
     """
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
     if sigma == 0:
         return img
+    if 3.0 * sigma > max(img.height, img.width):
+        raise ValueError(
+            f"sigma={sigma:g} is too large for a {img.width}x{img.height} image "
+            "(3*sigma must not exceed the longer side)"
+        )
     kernel = _gaussian_kernel(sigma)
     out = _correlate_axis(img.data, kernel, axis=1)
     out = _correlate_axis(out, kernel, axis=0)
@@ -237,8 +241,8 @@ def estimate(
 
 
 def saturation_mask(img: LinearImage, saturation_level: float) -> np.ndarray:
-    """True where every channel stays below the clipping threshold."""
-    return ~np.any(img.data >= saturation_level, axis=2)
+    """True where no channel is clipped (the rule ground truth also uses)."""
+    return ~np.any(clipped(img.data, saturation_level), axis=2)
 
 
 def chart_region_mask(
@@ -279,29 +283,16 @@ def write_estimates(
     rows: list[tuple[IlluminantEstimate, EstimatorSpec | None]], path: str | Path
 ) -> None:
     """Write the estimates CSV; p = inf is serialized as "inf"."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(EST_FIELDS)
-    for est, spec in rows:
-        if spec is not None:
-            n_txt = str(spec.n)
-            p_txt = "inf" if math.isinf(spec.p) else fmt9(spec.p)
-            s_txt = fmt9(spec.sigma)
-        else:
-            n_txt = p_txt = s_txt = ""
-        writer.writerow(
-            [
-                est.image_id,
-                est.algorithm,
-                n_txt,
-                p_txt,
-                s_txt,
-                fmt9(est.rgb[0]),
-                fmt9(est.rgb[1]),
-                fmt9(est.rgb[2]),
-            ]
-        )
-    atomic_write_text(path, buf.getvalue())
+    write_csv(path, EST_FIELDS, (_estimate_row(est, spec) for est, spec in rows))
+
+
+def _estimate_row(est: IlluminantEstimate, spec: EstimatorSpec | None) -> list[str]:
+    if spec is None:
+        params = ["", "", ""]
+    else:
+        p_txt = "inf" if math.isinf(spec.p) else fmt9(spec.p)
+        params = [str(spec.n), p_txt, fmt9(spec.sigma)]
+    return [est.image_id, est.algorithm, *params, *(fmt9(v) for v in est.rgb)]
 
 
 def read_estimates(path: str | Path) -> list[IlluminantEstimate]:
@@ -309,26 +300,18 @@ def read_estimates(path: str | Path) -> list[IlluminantEstimate]:
 
     Nine-digit serialization perturbs the norm in the tenth digit; the stored
     quantity is a direction, so normalization restores the invariant without
-    changing any angle.
+    changing any angle.  A repeated (image_id, algorithm) pair is an error.
     """
-    estimates: list[IlluminantEstimate] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = set(EST_FIELDS) - set(reader.fieldnames or ())
-        if missing:
-            raise ValueError(f"estimates CSV missing columns: {sorted(missing)}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                rgb = normalize_estimate(
-                    (float(row["R"]), float(row["G"]), float(row["B"]))
-                )
-                estimates.append(
-                    IlluminantEstimate(
-                        image_id=row["image_id"],
-                        algorithm=row["algorithm"],
-                        rgb=tuple(rgb),
-                    )
-                )
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-    return estimates
+    seen: set[tuple[str, str]] = set()
+
+    def parse(row: dict[str, str]) -> IlluminantEstimate:
+        key = (row["image_id"], row["algorithm"])
+        if key in seen:
+            raise ValueError(
+                f"duplicate estimate for image {key[0]!r}, algorithm {key[1]!r}"
+            )
+        seen.add(key)
+        rgb = normalize_estimate((float(row["R"]), float(row["G"]), float(row["B"])))
+        return IlluminantEstimate(image_id=key[0], algorithm=key[1], rgb=tuple(rgb))
+
+    return read_csv(path, EST_FIELDS, parse)

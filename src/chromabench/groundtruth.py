@@ -13,8 +13,6 @@ in any channel exceeds the threshold.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -22,9 +20,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import chartgeom
-from ._util import atomic_write_text, fmt9
+from ._util import fmt9, read_csv, write_csv
 from .chartgeom import ACHROMATIC_INDICES, ChartLayout
-from .imagecore import CameraProfile, LinearImage
+from .imagecore import CameraProfile, LinearImage, clipped
 
 __all__ = [
     "GT_FIELDS",
@@ -113,7 +111,7 @@ def select_achromatic_patch(
     for s in pool:
         if s.patch_index not in ACHROMATIC_INDICES:
             raise ValueError(f"patch {s.patch_index} is not in the achromatic row")
-    survivors = [s for s in pool if s.max_sample <= saturation_level]
+    survivors = [s for s in pool if not clipped(s.max_sample, saturation_level)]
     if not survivors:
         raise ValueError("no valid achromatic patch: all saturated")
     best = min(survivors, key=lambda s: (-s.brightness, s.patch_index))
@@ -169,23 +167,17 @@ def records_by_id(records: Iterable[GroundTruthRecord]) -> dict[str, GroundTruth
 def write_gt(records: Iterable[GroundTruthRecord], path: str | Path) -> None:
     """Write the ground-truth CSV, rows sorted by image_id."""
     by_id = records_by_id(records)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(GT_FIELDS)
-    for image_id in sorted(by_id):
-        rec = by_id[image_id]
-        writer.writerow(
-            [
-                rec.image_id,
-                fmt9(rec.illuminant[0]),
-                fmt9(rec.illuminant[1]),
-                fmt9(rec.illuminant[2]),
-                rec.patch_index,
-                rec.camera_id,
-                "true" if rec.black_level_subtracted else "false",
-            ]
-        )
-    atomic_write_text(path, buf.getvalue())
+    write_csv(path, GT_FIELDS, (_gt_row(by_id[image_id]) for image_id in sorted(by_id)))
+
+
+def _gt_row(rec: GroundTruthRecord) -> list:
+    return [
+        rec.image_id,
+        *(fmt9(v) for v in rec.illuminant),
+        rec.patch_index,
+        rec.camera_id,
+        "true" if rec.black_level_subtracted else "false",
+    ]
 
 
 def _parse_bool(text: str) -> bool:
@@ -197,34 +189,21 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"bad boolean: {text!r}")
 
 
+def _gt_record(row: dict[str, str]) -> GroundTruthRecord:
+    return GroundTruthRecord(
+        image_id=row["image_id"],
+        illuminant=(float(row["R"]), float(row["G"]), float(row["B"])),
+        patch_index=int(row["patch_index"]),
+        camera_id=row["camera_id"],
+        black_level_subtracted=_parse_bool(row["black_level_subtracted"]),
+    )
+
+
 def read_gt(path: str | Path) -> list[GroundTruthRecord]:
-    """Read a ground-truth CSV; extra columns are ignored."""
-    records: list[GroundTruthRecord] = []
-    seen: set[str] = set()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = set(GT_FIELDS) - set(reader.fieldnames or ())
-        if missing:
-            raise ValueError(f"ground-truth CSV missing columns: {sorted(missing)}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                rec = GroundTruthRecord(
-                    image_id=row["image_id"],
-                    illuminant=(
-                        float(row["R"]),
-                        float(row["G"]),
-                        float(row["B"]),
-                    ),
-                    patch_index=int(row["patch_index"]),
-                    camera_id=row["camera_id"],
-                    black_level_subtracted=_parse_bool(
-                        row["black_level_subtracted"]
-                    ),
-                )
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-            if rec.image_id in seen:
-                raise ValueError(f"{path}: duplicate image_id {rec.image_id!r}")
-            seen.add(rec.image_id)
-            records.append(rec)
+    """Read a ground-truth CSV; extra columns are ignored, repeated ids rejected."""
+    records = read_csv(path, GT_FIELDS, _gt_record)
+    try:
+        records_by_id(records)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     return records

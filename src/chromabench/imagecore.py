@@ -25,6 +25,7 @@ from ._util import atomic_write_bytes, atomic_write_text
 __all__ = [
     "CameraProfile",
     "LinearImage",
+    "clipped",
     "load_image",
     "normalize_estimate",
     "save_image",
@@ -188,6 +189,15 @@ def subtract_black_level(img: LinearImage, level: float) -> LinearImage:
     if level < 0:
         raise ValueError("black level must be >= 0")
     return img.with_data(np.maximum(img.data - float(level), 0.0))
+
+
+def clipped(counts, level: float):
+    """True where a raw count is past the clipping level: strictly ``counts > level``.
+
+    The one clipping rule, shared by ground-truth patch selection and the
+    estimators' saturation mask; a count exactly at the level is kept.
+    """
+    return counts > level
 
 
 def normalize_estimate(v) -> np.ndarray:

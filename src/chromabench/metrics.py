@@ -13,8 +13,6 @@ that convention is pinned so summaries are reproducible bit for bit.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,9 +20,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._util import atomic_write_text, fmt9
+from ._util import fmt9, read_csv, write_csv
 
 __all__ = [
+    "ERROR_FIELDS",
     "ErrorSummary",
     "RankRow",
     "RankingTable",
@@ -32,6 +31,7 @@ __all__ = [
     "format_ranking_text",
     "format_table",
     "rank",
+    "read_errors",
     "recovery_error",
     "reproduction_error",
     "summarize",
@@ -40,6 +40,9 @@ __all__ = [
 ]
 
 STAT_KEYS = ("mean", "median", "trimean", "q95", "best25", "worst25")
+
+# Columns of the per-image error table that ``evaluate`` writes.
+ERROR_FIELDS = ("image_id", "algorithm", "metric", "degrees")
 
 
 def _as_vec3(v, what: str) -> np.ndarray:
@@ -161,16 +164,45 @@ def rank(summaries: Mapping[str, ErrorSummary], key: str = "median") -> RankingT
     return RankingTable(rows=rows, key=key)
 
 
+def read_errors(path: str | Path) -> dict[str, dict[str, float]]:
+    """Error table as algorithm -> image_id -> degrees, both levels in file order.
+
+    A repeated (image_id, algorithm) pair, a second metric value or a
+    non-finite angle is an error naming the file and line, since such rows
+    would otherwise be summarized as one population.
+    """
+    by_algo: dict[str, dict[str, float]] = {}
+    metric = None
+
+    def add(row: dict[str, str]) -> None:
+        nonlocal metric
+        if metric is None:
+            metric = row["metric"]
+        elif row["metric"] != metric:
+            raise ValueError(f"metric {row['metric']!r} mixed with {metric!r}")
+        degrees = float(row["degrees"])
+        if not math.isfinite(degrees):
+            raise ValueError(f"degrees must be finite, got {row['degrees']!r}")
+        per_image = by_algo.setdefault(row["algorithm"], {})
+        if row["image_id"] in per_image:
+            raise ValueError(
+                f"duplicate error for image {row['image_id']!r}, "
+                f"algorithm {row['algorithm']!r}"
+            )
+        per_image[row["image_id"]] = degrees
+
+    read_csv(path, ERROR_FIELDS, add)
+    if not by_algo:
+        raise ValueError(f"{path}: no error rows")
+    return by_algo
+
+
 def write_ranking_csv(table: RankingTable, path: str | Path) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["rank", "algorithm"] + list(STAT_KEYS))
-    for row in table.rows:
-        writer.writerow(
-            [row.rank, row.algorithm]
-            + [fmt9(summary_stat(row.summary, k)) for k in STAT_KEYS]
-        )
-    atomic_write_text(path, buf.getvalue())
+    rows = (
+        [row.rank, row.algorithm, *(fmt9(summary_stat(row.summary, k)) for k in STAT_KEYS)]
+        for row in table.rows
+    )
+    write_csv(path, ["rank", "algorithm", *STAT_KEYS], rows)
 
 
 def format_table(

@@ -228,6 +228,16 @@ def test_estimate_unknown_algo_exits_1(tmp_path, capsys):
     assert "unknown estimator" in capsys.readouterr().err
 
 
+def test_estimate_repeated_algo_exits_1(tmp_path, capsys):
+    corpus = constant_color_corpus(tmp_path, [(500, 400, 300)])
+    out = tmp_path / "e.csv"
+    argv = ["estimate", "--images", corpus, "--algo", "grey-world", "--algo", "white-patch",
+            "--algo", "grey-world", "--out", out, "--jobs", "1"]
+    assert run(argv) == 1
+    assert "--algo repeats grey-world" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_estimate_mask_chart_ignores_chart_pixels(tmp_path):
     # Scene whose background is neutral but whose chart patches are colorful:
     # masking the chart must pull grey-world back to the illuminant.
@@ -309,6 +319,18 @@ def test_evaluate_skips_images_missing_from_gt(tmp_path, capsys):
     assert "missing from ground truth" in capsys.readouterr().err
 
 
+def test_evaluate_rejects_duplicate_estimates(tmp_path, capsys):
+    gt = tmp_path / "gt.csv"
+    est = tmp_path / "est.csv"
+    gt.write_text(GT_HEADER + "\na,1000,800,600,18,cam,true\n")
+    u = 1 / math.sqrt(3)
+    est.write_text(EST_HEADER + "\n" + f"a,alg,0,1,0,{u!r},{u!r},{u!r}\n" * 2)
+    out = tmp_path / "err.csv"
+    assert run(["evaluate", "--gt", gt, "--est", est, "--out", out]) == 1
+    assert f"{est}: line 3: duplicate estimate" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- rank --------------------------------------------------------------------
 
 
@@ -356,6 +378,25 @@ def test_rank_warns_on_differing_algorithms(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "warning" in captured.err and "EXTRA" in captured.err
     assert out.read_text().splitlines()[1].startswith("A,")
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("a,A,recovery,1\nb,A,recovery,2\na,A,recovery,3\n", "line 4: duplicate error"),
+        ("a,A,recovery,1\nb,A,reproduction,2\n", "line 3: metric 'reproduction' mixed"),
+        ("a,A,recovery,abc\n", "line 2: could not convert string to float"),
+        ("a,A,recovery,nan\n", "line 2: degrees must be finite"),
+    ],
+    ids=["duplicate", "mixed-metric", "not-a-number", "nan"],
+)
+def test_rank_rejects_malformed_errors(tmp_path, capsys, rows, message):
+    err = tmp_path / "err.csv"
+    err.write_text("image_id,algorithm,metric,degrees\n" + rows)
+    out = tmp_path / "rank.csv"
+    assert run(["rank", "--errors", err, "--out", out]) == 1
+    assert f"{err}: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_rank_usage_error_exit_code(tmp_path):

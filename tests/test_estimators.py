@@ -63,6 +63,14 @@ def test_smooth_rejects_negative_sigma():
         gaussian_smooth(LinearImage(np.zeros((2, 2, 3))), -1.0)
 
 
+def test_smooth_rejects_sigma_past_the_longer_side():
+    img = LinearImage(np.ones((4, 3, 3)))
+    np.testing.assert_allclose(gaussian_smooth(img, 4.0 / 3.0).data, 1.0)  # 3*sigma == 4
+    for sigma in (1.34, 1e6, 1e300):
+        with pytest.raises(ValueError, match=r"sigma=\S+ is too large for a 3x4 image"):
+            gaussian_smooth(img, sigma)
+
+
 # --- derivatives -------------------------------------------------------------
 
 
@@ -254,10 +262,12 @@ def test_spec_validation():
 
 
 def test_saturation_mask_uses_raw_threshold():
+    # The strict rule ground truth uses: a count at the level is kept.
     data = np.full((2, 2, 3), 100.0)
     data[0, 0, 1] = 3300.0
+    data[1, 1, 2] = 3301.0
     mask = saturation_mask(LinearImage(data), 3300.0)
-    assert not mask[0, 0] and mask.sum() == 3
+    assert mask[0, 0] and not mask[1, 1] and mask.sum() == 3
 
 
 def test_chart_mask_excludes_dilated_quad():

@@ -1,0 +1,44 @@
+"""The package's one CSV dialect: ``write_csv`` and ``read_csv``."""
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from chromabench._util import read_csv, write_csv
+
+HEADER = ("image_id", "algorithm", "note")
+
+# Commas, quotes, embedded newlines and non-ASCII text; "\r" is left out
+# because the property below checks that output line endings are LF only.
+CELL = st.text(
+    alphabet=st.one_of(
+        st.sampled_from([",", '"', "\n", " ", "é", "漢", "😀"]),
+        st.characters(blacklist_characters="\r", blacklist_categories=("Cs",)),
+    ),
+    max_size=12,
+)
+ROWS = st.lists(st.lists(CELL, min_size=len(HEADER), max_size=len(HEADER)), max_size=8)
+
+
+@given(rows=ROWS)
+def test_csv_round_trip(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("csv") / "table.csv"
+    write_csv(path, HEADER, rows)
+    payload = path.read_bytes()
+    assert payload.endswith(b"\n") and b"\r" not in payload
+    assert read_csv(path, HEADER, lambda row: [row[k] for k in HEADER]) == rows
+
+
+def test_write_csv_creates_parent_directory(tmp_path):
+    path = tmp_path / "new" / "dir" / "t.csv"
+    write_csv(path, ["x"], [[1], [2.5]])
+    assert path.read_bytes() == b"x\n1\n2.5\n"
+
+
+def test_read_csv_errors_name_file_and_line(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ["x"], [["1"], ["oops"]])
+    with pytest.raises(ValueError, match=r"t\.csv: line 3: could not convert"):
+        read_csv(path, ["x"], lambda row: float(row["x"]))
+    with pytest.raises(ValueError, match=r"t\.csv: missing columns \['y'\]"):
+        read_csv(path, ["x", "y"], dict)
