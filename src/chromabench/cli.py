@@ -173,6 +173,8 @@ def cmd_estimate(args) -> int:
         )
         for image_id, path in images
     ]
+    import scipy.ndimage  # noqa: F401 - once, before the pool forks, not once per worker
+
     rows, failures = _run_per_image(_estimate_one, tasks, jobs)
     estimators.write_estimates(rows, args.out)
     print(f"wrote {len(rows)} estimates to {args.out}")
@@ -257,19 +259,15 @@ def cmd_rank(args) -> int:
     for label in labels:
         summaries = {a: s for a, s in per_file[label].items() if a in common}
         tables[label] = metrics.rank(summaries, key=args.stat)
-
-    if len(labels) == 1:
-        table = tables[labels[0]]
-        metrics.write_ranking_csv(table, out)
-        print(metrics.format_ranking_text(table, title=f"[{labels[0]}] by {args.stat}"))
-        print(f"wrote ranking to {out}")
-        return EXIT_OK
-
-    for label in labels:
-        side_path = out.with_name(f"{out.stem}.{label}{out.suffix or '.csv'}")
-        metrics.write_ranking_csv(tables[label], side_path)
+        # One input writes its ranking to --out; several write one file each beside it.
+        path = out if len(labels) == 1 else out.with_name(
+            f"{out.stem}.{label}{out.suffix or '.csv'}"
+        )
+        metrics.write_ranking_csv(tables[label], path)
         print(metrics.format_ranking_text(tables[label], title=f"[{label}] by {args.stat}"))
-        print(f"wrote ranking to {side_path}")
+        print(f"wrote ranking to {path}")
+    if len(labels) == 1:
+        return EXIT_OK
 
     # Side-by-side comparison, ordered by the first input's ranking.
     rank_of = {

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from ._util import fmt9, read_csv, write_csv
 from .imagecore import LinearImage, clipped, normalize_estimate
@@ -137,6 +136,8 @@ def _gaussian_kernel(sigma: float) -> np.ndarray:
 def _correlate_axis(data: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
     # scipy's "mirror" mode is reflect-about-edge-sample padding, matching
     # np.pad(mode="reflect"); used consistently for smoothing and derivatives.
+    from scipy import ndimage  # slower to import than the package; only estimation needs it
+
     return ndimage.correlate1d(data, weights, axis=axis, mode="mirror")
 
 
@@ -271,6 +272,8 @@ def chart_region_mask(
         cross = (bx - ax) * (ys - ay) - (by - ay) * (xs - ax)
         inside &= orientation * cross >= 0
     if dilate_px > 0:
+        from scipy import ndimage
+
         size = 2 * dilate_px + 1
         inside = ndimage.binary_dilation(inside, structure=np.ones((size, size), bool))
     return ~inside

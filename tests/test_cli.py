@@ -1,6 +1,10 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -471,3 +475,17 @@ def test_unknown_flag_exits_1(capsys):
 
 def test_missing_subcommand_exits_1(capsys):
     assert run([]) == 1
+
+
+def test_cli_import_leaves_scipy_ndimage_to_estimate():
+    # Every command runs in a fresh interpreter; scipy.ndimage would be most of
+    # the start-up time of evaluate, rank and diff-gt, which never use it.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, chromabench.cli; print('scipy.ndimage' in sys.modules)"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.stdout.strip() == "False", proc.stderr
