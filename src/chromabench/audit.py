@@ -11,6 +11,7 @@ hypothesis directly, and checks legacy files for same-patch violations.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,7 +21,7 @@ import numpy as np
 
 from ._util import fmt9, write_csv
 from .groundtruth import GroundTruthRecord, records_by_id
-from .metrics import recovery_error
+from .metrics import error_angles, recovery_error
 
 __all__ = [
     "Chromaticity",
@@ -129,23 +130,32 @@ class OffsetFit:
 _WITHIN_DEG = 0.1
 
 
-def _offset_fit(map_a: dict, map_b: dict, common: list[str], offset: float) -> OffsetFit:
-    residuals = []
-    for image_id in common:
-        shifted = np.asarray(map_a[image_id].illuminant, dtype=np.float64) + offset
-        residuals.append(recovery_error(shifted, map_b[image_id].illuminant))
-    residuals_arr = np.asarray(residuals)
+def _stacked(a: GTSet, b: GTSet) -> tuple[np.ndarray, np.ndarray]:
+    """Illuminants of the common images, in id order, as two (n, 3) arrays."""
+    map_a, map_b, common = _aligned(a, b)
+    return (
+        np.array([map_a[image_id].illuminant for image_id in common], dtype=np.float64),
+        np.array([map_b[image_id].illuminant for image_id in common], dtype=np.float64),
+    )
+
+
+def _offset_fit(illum_a: np.ndarray, illum_b: np.ndarray, offset: float) -> OffsetFit:
+    residuals, problems = error_angles("recovery", illum_a + offset, illum_b)
+    if problems:
+        raise ValueError(problems[min(problems)])
     return OffsetFit(
         offset=float(offset),
-        compared=len(common),
-        fraction_within=float(np.mean(residuals_arr <= _WITHIN_DEG)),
-        median_residual_deg=float(np.median(residuals_arr)),
+        compared=len(residuals),
+        fraction_within=float(np.mean(residuals <= _WITHIN_DEG)),
+        median_residual_deg=float(np.median(residuals)),
     )
 
 
 def explain_offset(a: GTSet, b: GTSet, offset: float) -> OffsetFit:
     """Residual angles between (a + offset) and b over the common images."""
-    return _offset_fit(*_aligned(a, b), offset)
+    if not math.isfinite(offset):
+        raise ValueError(f"offset must be finite, got {offset!r}")
+    return _offset_fit(*_stacked(a, b), offset)
 
 
 def scan_offset(a: GTSet, b: GTSet, lo: int = 0, hi: int = 512) -> OffsetFit:
@@ -153,14 +163,12 @@ def scan_offset(a: GTSet, b: GTSet, lo: int = 0, hi: int = 512) -> OffsetFit:
 
     Ties go to the smaller offset.
     """
-    aligned = _aligned(a, b)
-    best: OffsetFit | None = None
-    for offset in range(lo, hi + 1):
-        fit = _offset_fit(*aligned, float(offset))
-        if best is None or fit.median_residual_deg < best.median_residual_deg:
-            best = fit
-    assert best is not None
-    return best
+    if lo > hi:
+        raise ValueError(f"empty offset range {lo}..{hi}")
+    stacked = _stacked(a, b)
+    fits = (_offset_fit(*stacked, float(offset)) for offset in range(lo, hi + 1))
+    # min keeps the first of equal keys, i.e. the smallest offset.
+    return min(fits, key=lambda fit: fit.median_residual_deg)
 
 
 _PER_CHANNEL_COLS = ("patch_index_R", "patch_index_G", "patch_index_B")

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -190,24 +191,26 @@ def cmd_evaluate(args) -> int:
     ests = estimators.read_estimates(args.est)
     if not ests:
         raise CliError(f"no estimates in {args.est}")
-    error_fn = (
-        metrics.recovery_error if args.metric == "recovery" else metrics.reproduction_error
+    matched = [est for est in ests if est.image_id in gt_map]
+    degrees, problems = metrics.error_angles(
+        args.metric,
+        np.reshape([est.rgb for est in matched], (len(matched), 3)),
+        np.reshape([gt_map[est.image_id].illuminant for est in matched], (len(matched), 3)),
     )
+    scores = iter(enumerate(degrees))  # one per matched estimate, in order
     rows = []
     failures = 0
     for est in ests:
-        record = gt_map.get(est.image_id)
-        if record is None:
+        if est.image_id not in gt_map:
             failures += 1
             _log_error(est.image_id, "missing from ground truth; skipped")
             continue
-        try:
-            degrees = error_fn(est.rgb, record.illuminant)
-        except ValueError as exc:
+        i, angle = next(scores)
+        if i in problems:
             failures += 1
-            _log_error(est.image_id, f"{est.algorithm}: {exc}")
+            _log_error(est.image_id, f"{est.algorithm}: {problems[i]}")
             continue
-        rows.append((est.image_id, est.algorithm, args.metric, fmt9(degrees)))
+        rows.append((est.image_id, est.algorithm, args.metric, fmt9(angle)))
     if not rows:
         raise CliError("no estimate could be scored against this ground truth")
     write_csv(args.out, metrics.ERROR_FIELDS, rows)
@@ -232,32 +235,41 @@ def _labels_for(paths: list[str]) -> list[str]:
     return labels
 
 
-def cmd_rank(args) -> int:
-    labels = _labels_for(args.errors)
-    per_file: dict[str, dict[str, metrics.ErrorSummary]] = {}
-    for label, path in zip(labels, args.errors):
-        per_file[label] = {
-            algo: metrics.summarize(list(by_image.values()))
-            for algo, by_image in metrics.read_errors(path).items()
-        }
-
-    algo_sets = [set(summaries) for summaries in per_file.values()]
-    common = set.intersection(*algo_sets)
-    union = set.union(*algo_sets)
-    if union - common:
-        dropped = ", ".join(sorted(union - common))
+def _common(sets: list[set[str]], what: str, across: str) -> set[str]:
+    """Names in every set; warns about the others and fails when none is left."""
+    common = set.intersection(*sets)
+    dropped = set.union(*sets) - common
+    if dropped:
         print(
-            f"warning: algorithm sets differ across inputs; ranking the "
-            f"intersection (dropped: {dropped})",
+            f"warning: {what} sets differ across {across}; ranking the "
+            f"intersection (dropped: {', '.join(sorted(dropped))})",
             file=sys.stderr,
         )
     if not common:
-        raise CliError("no algorithm appears in every error file")
+        raise CliError(f"no {what} is common to all {across}")
+    return common
+
+
+def cmd_rank(args) -> int:
+    labels = _labels_for(args.errors)
+    per_file = {label: metrics.read_errors(path) for label, path in zip(labels, args.errors)}
+    algorithms = _common([set(by_algo) for by_algo in per_file.values()], "algorithm", "inputs")
+    # Summaries compare only over one population (Hordley and Finlayson 2006):
+    # every ranked algorithm in every file is scored on the same images.
+    images = _common(
+        [set(by_algo[a]) for by_algo in per_file.values() for a in algorithms],
+        "image",
+        "algorithms and inputs",
+    )
 
     out = Path(args.out)
     tables: dict[str, metrics.RankingTable] = {}
     for label in labels:
-        summaries = {a: s for a, s in per_file[label].items() if a in common}
+        summaries = {
+            algo: metrics.summarize([d for i, d in by_image.items() if i in images])
+            for algo, by_image in per_file[label].items()
+            if algo in algorithms
+        }
         tables[label] = metrics.rank(summaries, key=args.stat)
         # One input writes its ranking to --out; several write one file each beside it.
         path = out if len(labels) == 1 else out.with_name(
@@ -295,6 +307,8 @@ def cmd_rank(args) -> int:
 
 
 def cmd_diff_gt(args) -> int:
+    if args.offset is not None and not math.isfinite(args.offset):
+        raise CliError(f"--offset must be finite, got {args.offset!r}")
     set_a = groundtruth.records_by_id(groundtruth.read_gt(args.a))
     set_b = groundtruth.records_by_id(groundtruth.read_gt(args.b))
     try:
@@ -443,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--est", required=True, help="estimates CSV")
     p.add_argument(
         "--metric",
-        choices=("recovery", "reproduction"),
+        choices=metrics.METRICS,
         default="recovery",
         help="angular error type",
     )

@@ -4,8 +4,18 @@ Recovery error is the angle between the estimated and reference illuminant
 RGB vectors (intensity-blind).  Reproduction error is the angle between the
 channel-wise ratio reference/estimate and the neutral (1, 1, 1) direction,
 i.e. how far from white a white surface lands after correcting with the
-estimate.  Both share one angle kernel based on atan2(|u x v|, u.v), which is
-exact at zero for parallel inputs and equivalent to the arccos form elsewhere.
+estimate.
+
+Every angle comes from one row-wise kernel, ``angles_deg(u, v)`` on (N, 3)
+float64 arrays: atan2(|u x v|, u.v), which is exact at zero for parallel
+inputs and equivalent to the arccos form elsewhere.  ``error_angles`` scores
+whole tables through it, reporting each invalid row with the message the
+one-pair functions ``recovery_error`` and ``reproduction_error`` raise; those
+two are its one-row case.  The kernel takes the row norm and the row dot
+product as batched row matmuls, which run the same BLAS dot as ``np.dot`` on
+one pair, and applies ``math.atan2`` per element (``np.arctan2`` differs from
+it in the last bit on some inputs), so a row's angle does not depend on the
+batch it is computed in.
 
 Quantiles interpolate linearly between order statistics at position (n-1)*q;
 that convention is pinned so summaries are reproducible bit for bit.
@@ -25,9 +35,12 @@ from ._util import fmt9, read_csv, write_csv
 __all__ = [
     "ERROR_FIELDS",
     "ErrorSummary",
+    "METRICS",
     "RankRow",
     "RankingTable",
     "STAT_KEYS",
+    "angles_deg",
+    "error_angles",
     "format_ranking_text",
     "format_table",
     "rank",
@@ -41,6 +54,8 @@ __all__ = [
 
 STAT_KEYS = ("mean", "median", "trimean", "q95", "best25", "worst25")
 
+METRICS = ("recovery", "reproduction")
+
 # Columns of the per-image error table that ``evaluate`` writes.
 ERROR_FIELDS = ("image_id", "algorithm", "metric", "degrees")
 
@@ -49,39 +64,97 @@ def _as_vec3(v, what: str) -> np.ndarray:
     arr = np.asarray(v, dtype=np.float64)
     if arr.shape != (3,):
         raise ValueError(f"{what} must be an RGB triple")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} must be finite")
     return arr
 
 
-def _angle_degrees(u: np.ndarray, v: np.ndarray) -> float:
-    # atan2 formulation: exactly 0 for identical/parallel inputs and well
-    # conditioned near 0 and 180 where arccos of a rounded cosine is not.
-    cross = np.cross(u, v)
-    return math.degrees(math.atan2(float(np.linalg.norm(cross)), float(np.dot(u, v))))
+# Rows per kernel pass: bounds the temporaries, and with them peak memory,
+# on long tables such as a corpus of estimates.
+_ROWS_PER_PASS = 1024
+
+
+def angles_deg(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Angle in degrees between matching rows of two (N, 3) float64 arrays.
+
+    atan2 formulation: exactly 0 for identical/parallel rows and well
+    conditioned near 0 and 180 where arccos of a rounded cosine is not.
+    The caller validates the rows; a zero row gives 0 or 90, not an error.
+    """
+    # Contiguous rows keep the matmuls on the BLAS dot that np.dot uses.
+    u = np.ascontiguousarray(u, dtype=np.float64)
+    v = np.ascontiguousarray(v, dtype=np.float64)
+    degrees = np.empty(len(u))
+    for start in range(0, len(u), _ROWS_PER_PASS):
+        rows = slice(start, start + _ROWS_PER_PASS)
+        cross = np.cross(u[rows], v[rows])
+        norms = np.sqrt((cross[:, None, :] @ cross[:, :, None]).ravel())
+        dots = (u[rows, None, :] @ v[rows, :, None]).ravel()
+        radians = map(math.atan2, norms.tolist(), dots.tolist())
+        degrees[rows] = np.degrees(np.fromiter(radians, np.float64, len(dots)))
+    return degrees
+
+
+def error_angles(
+    metric: str, estimates, references
+) -> tuple[np.ndarray, dict[int, str]]:
+    """Per-row ``metric`` error in degrees of (N, 3) estimates against references.
+
+    Rows that cannot be scored get a NaN angle and an entry in the returned
+    problems, index -> the message ``recovery_error`` or
+    ``reproduction_error`` raises for that pair.
+    """
+    e = np.asarray(estimates, dtype=np.float64)
+    g = np.asarray(references, dtype=np.float64)
+    if e.ndim != 2 or e.shape[1] != 3 or g.shape != e.shape:
+        raise ValueError("estimates and references must be (N, 3) arrays of one shape")
+    # (row is invalid, message) in the order the one-pair functions check them.
+    checks = [
+        (~np.isfinite(e).all(axis=1), "estimate must be finite"),
+        (~np.isfinite(g).all(axis=1), "reference must be finite"),
+    ]
+    if metric == "recovery":
+        u, v = e, g
+        checks.append((~(e.any(axis=1) & g.any(axis=1)), "zero vector has no direction"))
+    elif metric == "reproduction":
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = g / e
+        v = np.ones_like(u)
+        checks += [
+            ((e == 0.0).any(axis=1), "division by zero channel in estimate"),
+            ((e < 0.0).any(axis=1), "estimate channels must be positive"),
+            (~u.any(axis=1), "zero vector has no direction"),
+        ]
+    else:
+        raise ValueError(f"unknown metric {metric!r}; choose from {METRICS}")
+    problems: dict[int, str] = {}
+    for bad, message in checks:
+        for i in np.flatnonzero(bad).tolist():
+            problems.setdefault(i, message)
+    if not problems:
+        return angles_deg(u, v), problems
+    ok = np.ones(len(e), dtype=bool)
+    ok[list(problems)] = False
+    degrees = np.full(len(e), np.nan)
+    degrees[ok] = angles_deg(u[ok], v[ok])
+    return degrees, problems
+
+
+def _one_pair(metric: str, e, g) -> float:
+    e = _as_vec3(e, "estimate")
+    g = _as_vec3(g, "reference")
+    (degrees,), problems = error_angles(metric, e[None], g[None])
+    if problems:
+        raise ValueError(problems[0])
+    return float(degrees)
 
 
 def recovery_error(e, g) -> float:
     """Angle in degrees between estimate and reference directions."""
-    e = _as_vec3(e, "estimate")
-    g = _as_vec3(g, "reference")
-    if not e.any() or not g.any():
-        raise ValueError("zero vector has no direction")
-    return _angle_degrees(e, g)
+    return _one_pair("recovery", e, g)
 
 
 def reproduction_error(e, g) -> float:
     """Angle in degrees between the ratio g/e and the neutral direction."""
-    e = _as_vec3(e, "estimate")
-    g = _as_vec3(g, "reference")
-    if np.any(e == 0.0):
-        raise ValueError("division by zero channel in estimate")
-    if np.any(e < 0.0):
-        raise ValueError("estimate channels must be positive")
-    r = g / e
-    if not r.any():
-        raise ValueError("zero vector has no direction")
-    return _angle_degrees(r, np.ones(3))
+    return _one_pair("reproduction", e, g)
 
 
 @dataclass(frozen=True)

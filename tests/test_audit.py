@@ -176,6 +176,55 @@ def test_offset_on_matching_sets_reintroduces_error():
     assert fit.median_residual_deg > 0.0
 
 
+def brute_force_scan(a, b, lo, hi):
+    # First offset with the smallest median residual, one explain_offset per offset.
+    fits = [explain_offset(a, b, float(offset)) for offset in range(lo, hi + 1)]
+    best = min(fit.median_residual_deg for fit in fits)
+    return next(fit for fit in fits if fit.median_residual_deg == best)
+
+
+@pytest.mark.parametrize("seed, offset", [(11, 37.0), (12, 0.0), (13, 59.0)])
+def test_scan_matches_a_brute_force_argmin(seed, offset):
+    rng = np.random.default_rng(seed)
+    a, b = offset_pair(rng, offset=offset, count=7)
+    noisy = make_set(
+        [tuple(np.asarray(r.illuminant) + rng.normal(0.0, 3.0, 3)) for r in b.values()]
+    )
+    for other in (b, noisy):
+        assert scan_offset(a, other, lo=0, hi=60) == brute_force_scan(a, other, 0, 60)
+
+
+def test_scan_tie_goes_to_the_smallest_offset():
+    # Neutral sets stay parallel under any offset: every fit has residual 0.
+    neutral = make_set([(v, v, v) for v in (300.0, 800.0, 1500.0)])
+    best = scan_offset(neutral, neutral, lo=5, hi=12)
+    assert best == brute_force_scan(neutral, neutral, 5, 12)
+    assert best.offset == 5.0 and best.median_residual_deg == 0.0
+
+
+def test_scan_rejects_an_empty_range():
+    a, b = offset_pair(np.random.default_rng(14))
+    with pytest.raises(ValueError, match="empty offset range 5..4"):
+        scan_offset(a, b, lo=5, hi=4)
+
+
+@pytest.mark.parametrize("offset", [float("nan"), float("inf"), -float("inf")])
+def test_explain_offset_rejects_a_non_finite_offset(offset):
+    a, b = offset_pair(np.random.default_rng(15))
+    with pytest.raises(ValueError, match=f"offset must be finite, got {offset!r}"):
+        explain_offset(a, b, offset)
+
+
+def test_offset_that_zeroes_an_illuminant_raises_the_metric_error():
+    a = make_set([(900.0, 700.0, 500.0), (10.0, 10.0, 10.0), (1200.0, 1000.0, 800.0)])
+    with pytest.raises(ValueError, match="^zero vector has no direction$"):
+        recovery_error(np.asarray(a["img001"].illuminant) - 10.0, a["img001"].illuminant)
+    with pytest.raises(ValueError, match="^zero vector has no direction$"):
+        explain_offset(a, a, -10.0)
+    with pytest.raises(ValueError, match="^zero vector has no direction$"):
+        scan_offset(a, a, lo=-20, hi=0)
+
+
 # --- same-patch check --------------------------------------------------------
 
 

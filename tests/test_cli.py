@@ -312,6 +312,35 @@ def test_evaluate_isolates_bad_rows(tmp_path, capsys):
     assert "zero channel" in capsys.readouterr().err
 
 
+def test_evaluate_reproduction_keeps_row_order_of_failures(tmp_path, capsys):
+    gt = tmp_path / "gt.csv"
+    est = tmp_path / "est.csv"
+    gt.write_text(GT_HEADER + "\na,1000,800,600,18,cam,true\nb,900,900,900,18,cam,true\n")
+    est.write_text(
+        EST_HEADER + "\n"
+        "a,gw,0,1,0,1,0,0\n"
+        "zz,gw,0,1,0,0.6,0.8,0\n"
+        "b,gw,0,1,0,0.6,0,0.8\n"
+        "b,wp,0,1,0,0.48,0.6,0.64\n"
+        "a,wp,0,1,0,0,0.6,0.8\n"
+        "a,sog,0,1,0,0.64,0.6,0.48\n"
+    )
+    out = tmp_path / "err.csv"
+    assert run(["evaluate", "--gt", gt, "--est", est, "--metric", "reproduction", "--out", out]) == 2
+    # The CSV and log of the one-pair-at-a-time implementation, byte for byte.
+    assert out.read_text() == (
+        "image_id,algorithm,metric,degrees\n"
+        "b,wp,reproduction,7.24195278\n"
+        "a,sog,reproduction,5.46142196\n"
+    )
+    assert capsys.readouterr().err.splitlines() == [
+        "error: a: gw: division by zero channel in estimate",
+        "error: zz: missing from ground truth; skipped",
+        "error: b: gw: division by zero channel in estimate",
+        "error: a: wp: division by zero channel in estimate",
+    ]
+
+
 def test_evaluate_skips_images_missing_from_gt(tmp_path, capsys):
     gt = tmp_path / "gt.csv"
     est = tmp_path / "est.csv"
@@ -384,6 +413,41 @@ def test_rank_warns_on_differing_algorithms(tmp_path, capsys):
     assert out.read_text().splitlines()[1].startswith("A,")
 
 
+def test_rank_compares_only_the_images_every_input_scores(tmp_path, capsys):
+    # one.csv scores A and B on images a and b, two.csv on image a only.  Over
+    # all rows, one.csv ranks B first by mean and two.csv ranks A first: a
+    # reversal made only by the different populations.
+    err1, err2 = tmp_path / "one.csv", tmp_path / "two.csv"
+    write_errors(err1, [("a", "A", 1.0), ("b", "A", 9.0), ("a", "B", 4.0), ("b", "B", 3.0)])
+    write_errors(err2, [("a", "A", 1.0), ("a", "B", 4.0)])
+    out = tmp_path / "cmp.csv"
+    assert run(["rank", "--errors", err1, "--errors", err2, "--stat", "mean", "--out", out]) == 0
+    err = capsys.readouterr().err
+    assert "warning: image sets differ across algorithms and inputs" in err
+    assert "(dropped: b)" in err
+    assert out.read_text().splitlines()[1:] == ["A,1,1,1,1", "B,2,4,2,4"]
+
+
+def test_rank_within_one_file_uses_the_shared_images(tmp_path, capsys):
+    err = tmp_path / "err.csv"
+    write_errors(err, [("a", "A", 1.0), ("b", "A", 9.0), ("a", "B", 4.0), ("c", "B", 3.0)])
+    out = tmp_path / "rank.csv"
+    assert run(["rank", "--errors", err, "--stat", "mean", "--out", out]) == 0
+    assert "(dropped: b, c)" in capsys.readouterr().err
+    lines = out.read_text().splitlines()
+    assert lines[1].startswith("1,A,1,") and lines[2].startswith("2,B,4,")
+
+
+def test_rank_without_a_shared_image_exits_1(tmp_path, capsys):
+    err1, err2 = tmp_path / "one.csv", tmp_path / "two.csv"
+    write_errors(err1, [("a", "A", 1.0)])
+    write_errors(err2, [("b", "A", 2.0)])
+    out = tmp_path / "cmp.csv"
+    assert run(["rank", "--errors", err1, "--errors", err2, "--out", out]) == 1
+    assert "no image is common to all algorithms and inputs" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "rows, message",
     [
@@ -437,6 +501,18 @@ def test_diff_gt_scan_recovers_offset(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "best offset: 129 " in printed
     assert "100.0% within 0.1 deg" in printed
+
+
+@pytest.mark.parametrize("offset", ["nan", "inf", "-inf"])
+def test_diff_gt_rejects_a_non_finite_offset_before_writing(tmp_path, capsys, offset):
+    gt = tmp_path / "gt.csv"
+    gt.write_text(GT_HEADER + "\na,1000,800,600,18,cam,true\n")
+    out = tmp_path / "report.csv"
+    assert run(["diff-gt", "--a", gt, "--b", gt, f"--offset={offset}", "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: --offset must be finite, got {float(offset)!r}" in captured.err
+    assert not out.exists()
 
 
 def test_diff_gt_flags_perturbed_rows(tmp_path, capsys):

@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 
 from chromabench.metrics import (
     ErrorSummary,
+    METRICS,
     STAT_KEYS,
+    angles_deg,
+    error_angles,
     format_ranking_text,
     rank,
     recovery_error,
@@ -65,6 +68,88 @@ def test_recovery_parallel_is_zero(e, alpha):
     # identical) vectors land within float noise of zero, not exactly on it
     e = np.asarray(e)
     assert recovery_error(e, alpha * e) < 1e-9
+
+
+# --- row-wise kernel ---------------------------------------------------------
+
+
+def scalar_angle(u, v):
+    # Independent one-pair formula: the kernel must match it in every bit.
+    cross = np.cross(u, v)
+    return math.degrees(math.atan2(float(np.linalg.norm(cross)), float(np.dot(u, v))))
+
+
+signed_vec = st.tuples(
+    st.floats(-1e6, 1e6), st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)
+)
+
+
+@given(st.lists(st.tuples(signed_vec, signed_vec, st.floats(1e-3, 1e3)), min_size=1, max_size=8))
+def test_angles_deg_matches_the_scalar_formula_bit_for_bit(triples):
+    us, vs = [], []
+    for e, g, alpha in triples:
+        e, g = np.asarray(e), np.asarray(g)
+        # the pair, swapped, parallel and both scaled
+        for u, v in ((e, g), (g, e), (e, alpha * e), (alpha * e, alpha * g)):
+            us.append(u)
+            vs.append(v)
+    got = angles_deg(np.array(us), np.array(vs))
+    want = np.array([scalar_angle(u, v) for u, v in zip(us, vs)])
+    assert got.tobytes() == want.tobytes()
+
+
+# Magnitudes stay between 1e-150 and 1e3 where finite, so no product overflows.
+special = st.sampled_from([0.0, -0.0, 1e-150, math.nan, math.inf, -math.inf])
+component = st.one_of(st.floats(-1e3, -1e-3), st.floats(1e-3, 1e3), special)
+any_vec = st.tuples(component, component, component)
+
+
+def scalar_error(metric, e, g):
+    # The one-pair checks in their order, then the independent formula.
+    e, g = np.asarray(e, dtype=np.float64), np.asarray(g, dtype=np.float64)
+    if not np.all(np.isfinite(e)):
+        raise ValueError("estimate must be finite")
+    if not np.all(np.isfinite(g)):
+        raise ValueError("reference must be finite")
+    if metric == "recovery":
+        if not e.any() or not g.any():
+            raise ValueError("zero vector has no direction")
+        return scalar_angle(e, g)
+    if np.any(e == 0.0):
+        raise ValueError("division by zero channel in estimate")
+    if np.any(e < 0.0):
+        raise ValueError("estimate channels must be positive")
+    if not (g / e).any():
+        raise ValueError("zero vector has no direction")
+    return scalar_angle(g / e, np.ones(3))
+
+
+@given(st.sampled_from(METRICS), st.lists(st.tuples(any_vec, any_vec), max_size=10))
+def test_error_angles_and_the_one_pair_functions_match_the_scalar_checks(metric, pairs):
+    one_pair = recovery_error if metric == "recovery" else reproduction_error
+    e = np.reshape([p[0] for p in pairs], (len(pairs), 3))
+    g = np.reshape([p[1] for p in pairs], (len(pairs), 3))
+    degrees, problems = error_angles(metric, e, g)
+    for i, (est, ref) in enumerate(pairs):
+        try:
+            want = scalar_error(metric, est, ref)
+        except ValueError as exc:
+            assert problems[i] == str(exc)
+            assert math.isnan(degrees[i])
+            with pytest.raises(ValueError, match=f"^{exc}$"):
+                one_pair(est, ref)
+        else:
+            assert i not in problems
+            assert degrees[i] == want == one_pair(est, ref)
+
+
+def test_error_angles_rejects_bad_shapes_and_metrics():
+    with pytest.raises(ValueError, match="unknown metric"):
+        error_angles("bogus", np.ones((1, 3)), np.ones((1, 3)))
+    with pytest.raises(ValueError, match=r"\(N, 3\)"):
+        error_angles("recovery", np.ones((2, 3)), np.ones((1, 3)))
+    with pytest.raises(ValueError, match=r"\(N, 3\)"):
+        error_angles("recovery", np.ones(3), np.ones(3))
 
 
 # --- reproduction ------------------------------------------------------------
