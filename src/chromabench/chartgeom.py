@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from ._util import atomic_write_text, fmt9
-from .imagecore import LinearImage
 
 __all__ = [
     "ACHROMATIC_INDICES",
@@ -167,12 +166,12 @@ def _validate_corners(corners: np.ndarray, width: int, height: int) -> None:
 
 
 def rectify_chart(
-    img: LinearImage,
+    data: np.ndarray,
     corners,
     out_w: int = DEFAULT_RECT_SIZE[0],
     out_h: int = DEFAULT_RECT_SIZE[1],
-) -> LinearImage:
-    """Warp the chart quadrilateral to a fronto-parallel out_w x out_h view.
+) -> np.ndarray:
+    """Warp the chart quadrilateral of (H, W, 3) data to an (out_h, out_w, 3) view.
 
     The corners (top-left, top-right, bottom-right, bottom-left in canonical
     chart orientation) are mapped to the output rectangle corners; every
@@ -181,7 +180,7 @@ def rectify_chart(
     if out_w < CHART_COLS or out_h < CHART_ROWS:
         raise ValueError("output size too small for the patch grid")
     corners = _as_points(corners, 4)
-    _validate_corners(corners, img.width, img.height)
+    _validate_corners(corners, data.shape[1], data.shape[0])
     rect = np.array(
         [[0, 0], [out_w - 1, 0], [out_w - 1, out_h - 1], [0, out_h - 1]],
         dtype=np.float64,
@@ -192,16 +191,13 @@ def rectify_chart(
     us, vs = np.meshgrid(np.arange(out_w), np.arange(out_h))
     pts = np.stack([us.ravel(), vs.ravel()], axis=1).astype(np.float64)
     src = apply_homography(H, pts)
-    sampled = _bilinear_sample(img.data, src[:, 0], src[:, 1])
-    return img.with_data(sampled.reshape(out_h, out_w, 3))
+    return _bilinear_sample(data, src[:, 0], src[:, 1]).reshape(out_h, out_w, 3)
 
 
-def default_corner_patch_centers(
-    out_w: int = DEFAULT_RECT_SIZE[0], out_h: int = DEFAULT_RECT_SIZE[1]
-) -> np.ndarray:
+def default_corner_patch_centers() -> np.ndarray:
     """Centers of patches 0, 5, 23 and 18 on the canonical rectified grid."""
-    cw = out_w / CHART_COLS
-    ch = out_h / CHART_ROWS
+    cw = DEFAULT_RECT_SIZE[0] / CHART_COLS
+    ch = DEFAULT_RECT_SIZE[1] / CHART_ROWS
     return np.array(
         [
             [0.5 * cw, 0.5 * ch],  # patch 0 (top-left)
@@ -268,7 +264,7 @@ def patch_centers(corner_patch_centers, half_size: int = DEFAULT_HALF_SIZE) -> P
     return grid
 
 
-def sample_patch(img: LinearImage, center, half_size: int) -> np.ndarray:
+def sample_patch(data: np.ndarray, center, half_size: int) -> np.ndarray:
     """All pixels of the closed square around a patch center, as (N, 3) RGB rows.
 
     Fractional centers are snapped to the nearest pixel so the sample always
@@ -281,9 +277,9 @@ def sample_patch(img: LinearImage, center, half_size: int) -> np.ndarray:
     iy = int(round(float(cy)))
     x0, x1 = ix - half_size, ix + half_size
     y0, y1 = iy - half_size, iy + half_size
-    if x0 < 0 or y0 < 0 or x1 >= img.width or y1 >= img.height:
+    if x0 < 0 or y0 < 0 or x1 >= data.shape[1] or y1 >= data.shape[0]:
         raise ValueError("sample square exceeds image bounds")
-    block = img.data[y0 : y1 + 1, x0 : x1 + 1]
+    block = data[y0 : y1 + 1, x0 : x1 + 1]
     return block.reshape(-1, 3).copy()
 
 
@@ -304,15 +300,11 @@ class ChartLayout:
             cpc.setflags(write=False)
             object.__setattr__(self, "corner_patch_centers", cpc)
 
-    def grid(
-        self,
-        out_w: int = DEFAULT_RECT_SIZE[0],
-        out_h: int = DEFAULT_RECT_SIZE[1],
-    ) -> PatchGrid:
+    def grid(self) -> PatchGrid:
         """Patch grid for this chart, falling back to canonical defaults."""
         cpc = self.corner_patch_centers
         if cpc is None:
-            cpc = default_corner_patch_centers(out_w, out_h)
+            cpc = default_corner_patch_centers()
         half = self.half_size if self.half_size is not None else DEFAULT_HALF_SIZE
         return patch_centers(cpc, half)
 

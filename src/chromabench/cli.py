@@ -153,10 +153,7 @@ def _estimate_one(task):
 
 def cmd_estimate(args) -> int:
     jobs = _resolve_jobs(args.jobs)
-    try:
-        specs = [estimators.spec_from_string(text) for text in args.algo]
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    specs = [estimators.spec_from_string(text) for text in args.algo]
     names = [spec.name for spec in specs]
     repeated = sorted({name for name in names if names.count(name) > 1})
     if repeated:
@@ -311,10 +308,7 @@ def cmd_diff_gt(args) -> int:
         raise CliError(f"--offset must be finite, got {args.offset!r}")
     set_a = groundtruth.records_by_id(groundtruth.read_gt(args.a))
     set_b = groundtruth.records_by_id(groundtruth.read_gt(args.b))
-    try:
-        report = audit.diff_ground_truths(set_a, set_b, args.threshold)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    report = audit.diff_ground_truths(set_a, set_b, args.threshold)
 
     rows = (
         [image_id, fmt9(angle), "true" if angle > report.threshold_deg else "false"]
@@ -391,10 +385,7 @@ def cmd_synth(args) -> int:
     if not isinstance(payload, dict):
         raise CliError("scene spec must be a JSON object")
     spec, image_id = _scene_from_json(payload)
-    try:
-        scene = synth.render(spec)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    scene = synth.render(spec)
     path = synth.write_scene(scene, args.out, image_id)
     illum = scene.true_illuminant
     print(f"true_illuminant: {fmt9(illum[0])} {fmt9(illum[1])} {fmt9(illum[2])}")
@@ -508,10 +499,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, ValueError) as exc:
+    except (CliError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -124,8 +124,6 @@ def compute_ground_truth(
     camera: CameraProfile,
     image_id: str = "",
     subtract_black: bool = True,
-    out_w: int = chartgeom.DEFAULT_RECT_SIZE[0],
-    out_h: int = chartgeom.DEFAULT_RECT_SIZE[1],
 ) -> GroundTruthRecord:
     """Full extraction pipeline for one image.
 
@@ -133,8 +131,8 @@ def compute_ground_truth(
     pick the brightest unsaturated achromatic patch on raw counts -> take its
     channel medians -> subtract the camera black level (clamped at zero).
     """
-    rect = chartgeom.rectify_chart(img, layout.corners, out_w, out_h)
-    grid = layout.grid(out_w, out_h)
+    rect = chartgeom.rectify_chart(img.data, layout.corners)
+    grid = layout.grid()
     stats = [
         patch_stats(chartgeom.sample_patch(rect, grid.centers[i], grid.half_size), i)
         for i in range(len(grid.centers))

@@ -3,8 +3,9 @@
 Images are stored as (H, W, 3) float64 arrays of nonnegative digital counts in
 R, G, B order.  Sources are integer sensor counts, but everything downstream
 (warping, smoothing, Minkowski pooling) needs real arithmetic, so the arrays
-are double precision from the start.  All values are immutable once wrapped in
-a :class:`LinearImage`; operations return new images.
+are double precision from the start.  A :class:`LinearImage` is validated and
+frozen where counts enter (``load_image``, ``synth.render``,
+``subtract_black_level``); the stages below it take and return plain arrays.
 
 On-disk format: binary PPM ("P6", maxval 65535, big-endian 16-bit samples,
 linear values) plus a JSON sidecar ``<basename>.meta.json`` carrying
@@ -82,15 +83,6 @@ class LinearImage:
     @property
     def width(self) -> int:
         return self.data.shape[1]
-
-    @property
-    def max_value(self) -> float:
-        """Largest representable digital count, 2**bit_depth - 1."""
-        return float(2 ** self.bit_depth - 1)
-
-    def with_data(self, data: np.ndarray) -> "LinearImage":
-        """New image with the same metadata but different pixel values."""
-        return LinearImage(data, bit_depth=self.bit_depth, camera=self.camera)
 
 
 def sidecar_path(image_path: str | Path) -> Path:
@@ -188,7 +180,8 @@ def subtract_black_level(img: LinearImage, level: float) -> LinearImage:
     """Subtract a scalar dark offset from every sample, clamping at zero."""
     if level < 0:
         raise ValueError("black level must be >= 0")
-    return img.with_data(np.maximum(img.data - float(level), 0.0))
+    data = np.maximum(img.data - float(level), 0.0)
+    return LinearImage(data, bit_depth=img.bit_depth, camera=img.camera)
 
 
 def clipped(counts, level: float):

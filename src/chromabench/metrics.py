@@ -115,12 +115,15 @@ def error_angles(
         u, v = e, g
         checks.append((~(e.any(axis=1) & g.any(axis=1)), "zero vector has no direction"))
     elif metric == "reproduction":
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             u = g / e
         v = np.ones_like(u)
+        too_small = "estimate channel {} is too small: reference/estimate overflows"
         checks += [
             ((e == 0.0).any(axis=1), "division by zero channel in estimate"),
             ((e < 0.0).any(axis=1), "estimate channels must be positive"),
+            # The first overflowing channel names the row's problem.
+            *((~np.isfinite(u[:, c]), too_small.format(rgb)) for c, rgb in enumerate("RGB")),
             (~u.any(axis=1), "zero vector has no direction"),
         ]
     else:
@@ -181,7 +184,7 @@ def summarize(errors: Sequence[float]) -> ErrorSummary:
     q25, q50, q75, q95 = np.quantile(ordered, [0.25, 0.5, 0.75, 0.95], method="linear")
     k = math.ceil(arr.size / 4)
     return ErrorSummary(
-        mean=float(arr.mean()),
+        mean=float(ordered.mean()),
         median=float(q50),
         trimean=float((q25 + 2.0 * q50 + q75) / 4.0),
         q95=float(q95),

@@ -25,6 +25,7 @@ from .chartgeom import (
     CHART_COLS,
     CHART_ROWS,
     DEFAULT_HALF_SIZE,
+    DEFAULT_RECT_SIZE,
     ChartLayout,
     apply_homography,
     default_corner_patch_centers,
@@ -50,10 +51,10 @@ __all__ = [
     "write_scene",
 ]
 
-# Canonical chart raster: 100x100-pixel cells, pixel centers at integers.
-CHART_W = 600
-CHART_H = 400
-CELL = 100
+# Canonical chart raster: the rectified view itself (100x100-pixel cells),
+# pixel centers at integers.
+CHART_W, CHART_H = DEFAULT_RECT_SIZE
+CELL = CHART_W // CHART_COLS
 CANONICAL_CORNERS = np.array(
     [[0, 0], [CHART_W - 1, 0], [CHART_W - 1, CHART_H - 1], [0, CHART_H - 1]],
     dtype=np.float64,
@@ -269,9 +270,7 @@ def render(spec: SceneSpec) -> RenderedScene:
         image=image,
         true_illuminant=spec.illuminant,
         chart_text=format_chart(
-            ChartLayout(
-                corners, default_corner_patch_centers(CHART_W, CHART_H), DEFAULT_HALF_SIZE
-            )
+            ChartLayout(corners, default_corner_patch_centers(), DEFAULT_HALF_SIZE)
         ),
         camera=camera,
     )

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -338,6 +339,22 @@ def test_evaluate_reproduction_keeps_row_order_of_failures(tmp_path, capsys):
         "error: zz: missing from ground truth; skipped",
         "error: b: gw: division by zero channel in estimate",
         "error: a: wp: division by zero channel in estimate",
+    ]
+
+
+def test_evaluate_rejects_a_subnormal_estimate_channel_without_a_warning(tmp_path, capsys):
+    gt = tmp_path / "gt.csv"
+    est = tmp_path / "est.csv"
+    gt.write_text(GT_HEADER + "\na,1000,800,600,18,cam,true\n")
+    est.write_text(EST_HEADER + "\na,gw,0,1,0,1e-320,0.6,0.8\na,wp,0,1,0,0.48,0.6,0.64\n")
+    out = tmp_path / "err.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning would raise here
+        code = run(["evaluate", "--gt", gt, "--est", est, "--metric", "reproduction", "--out", out])
+    assert code == 2
+    assert [line.split(",")[1] for line in out.read_text().splitlines()[1:]] == ["wp"]
+    assert capsys.readouterr().err.splitlines() == [
+        "error: a: gw: estimate channel R is too small: reference/estimate overflows"
     ]
 
 

@@ -33,42 +33,43 @@ def random_image(rng, h=16, w=16, lo=1.0, hi=4000.0):
 
 
 def test_sigma_zero_is_identity():
-    img = random_image(RNG)
-    assert np.array_equal(gaussian_smooth(img, 0.0).data, img.data)
+    data = random_image(RNG).data
+    assert gaussian_smooth(data, 0.0) is data
 
 
 @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.5])
 def test_constant_image_is_preserved(sigma):
-    img = LinearImage(np.full((12, 15, 3), 42.0))
-    np.testing.assert_allclose(gaussian_smooth(img, sigma).data, 42.0, atol=1e-12)
+    out = gaussian_smooth(np.full((12, 15, 3), 42.0), sigma)
+    assert out.shape == (12, 15, 3)
+    np.testing.assert_allclose(out, 42.0, atol=1e-12)
 
 
 def test_impulse_center_matches_kernel_formula():
     sigma = 2.0
     data = np.zeros((21, 21, 3))
     data[10, 10, :] = 1.0
-    out = gaussian_smooth(LinearImage(data), sigma)
+    out = gaussian_smooth(data, sigma)
     # independent kernel evaluation
     radius = math.ceil(3 * sigma)
     k = np.exp(-np.arange(-radius, radius + 1) ** 2 / (2 * sigma**2))
     k /= k.sum()
     center_weight = k[radius] ** 2
-    np.testing.assert_allclose(out.data[10, 10], center_weight, atol=1e-12)
+    np.testing.assert_allclose(out[10, 10], center_weight, atol=1e-12)
     # mass is preserved away from borders
-    np.testing.assert_allclose(out.data[:, :, 0].sum(), 1.0, atol=1e-12)
+    np.testing.assert_allclose(out[:, :, 0].sum(), 1.0, atol=1e-12)
 
 
 def test_smooth_rejects_negative_sigma():
     with pytest.raises(ValueError):
-        gaussian_smooth(LinearImage(np.zeros((2, 2, 3))), -1.0)
+        gaussian_smooth(np.zeros((2, 2, 3)), -1.0)
 
 
 def test_smooth_rejects_sigma_past_the_longer_side():
-    img = LinearImage(np.ones((4, 3, 3)))
-    np.testing.assert_allclose(gaussian_smooth(img, 4.0 / 3.0).data, 1.0)  # 3*sigma == 4
+    data = np.ones((4, 3, 3))
+    np.testing.assert_allclose(gaussian_smooth(data, 4.0 / 3.0), 1.0)  # 3*sigma == 4
     for sigma in (1.34, 1e6, 1e300):
         with pytest.raises(ValueError, match=r"sigma=\S+ is too large for a 3x4 image"):
-            gaussian_smooth(img, sigma)
+            gaussian_smooth(data, sigma)
 
 
 # --- derivatives -------------------------------------------------------------
@@ -77,22 +78,23 @@ def test_smooth_rejects_sigma_past_the_longer_side():
 def ramp_image(slope_x=3.0, size=20):
     xs = np.arange(size, dtype=float)
     data = np.repeat((slope_x * xs + 5.0)[None, :, None], size, axis=0)
-    return LinearImage(np.repeat(data, 3, axis=2))
+    return np.repeat(data, 3, axis=2)
 
 
 def test_gradient_of_constant_is_zero():
-    img = LinearImage(np.full((10, 10, 3), 9.0))
-    assert np.all(derivative_magnitude(img, 1, 0.0).data == 0.0)
+    out = derivative_magnitude(np.full((10, 10, 3), 9.0), 1, 0.0)
+    assert out.shape == (10, 10, 3)
+    assert np.all(out == 0.0)
 
 
 def test_first_order_on_ramp_is_slope():
     out = derivative_magnitude(ramp_image(3.0), 1, 0.0)
-    np.testing.assert_allclose(out.data[1:-1, 1:-1], 3.0, atol=1e-12)
+    np.testing.assert_allclose(out[1:-1, 1:-1], 3.0, atol=1e-12)
 
 
 def test_second_order_on_ramp_is_zero():
     out = derivative_magnitude(ramp_image(3.0), 2, 0.0)
-    np.testing.assert_allclose(out.data[2:-2, 2:-2], 0.0, atol=1e-9)
+    np.testing.assert_allclose(out[2:-2, 2:-2], 0.0, atol=1e-9)
 
 
 def test_bad_order_rejected():
@@ -114,15 +116,6 @@ def test_pool_p1_is_the_mean(values):
 
 def test_pool_infinity_is_the_max():
     assert minkowski_pool([1.0, 5.0, 3.0], math.inf) == 5.0
-
-
-def test_pool_empty_mask_rejected():
-    with pytest.raises(ValueError, match="empty mask"):
-        minkowski_pool([1.0, 2.0], 2.0, mask=[False, False])
-
-
-def test_pool_mask_selects_values():
-    assert minkowski_pool([1.0, 100.0, 3.0], math.inf, mask=[True, False, True]) == 3.0
 
 
 def test_pool_rejects_p_below_one():
@@ -209,6 +202,23 @@ def test_degenerate_zero_channel_rejected():
     data[:, :, 2] = 0.0
     with pytest.raises(ValueError, match="degenerate estimate"):
         estimate(LinearImage(data), PRESETS["grey-world"])
+
+
+def test_estimate_empty_mask_rejected():
+    img = random_image(RNG, h=4, w=4)
+    with pytest.raises(ValueError, match="empty mask"):
+        estimate(img, PRESETS["grey-world"], np.zeros((4, 4), bool))
+
+
+def test_estimate_mask_selects_pixels():
+    data = np.ones((2, 2, 3))
+    data[1, 1] = [100.0, 1.0, 1.0]
+    img = LinearImage(data)
+    assert estimate(img, PRESETS["white-patch"]).rgb[0] > 0.99
+    mask = np.ones((2, 2), dtype=bool)
+    mask[1, 1] = False  # leave the brightest pixel out
+    masked = estimate(img, PRESETS["white-patch"], mask)
+    np.testing.assert_allclose(masked.rgb, np.ones(3) / math.sqrt(3.0), atol=1e-12)
 
 
 def test_mask_dimension_mismatch_rejected():

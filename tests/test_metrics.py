@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chromabench.metrics import (
@@ -119,12 +119,23 @@ def scalar_error(metric, e, g):
         raise ValueError("division by zero channel in estimate")
     if np.any(e < 0.0):
         raise ValueError("estimate channels must be positive")
-    if not (g / e).any():
+    with np.errstate(over="ignore"):
+        ratio = g / e
+    for name, r in zip("RGB", ratio):
+        if not math.isfinite(r):
+            raise ValueError(
+                f"estimate channel {name} is too small: reference/estimate overflows"
+            )
+    if not ratio.any():
         raise ValueError("zero vector has no direction")
-    return scalar_angle(g / e, np.ones(3))
+    return scalar_angle(ratio, np.ones(3))
 
 
 @given(st.sampled_from(METRICS), st.lists(st.tuples(any_vec, any_vec), max_size=10))
+# Subnormal estimate channels overflow the ratio: in R, in G, in R and B.
+@example("reproduction", [((1e-320, 0.6, 0.8), (1000.0, 800.0, 600.0))])
+@example("reproduction", [((0.6, 1e-320, 0.8), (1.0, 1.0, 1.0))])
+@example("reproduction", [((1e-320, 0.6, 1e-320), (1e3, 1e3, 1e3))])
 def test_error_angles_and_the_one_pair_functions_match_the_scalar_checks(metric, pairs):
     one_pair = recovery_error if metric == "recovery" else reproduction_error
     e = np.reshape([p[0] for p in pairs], (len(pairs), 3))
@@ -244,6 +255,16 @@ def test_summarize_matches_brute_force(errors):
         assert summary_stat(s, key) == pytest.approx(oracle[key], abs=1e-12)
     assert s.best25_mean <= s.median <= s.worst25_mean
     assert s.q95 >= s.median
+
+
+@given(
+    st.lists(st.floats(0, 180, allow_nan=False), min_size=1, max_size=60),
+    st.randoms(use_true_random=False),
+)
+def test_summarize_is_independent_of_row_order(errors, random):
+    shuffled = list(errors)
+    random.shuffle(shuffled)
+    assert summarize(shuffled) == summarize(errors)
 
 
 def test_summarize_rejects_empty():

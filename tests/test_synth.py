@@ -49,10 +49,10 @@ def test_different_seeds_differ():
 
 def test_exposure_escalation_never_unclips():
     table = synthcases.exact_reflectance_table()
-    low = synth.render(synth.SceneSpec(exposure=7000.0, reflectance_table=table))
-    high = synth.render(synth.SceneSpec(exposure=9000.0, reflectance_table=table))
-    clipped_low = low.image.data >= low.image.max_value
-    clipped_high = high.image.data >= high.image.max_value
+    low_spec = synth.SceneSpec(exposure=7000.0, reflectance_table=table)
+    high_spec = synth.SceneSpec(exposure=9000.0, reflectance_table=table)
+    clipped_low = synth.render(low_spec).image.data >= low_spec.clip_level
+    clipped_high = synth.render(high_spec).image.data >= high_spec.clip_level
     assert clipped_low.sum() > 0
     assert np.all(clipped_high[clipped_low])
 
