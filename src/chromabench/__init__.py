@@ -2,7 +2,7 @@
 
 Modules:
     imagecore    linear image model, 16-bit PPM + sidecar I/O, black level
-    chartgeom    homography fitting, chart rectification, patch sampling
+    chartgeom    homography fitting, patch grid, patch sampling from the frame
     groundtruth  white-point extraction from the achromatic chart row
     estimators   statistical illuminant estimators (derivative order n,
                  Minkowski norm p, Gaussian smoothing sigma)

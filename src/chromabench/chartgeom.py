@@ -1,4 +1,4 @@
-"""Chart geometry: 4-point homography, perspective rectification, patch grid.
+"""Chart geometry: 4-point homography, patch grid, patch sampling.
 
 The 24-patch chart is handled in a canonical orientation: 4 rows x 6 columns,
 patch indices 0..23 row-major from the top-left, achromatic row at the bottom
@@ -27,7 +27,6 @@ __all__ = [
     "ChartLayout",
     "DEFAULT_HALF_SIZE",
     "DEFAULT_RECT_SIZE",
-    "PatchGrid",
     "WHITE_INDEX",
     "apply_homography",
     "default_corner_patch_centers",
@@ -35,8 +34,7 @@ __all__ = [
     "format_chart",
     "patch_centers",
     "read_chart_file",
-    "rectify_chart",
-    "sample_patch",
+    "sample_patches",
     "write_chart_file",
 ]
 
@@ -165,35 +163,6 @@ def _validate_corners(corners: np.ndarray, width: int, height: int) -> None:
         raise ValueError("chart corners must lie inside the image")
 
 
-def rectify_chart(
-    data: np.ndarray,
-    corners,
-    out_w: int = DEFAULT_RECT_SIZE[0],
-    out_h: int = DEFAULT_RECT_SIZE[1],
-) -> np.ndarray:
-    """Warp the chart quadrilateral of (H, W, 3) data to an (out_h, out_w, 3) view.
-
-    The corners (top-left, top-right, bottom-right, bottom-left in canonical
-    chart orientation) are mapped to the output rectangle corners; every
-    output pixel is a bilinear sample of the source, zero outside the source.
-    """
-    if out_w < CHART_COLS or out_h < CHART_ROWS:
-        raise ValueError("output size too small for the patch grid")
-    corners = _as_points(corners, 4)
-    _validate_corners(corners, data.shape[1], data.shape[0])
-    rect = np.array(
-        [[0, 0], [out_w - 1, 0], [out_w - 1, out_h - 1], [0, out_h - 1]],
-        dtype=np.float64,
-    )
-    # Fitting rect -> corners gives the output-to-source map directly
-    # (the inverse of the source-to-rect homography).
-    H = fit_homography(rect, corners)
-    us, vs = np.meshgrid(np.arange(out_w), np.arange(out_h))
-    pts = np.stack([us.ravel(), vs.ravel()], axis=1).astype(np.float64)
-    src = apply_homography(H, pts)
-    return _bilinear_sample(data, src[:, 0], src[:, 1]).reshape(out_h, out_w, 3)
-
-
 def default_corner_patch_centers() -> np.ndarray:
     """Centers of patches 0, 5, 23 and 18 on the canonical rectified grid."""
     cw = DEFAULT_RECT_SIZE[0] / CHART_COLS
@@ -208,29 +177,12 @@ def default_corner_patch_centers() -> np.ndarray:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class PatchGrid:
-    """24 sample-square centers (row-major patch order) in rectified pixels."""
-
-    centers: np.ndarray  # (24, 2)
-    half_size: int
-
-    def __post_init__(self) -> None:
-        centers = np.asarray(self.centers, dtype=np.float64)
-        if centers.shape != (CHART_ROWS * CHART_COLS, 2):
-            raise ValueError("patch grid needs 24 centers")
-        centers.setflags(write=False)
-        object.__setattr__(self, "centers", centers)
-        if self.half_size < 0:
-            raise ValueError("half_size must be >= 0")
-
-
-def patch_centers(corner_patch_centers, half_size: int = DEFAULT_HALF_SIZE) -> PatchGrid:
-    """Replicate 4 corner-patch centers over the full 6x4 grid.
+def patch_centers(corner_patch_centers, half_size: int = DEFAULT_HALF_SIZE) -> np.ndarray:
+    """Replicate 4 corner-patch centers over the full 6x4 grid, as (24, 2).
 
     Inputs are the centers of patches 0, 5, 23 and 18 (in that order) in
     rectified coordinates; the center of patch (row r, col c) is the bilinear
-    blend with weights (c/5, r/3).
+    blend with weights (c/5, r/3).  Centers are row-major in patch order.
     """
     pts = _as_points(corner_patch_centers, 4)
     for i in range(4):
@@ -246,7 +198,8 @@ def patch_centers(corner_patch_centers, half_size: int = DEFAULT_HALF_SIZE) -> P
             top = (1.0 - u) * p0 + u * p5
             bottom = (1.0 - u) * p18 + u * p23
             centers[r * CHART_COLS + c] = (1.0 - v) * top + v * bottom
-    grid = PatchGrid(centers, half_size)
+    if half_size < 0:
+        raise ValueError("half_size must be >= 0")
     # Neighbouring sample squares must not touch: grid spacing below
     # 2*(half_size+1) means the squares bleed into adjacent patches.
     min_gap = 2.0 * (half_size + 1)
@@ -261,26 +214,7 @@ def patch_centers(corner_patch_centers, half_size: int = DEFAULT_HALF_SIZE) -> P
                 below = centers[(r + 1) * CHART_COLS + c]
                 if np.linalg.norm(below - here) < min_gap:
                     raise ValueError("sample squares overlap adjacent patches")
-    return grid
-
-
-def sample_patch(data: np.ndarray, center, half_size: int) -> np.ndarray:
-    """All pixels of the closed square around a patch center, as (N, 3) RGB rows.
-
-    Fractional centers are snapped to the nearest pixel so the sample always
-    holds exactly (2*half_size + 1)**2 pixels, in row-major order.
-    """
-    if half_size < 0:
-        raise ValueError("half_size must be >= 0")
-    cx, cy = np.asarray(center, dtype=np.float64)
-    ix = int(round(float(cx)))
-    iy = int(round(float(cy)))
-    x0, x1 = ix - half_size, ix + half_size
-    y0, y1 = iy - half_size, iy + half_size
-    if x0 < 0 or y0 < 0 or x1 >= data.shape[1] or y1 >= data.shape[0]:
-        raise ValueError("sample square exceeds image bounds")
-    block = data[y0 : y1 + 1, x0 : x1 + 1]
-    return block.reshape(-1, 3).copy()
+    return centers
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,13 +234,42 @@ class ChartLayout:
             cpc.setflags(write=False)
             object.__setattr__(self, "corner_patch_centers", cpc)
 
-    def grid(self) -> PatchGrid:
-        """Patch grid for this chart, falling back to canonical defaults."""
-        cpc = self.corner_patch_centers
-        if cpc is None:
-            cpc = default_corner_patch_centers()
-        half = self.half_size if self.half_size is not None else DEFAULT_HALF_SIZE
-        return patch_centers(cpc, half)
+
+def sample_patches(data: np.ndarray, layout: ChartLayout) -> np.ndarray:
+    """The closed sample square of every patch, as (24, (2h+1)**2, 3) RGB rows.
+
+    Squares are laid out on the canonical rectified view
+    (``DEFAULT_RECT_SIZE``) around the layout's patch centers, snapped to the
+    nearest rectified pixel.  Only their own pixels are mapped through the
+    rectified-view -> corners homography and sampled bilinearly from the
+    (H, W, 3) source (zero outside it), so each square holds the values a
+    full warp of the chart would hold there, in row-major order.
+    """
+    _validate_corners(layout.corners, data.shape[1], data.shape[0])
+    cpc = layout.corner_patch_centers
+    if cpc is None:
+        cpc = default_corner_patch_centers()
+    half = layout.half_size if layout.half_size is not None else DEFAULT_HALF_SIZE
+    centers = np.rint(patch_centers(cpc, half))
+    out_w, out_h = DEFAULT_RECT_SIZE
+    if (
+        np.any(centers - half < 0)
+        or np.any(centers[:, 0] + half > out_w - 1)
+        or np.any(centers[:, 1] + half > out_h - 1)
+    ):
+        raise ValueError("sample square exceeds image bounds")
+    side = np.arange(-half, half + 1, dtype=np.float64)
+    us = centers[:, None, None, 0] + side[None, None, :]
+    vs = centers[:, None, None, 1] + side[None, :, None]
+    pts = np.stack(np.broadcast_arrays(us, vs), axis=-1).reshape(-1, 2)
+    rect = np.array(
+        [[0, 0], [out_w - 1, 0], [out_w - 1, out_h - 1], [0, out_h - 1]],
+        dtype=np.float64,
+    )
+    # Fitting rect -> corners gives the view-to-source map directly.
+    src = apply_homography(fit_homography(rect, layout.corners), pts)
+    samples = _bilinear_sample(data, src[:, 0], src[:, 1])
+    return samples.reshape(len(centers), side.size**2, 3)
 
 
 def _parse_numbers(text: str, n: int, what: str) -> np.ndarray:

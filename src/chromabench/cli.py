@@ -34,23 +34,13 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PARTIAL = 2
 
-JOBS_ENV_VAR = "CHROMABENCH_JOBS"
-
 
 class CliError(Exception):
     """Configuration or input error that should terminate with exit code 1."""
 
 
 def _resolve_jobs(arg_jobs: int | None) -> int:
-    if arg_jobs is not None:
-        jobs = arg_jobs
-    elif os.environ.get(JOBS_ENV_VAR):
-        try:
-            jobs = int(os.environ[JOBS_ENV_VAR])
-        except ValueError as exc:
-            raise CliError(f"bad {JOBS_ENV_VAR} value: {os.environ[JOBS_ENV_VAR]!r}") from exc
-    else:
-        jobs = os.cpu_count() or 1
+    jobs = arg_jobs if arg_jobs is not None else (os.cpu_count() or 1)
     if jobs < 1:
         raise CliError("--jobs must be >= 1")
     return jobs

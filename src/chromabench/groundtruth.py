@@ -1,9 +1,10 @@
 """Ground-truth illuminant extraction from the achromatic chart row.
 
-Per image: rectify the chart, sample a square inside every patch, rank the six
-achromatic patches by mean brightness after discarding any patch containing a
-saturated sample, then take the per-channel median of the winner and subtract
-the camera black level.  Keeping a single winning patch index guarantees that
+Per image: sample a square inside every patch straight from the frame (laid
+out on the canonical rectified view of the chart), rank the six achromatic
+patches by mean brightness after discarding any patch containing a saturated
+sample, then take the per-channel median of the winner and subtract the
+camera black level.  Keeping a single winning patch index guarantees that
 R, G and B always come from the same patch.
 
 Saturation is judged on raw (pre-subtraction) counts: the threshold is stated
@@ -127,19 +128,14 @@ def compute_ground_truth(
 ) -> GroundTruthRecord:
     """Full extraction pipeline for one image.
 
-    rectify -> patch grid -> sample all 24 squares -> per-patch stats ->
-    pick the brightest unsaturated achromatic patch on raw counts -> take its
-    channel medians -> subtract the camera black level (clamped at zero).
+    sample the 24 patch squares -> stats of the six achromatic ones -> pick
+    the brightest unsaturated one on raw counts -> take its channel medians
+    -> subtract the camera black level (clamped at zero).
     """
-    rect = chartgeom.rectify_chart(img.data, layout.corners)
-    grid = layout.grid()
-    stats = [
-        patch_stats(chartgeom.sample_patch(rect, grid.centers[i], grid.half_size), i)
-        for i in range(len(grid.centers))
-    ]
-    achromatic = [stats[i] for i in ACHROMATIC_INDICES]
-    winner = select_achromatic_patch(achromatic, camera.saturation_level)
-    med = np.asarray(stats[winner].median_rgb, dtype=np.float64)
+    samples = chartgeom.sample_patches(img.data, layout)
+    stats = [patch_stats(samples[i], i) for i in ACHROMATIC_INDICES]
+    winner = select_achromatic_patch(stats, camera.saturation_level)
+    med = np.asarray(stats[ACHROMATIC_INDICES.index(winner)].median_rgb, dtype=np.float64)
     level = camera.black_level if subtract_black else 0.0
     illum = np.maximum(med - level, 0.0)
     if np.any(illum <= 0):

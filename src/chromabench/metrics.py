@@ -11,11 +11,13 @@ float64 arrays: atan2(|u x v|, u.v), which is exact at zero for parallel
 inputs and equivalent to the arccos form elsewhere.  ``error_angles`` scores
 whole tables through it, reporting each invalid row with the message the
 one-pair functions ``recovery_error`` and ``reproduction_error`` raise; those
-two are its one-row case.  The kernel takes the row norm and the row dot
-product as batched row matmuls, which run the same BLAS dot as ``np.dot`` on
-one pair, and applies ``math.atan2`` per element (``np.arctan2`` differs from
-it in the last bit on some inputs), so a row's angle does not depend on the
-batch it is computed in.
+two are its one-row case.  The kernel scales each row by a power of two
+(exact) so its largest component lies in [0.5, 1), which keeps the squared
+cross norm from overflowing on large rows or underflowing on tiny ones.  It
+takes the row norm and the row dot product as batched row matmuls, which run
+the same BLAS dot as ``np.dot`` on one pair, and applies ``math.atan2`` per
+element (``np.arctan2`` differs from it in the last bit on some inputs), so a
+row's angle does not depend on the batch it is computed in.
 
 Quantiles interpolate linearly between order statistics at position (n-1)*q;
 that convention is pinned so summaries are reproducible bit for bit.
@@ -72,11 +74,28 @@ def _as_vec3(v, what: str) -> np.ndarray:
 _ROWS_PER_PASS = 1024
 
 
+def _unit_exponent_rows(a: np.ndarray) -> np.ndarray:
+    """Rows of (N, 3) ``a`` scaled by powers of two to a largest |component| in [0.5, 1).
+
+    Power-of-two scaling is exact, so a row keeps its direction bit for bit,
+    and the squared cross norm of two scaled rows can neither overflow nor
+    underflow to zero.  The column-wise maximum is several times faster than
+    ``max(axis=1)`` on three columns.
+    """
+    mag = np.abs(a)
+    top = np.maximum(np.maximum(mag[:, 0], mag[:, 1]), mag[:, 2])
+    # ldexp on the rows themselves also scales rows whose maximum is
+    # subnormal, where the factor 2**-exponent alone would overflow.
+    return np.ldexp(a, -np.frexp(top)[1][:, None])
+
+
 def angles_deg(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Angle in degrees between matching rows of two (N, 3) float64 arrays.
 
     atan2 formulation: exactly 0 for identical/parallel rows and well
     conditioned near 0 and 180 where arccos of a rounded cosine is not.
+    Rows are first scaled by powers of two, so finite rows of any magnitude
+    give the angle they give at unit scale.
     The caller validates the rows; a zero row gives 0 or 90, not an error.
     """
     # Contiguous rows keep the matmuls on the BLAS dot that np.dot uses.
@@ -85,9 +104,11 @@ def angles_deg(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     degrees = np.empty(len(u))
     for start in range(0, len(u), _ROWS_PER_PASS):
         rows = slice(start, start + _ROWS_PER_PASS)
-        cross = np.cross(u[rows], v[rows])
+        su = _unit_exponent_rows(u[rows])
+        sv = _unit_exponent_rows(v[rows])
+        cross = np.cross(su, sv)
         norms = np.sqrt((cross[:, None, :] @ cross[:, :, None]).ravel())
-        dots = (u[rows, None, :] @ v[rows, :, None]).ravel()
+        dots = (su[:, None, :] @ sv[:, :, None]).ravel()
         radians = map(math.atan2, norms.tolist(), dots.tolist())
         degrees[rows] = np.degrees(np.fromiter(radians, np.float64, len(dots)))
     return degrees

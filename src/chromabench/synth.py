@@ -43,7 +43,6 @@ __all__ = [
     "SceneSpec",
     "WHITE_REFLECTANCE",
     "default_pose",
-    "make_grayworld_scene",
     "pose_from_corners",
     "random_pose",
     "render",
@@ -212,8 +211,7 @@ class RenderedScene:
 
     image: LinearImage
     true_illuminant: tuple[float, float, float]
-    chart_text: str | None
-    camera: CameraProfile
+    chart_text: str
 
 
 def render(spec: SceneSpec) -> RenderedScene:
@@ -272,39 +270,6 @@ def render(spec: SceneSpec) -> RenderedScene:
         chart_text=format_chart(
             ChartLayout(corners, default_corner_patch_centers(), DEFAULT_HALF_SIZE)
         ),
-        camera=camera,
-    )
-
-
-def make_grayworld_scene(
-    illuminant,
-    size: tuple[int, int] = (64, 64),
-    rng_seed: int = 0,
-    exposure: float = 1000.0,
-) -> RenderedScene:
-    """Chartless scene whose spatial mean reflectance is exactly neutral.
-
-    Reflectances are drawn i.i.d. then shifted per channel so the mean is
-    equal across channels, which makes the image mean parallel to the
-    illuminant; the grey-world estimator must recover it almost exactly.
-    Values are left unquantized, so these scenes are in-memory oracles rather
-    than serializable corpora.
-    """
-    illum = np.asarray(illuminant, dtype=np.float64)
-    if illum.shape != (3,) or np.any(illum <= 0):
-        raise ValueError("illuminant must be positive in every channel")
-    width, height = size
-    rng = np.random.default_rng(rng_seed)
-    reflectance = rng.uniform(0.2, 0.8, size=(height, width, 3))
-    reflectance += 0.5 - reflectance.mean(axis=(0, 1))
-    data = illum[None, None, :] * reflectance * exposure
-    camera = CameraProfile(camera_id="synthcam", black_level=0.0)
-    image = LinearImage(data, bit_depth=12, camera=camera)
-    return RenderedScene(
-        image=image,
-        true_illuminant=(float(illum[0]), float(illum[1]), float(illum[2])),
-        chart_text=None,
-        camera=camera,
     )
 
 
@@ -314,8 +279,7 @@ def write_scene(scene: RenderedScene, out_dir: str | Path, image_id: str) -> Pat
     out_dir.mkdir(parents=True, exist_ok=True)
     image_path = out_dir / f"{image_id}.ppm"
     save_image(scene.image, image_path)
-    if scene.chart_text is not None:
-        atomic_write_text(out_dir / f"{image_id}.chart", scene.chart_text)
+    atomic_write_text(out_dir / f"{image_id}.chart", scene.chart_text)
     return image_path
 
 

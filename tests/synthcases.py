@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from chromabench import synth
+from chromabench.imagecore import CameraProfile, LinearImage
 
 # Achromatic ramp of exact binary fractions: products with integer exposures
 # stay exactly representable, which the saturation boundary tests rely on.
@@ -30,6 +31,28 @@ def exact_reflectance_table() -> np.ndarray:
 def translation_pose(dx: float = 20.0, dy: float = 40.0) -> np.ndarray:
     """Exact integer translation: rectification copies counts bit-for-bit."""
     return synth.pose_from_corners(synth.CANONICAL_CORNERS + np.array([dx, dy]))
+
+
+def grayworld_image(
+    illuminant,
+    size: tuple[int, int] = (64, 64),
+    rng_seed: int = 0,
+    exposure: float = 1000.0,
+) -> LinearImage:
+    """Chartless image whose spatial mean reflectance is exactly neutral.
+
+    Reflectances are drawn i.i.d. then shifted per channel so the mean is
+    equal across channels, which makes the image mean parallel to the
+    illuminant; the grey-world estimator must recover it almost exactly.
+    Values are left unquantized: an in-memory oracle, not a corpus file.
+    """
+    illum = np.asarray(illuminant, dtype=np.float64)
+    width, height = size
+    rng = np.random.default_rng(rng_seed)
+    reflectance = rng.uniform(0.2, 0.8, size=(height, width, 3))
+    reflectance += 0.5 - reflectance.mean(axis=(0, 1))
+    data = illum[None, None, :] * reflectance * exposure
+    return LinearImage(data, bit_depth=12, camera=CameraProfile("synthcam", 0.0))
 
 
 def scene_for_target(

@@ -3,15 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chromabench import synth
 from chromabench.chartgeom import (
+    DEFAULT_RECT_SIZE,
     ChartLayout,
+    _bilinear_sample,
     apply_homography,
     default_corner_patch_centers,
     fit_homography,
     patch_centers,
     read_chart_file,
-    rectify_chart,
-    sample_patch,
+    sample_patches,
     write_chart_file,
 )
 
@@ -82,63 +84,113 @@ def test_composition_agrees_on_the_four_points(qa, qb, qc):
     assert np.abs(via - direct).max() < 1e-9
 
 
+# The canonical rectified view as a frame: its corners make the view -> frame
+# homography exactly the identity, so samples are plain slices of the frame.
+VIEW_W, VIEW_H = DEFAULT_RECT_SIZE
+VIEW_CORNERS = [(0, 0), (VIEW_W - 1, 0), (VIEW_W - 1, VIEW_H - 1), (0, VIEW_H - 1)]
+
+
+def rectify_then_slice(data, layout):
+    """Reference: warp the whole rectified view, then slice each sample square."""
+    rect = np.array(VIEW_CORNERS, dtype=np.float64)
+    us, vs = np.meshgrid(np.arange(VIEW_W), np.arange(VIEW_H))
+    pts = np.stack([us.ravel(), vs.ravel()], axis=1).astype(np.float64)
+    src = apply_homography(fit_homography(rect, layout.corners), pts)
+    view = _bilinear_sample(data, src[:, 0], src[:, 1]).reshape(VIEW_H, VIEW_W, 3)
+    cpc = layout.corner_patch_centers
+    if cpc is None:
+        cpc = default_corner_patch_centers()
+    half = 15 if layout.half_size is None else layout.half_size
+    squares = []
+    for cx, cy in patch_centers(cpc, half):
+        ix, iy = int(round(float(cx))), int(round(float(cy)))
+        block = view[iy - half : iy + half + 1, ix - half : ix + half + 1]
+        squares.append(block.reshape(-1, 3))
+    return np.stack(squares)
+
+
+def test_sample_patches_match_rectify_then_slice():
+    rng = np.random.default_rng(11)
+    for _ in range(4):
+        data = rng.uniform(0, 4095, size=(480, 640, 3))
+        pose = synth.random_pose(rng, 640, 480)
+        corners = apply_homography(pose, synth.CANONICAL_CORNERS)
+        cpc = default_corner_patch_centers() + rng.uniform(-4, 4, size=(4, 2))
+        for layout in (
+            ChartLayout(corners),
+            ChartLayout(corners, corner_patch_centers=cpc),
+            ChartLayout(corners, half_size=int(rng.integers(0, 30))),
+            ChartLayout(corners, cpc, half_size=7),
+        ):
+            got = sample_patches(data, layout)
+            assert got.tobytes() == rectify_then_slice(data, layout).tobytes()
+
+
+def view_slices(data, half):
+    centers = np.rint(patch_centers(default_corner_patch_centers(), half)).astype(int)
+    return np.stack(
+        [data[y - half : y + half + 1, x - half : x + half + 1].reshape(-1, 3) for x, y in centers]
+    )
+
+
 def test_rectify_with_image_corners_is_identity(rng=np.random.default_rng(5)):
-    data = rng.integers(0, 4095, size=(6, 9, 3)).astype(float)
-    corners = [(0, 0), (8, 0), (8, 5), (0, 5)]
-    out = rectify_chart(data, corners, out_w=9, out_h=6)
-    assert isinstance(out, np.ndarray) and out.shape == (6, 9, 3)
-    np.testing.assert_allclose(out, data, atol=1e-9)
+    data = rng.integers(0, 4095, size=(VIEW_H, VIEW_W, 3)).astype(float)
+    samples = sample_patches(data, ChartLayout(VIEW_CORNERS))
+    assert isinstance(samples, np.ndarray) and samples.shape == (24, 31 * 31, 3)
+    assert np.array_equal(samples, view_slices(data, 15))
 
 
 def test_rectify_constant_image_is_constant():
-    corners = [(5, 4), (44, 6), (42, 33), (6, 35)]
-    out = rectify_chart(np.full((40, 50, 3), 7.0), corners, out_w=30, out_h=20)
-    assert out.shape == (20, 30, 3)
-    np.testing.assert_allclose(out, 7.0, atol=1e-9)
+    corners = [(25, 14), (640, 30), (622, 433), (36, 445)]
+    samples = sample_patches(np.full((460, 660, 3), 7.0), ChartLayout(corners))
+    assert samples.shape == (24, 961, 3)
+    np.testing.assert_allclose(samples, 7.0, atol=1e-9)
 
 
 def test_rectify_rejects_corners_outside_image():
+    corners = [(0, 0), (VIEW_W, 0), (VIEW_W, VIEW_H - 1), (0, VIEW_H - 1)]
     with pytest.raises(ValueError, match="inside the image"):
-        rectify_chart(np.zeros((10, 10, 3)), [(0, 0), (20, 0), (20, 9), (0, 9)], 10, 10)
+        sample_patches(np.zeros((VIEW_H, VIEW_W, 3)), ChartLayout(corners))
 
 
 def test_rectify_rejects_nonconvex_corners():
+    corners = [(0, 0), (VIEW_W - 1, 0), (100, 100), (0, VIEW_H - 1)]
     with pytest.raises(ValueError, match="convex"):
-        rectify_chart(np.zeros((20, 20, 3)), [(0, 0), (19, 0), (5, 5), (0, 19)], 10, 10)
+        sample_patches(np.zeros((VIEW_H, VIEW_W, 3)), ChartLayout(corners))
 
 
 def test_patch_centers_uniform_lattice():
     corners = [(0, 0), (500, 0), (500, 300), (0, 300)]
-    grid = patch_centers(corners, half_size=15)
+    centers = patch_centers(corners, half_size=15)
     # column step 100 px, so patch 1 sits 100 px right of patch 0
-    np.testing.assert_allclose(grid.centers[1] - grid.centers[0], [100, 0], atol=1e-12)
-    np.testing.assert_allclose(grid.centers[6] - grid.centers[0], [0, 100], atol=1e-12)
+    np.testing.assert_allclose(centers[1] - centers[0], [100, 0], atol=1e-12)
+    np.testing.assert_allclose(centers[6] - centers[0], [0, 100], atol=1e-12)
 
 
 def test_patch_centers_reproduce_corner_inputs_exactly():
     corners = np.array([(3.5, 2.25), (503.5, 12.0), (523.0, 310.5), (13.25, 300.0)])
-    grid = patch_centers(corners, half_size=15)
-    assert np.array_equal(grid.centers[0], corners[0])
-    assert np.array_equal(grid.centers[5], corners[1])
-    assert np.array_equal(grid.centers[23], corners[2])
-    assert np.array_equal(grid.centers[18], corners[3])
+    centers = patch_centers(corners, half_size=15)
+    assert np.array_equal(centers[0], corners[0])
+    assert np.array_equal(centers[5], corners[1])
+    assert np.array_equal(centers[23], corners[2])
+    assert np.array_equal(centers[18], corners[3])
 
 
 def test_patch_centers_interior_bilinear_blend():
     p0, p5, p23, p18 = (0.0, 0.0), (50.0, 5.0), (55.0, 35.0), (5.0, 30.0)
-    grid = patch_centers([p0, p5, p23, p18], half_size=1)
+    centers = patch_centers([p0, p5, p23, p18], half_size=1)
     u, v = 2 / 5, 1 / 3  # patch (row 1, col 2)
     top = [(1 - u) * p0[0] + u * p5[0], (1 - u) * p0[1] + u * p5[1]]
     bottom = [(1 - u) * p18[0] + u * p23[0], (1 - u) * p18[1] + u * p23[1]]
     expected = [(1 - v) * top[0] + v * bottom[0], (1 - v) * top[1] + v * bottom[1]]
-    np.testing.assert_allclose(grid.centers[1 * 6 + 2], expected, atol=1e-12)
+    np.testing.assert_allclose(centers[1 * 6 + 2], expected, atol=1e-12)
 
 
 def test_patch_centers_mixed_differences_are_uniform():
     # A bilinear lattice with uniform spacing has one mixed second difference
     # shared by every 2x2 block of centers.
     corners = np.array([(10.0, 20.0), (400.0, 60.0), (430.0, 310.0), (30.0, 280.0)])
-    c = patch_centers(corners, half_size=15).centers.reshape(4, 6, 2)
+    c = patch_centers(corners, half_size=15).reshape(4, 6, 2)
     blocks = c[1:, 1:] + c[:-1, :-1] - c[1:, :-1] - c[:-1, 1:]
     np.testing.assert_allclose(
         blocks, np.broadcast_to(blocks[0, 0], blocks.shape), atol=1e-9
@@ -157,31 +209,47 @@ def test_patch_centers_rejects_overlapping_squares():
 
 
 def test_sample_patch_half_zero_is_center_pixel():
-    data = np.arange(27, dtype=float).reshape(3, 3, 3)
-    assert sample_patch(data, (1, 1), 0).tolist() == [data[1, 1].tolist()]
+    data = np.arange(VIEW_H * VIEW_W * 3, dtype=float).reshape(VIEW_H, VIEW_W, 3)
+    samples = sample_patches(data, ChartLayout(VIEW_CORNERS, half_size=0))
+    assert samples.shape == (24, 1, 3)
+    centers = np.rint(patch_centers(default_corner_patch_centers(), 0)).astype(int)
+    assert samples[:, 0].tolist() == [data[y, x].tolist() for x, y in centers]
 
 
 def test_sample_patch_constant_field():
-    samples = sample_patch(np.full((5, 5, 3), 3.0), (2, 2), 1)
-    assert samples.shape == (9, 3)
+    samples = sample_patches(np.full((VIEW_H, VIEW_W, 3), 3.0), ChartLayout(VIEW_CORNERS, half_size=1))
+    assert samples.shape == (24, 9, 3)
     assert np.all(samples == 3.0)
 
 
 def test_sample_patch_row_major_order():
-    values = np.arange(1, 10, dtype=float)
-    data = np.repeat(values.reshape(3, 3, 1), 3, axis=2)
-    samples = sample_patch(data, (1, 1), 1)
-    assert samples[:, 0].tolist() == values.tolist()
+    ys, xs = np.mgrid[0:VIEW_H, 0:VIEW_W]
+    data = np.repeat((1000.0 * ys + xs)[..., None], 3, axis=2)
+    samples = sample_patches(data, ChartLayout(VIEW_CORNERS, half_size=1))
+    # patch 0 is centred on (50, 50): rows y = 49, 50, 51, each x = 49, 50, 51
+    expected = [1000.0 * y + x for y in (49, 50, 51) for x in (49, 50, 51)]
+    assert samples[0, :, 0].tolist() == expected
+    assert np.array_equal(samples, view_slices(data, 1))
 
 
 def test_sample_patch_snaps_fractional_center():
-    data = np.arange(27, dtype=float).reshape(3, 3, 3)
-    assert np.array_equal(sample_patch(data, (1.2, 0.8), 0), sample_patch(data, (1, 1), 0))
+    data = np.random.default_rng(3).uniform(0, 4095, size=(VIEW_H, VIEW_W, 3))
+    shifted = default_corner_patch_centers() + np.array([0.2, -0.2])
+    snapped = sample_patches(data, ChartLayout(VIEW_CORNERS, shifted, half_size=2))
+    assert np.array_equal(snapped, sample_patches(data, ChartLayout(VIEW_CORNERS, half_size=2)))
 
 
 def test_sample_patch_rejects_out_of_bounds():
-    with pytest.raises(ValueError, match="bounds"):
-        sample_patch(np.zeros((3, 3, 3)), (0, 0), 1)
+    cpc = [(10, 10), (VIEW_W - 10, 10), (VIEW_W - 10, VIEW_H - 10), (10, VIEW_H - 10)]
+    with pytest.raises(ValueError, match="sample square exceeds image bounds"):
+        sample_patches(np.zeros((VIEW_H, VIEW_W, 3)), ChartLayout(VIEW_CORNERS, cpc, half_size=15))
+
+
+def test_sample_patches_reject_a_negative_half_size():
+    with pytest.raises(ValueError, match="half_size must be >= 0"):
+        patch_centers(default_corner_patch_centers(), -1)
+    with pytest.raises(ValueError, match="half_size must be >= 0"):
+        sample_patches(np.zeros((VIEW_H, VIEW_W, 3)), ChartLayout(VIEW_CORNERS, half_size=-1))
 
 
 def test_chart_file_round_trip(tmp_path):
@@ -204,9 +272,12 @@ def test_chart_file_optional_lines_default(tmp_path):
     layout = read_chart_file(path)
     assert layout.corner_patch_centers is None
     assert layout.half_size is None
-    grid = layout.grid()
-    np.testing.assert_allclose(grid.centers[18], [50.0, 350.0])
-    assert grid.half_size == 15
+    data = np.random.default_rng(7).uniform(0, 4095, size=(50, 100, 3))
+    samples = sample_patches(data, layout)
+    assert samples.shape == (24, 31 * 31, 3)
+    canonical = ChartLayout(layout.corners, default_corner_patch_centers(), 15)
+    assert np.array_equal(samples, sample_patches(data, canonical))
+    np.testing.assert_allclose(default_corner_patch_centers()[3], [50.0, 350.0])
 
 
 @pytest.mark.parametrize(

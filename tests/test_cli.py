@@ -173,13 +173,12 @@ def test_extract_gt_byte_stable_across_jobs(small_corpus, tmp_path):
     assert outs[0] == outs[1] == outs[2]
 
 
-def test_jobs_env_fallback(small_corpus, tmp_path, monkeypatch):
+def test_jobs_below_one_exits_1(small_corpus, tmp_path, capsys):
     corpus, _ = small_corpus
-    monkeypatch.setenv(cli.JOBS_ENV_VAR, "2")
     out = tmp_path / "gt.csv"
-    assert run(["extract-gt", "--images", corpus, "--charts", corpus, "--out", out]) == 0
-    monkeypatch.setenv(cli.JOBS_ENV_VAR, "zero")
-    assert run(["extract-gt", "--images", corpus, "--charts", corpus, "--out", out]) == 1
+    assert run(["extract-gt", "--images", corpus, "--charts", corpus, "--out", out, "--jobs", "0"]) == 1
+    assert "--jobs must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_extract_gt_missing_dir_exits_1(tmp_path, capsys):
@@ -356,6 +355,22 @@ def test_evaluate_rejects_a_subnormal_estimate_channel_without_a_warning(tmp_pat
     assert capsys.readouterr().err.splitlines() == [
         "error: a: gw: estimate channel R is too small: reference/estimate overflows"
     ]
+
+
+def test_evaluate_scores_a_tiny_estimate_channel_without_a_warning(tmp_path, capsys):
+    # The ratio reference/estimate is about 1e163: finite, but its squared
+    # cross norm with the neutral direction overflows without row scaling.
+    gt = tmp_path / "gt.csv"
+    est = tmp_path / "est.csv"
+    gt.write_text(GT_HEADER + "\na,1000,800,600,18,cam,true\n")
+    est.write_text(EST_HEADER + "\na,gw,0,1,0,1e-160,0.6,0.8\n")
+    out = tmp_path / "err.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning would raise here
+        code = run(["evaluate", "--gt", gt, "--est", est, "--metric", "reproduction", "--out", out])
+    assert code == 0
+    assert out.read_text().splitlines()[1:] == ["a,gw,reproduction,54.7356103"]
+    assert capsys.readouterr().err == ""
 
 
 def test_evaluate_skips_images_missing_from_gt(tmp_path, capsys):

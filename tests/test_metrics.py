@@ -73,8 +73,16 @@ def test_recovery_parallel_is_zero(e, alpha):
 # --- row-wise kernel ---------------------------------------------------------
 
 
+def unit_exponent(w):
+    # Exact power-of-two scaling to a largest |component| in [0.5, 1), as
+    # the kernel does, so the squared cross norm neither over- nor underflows.
+    shift = -math.frexp(max(abs(x) for x in w))[1]
+    return np.array([math.ldexp(x, shift) for x in w])
+
+
 def scalar_angle(u, v):
     # Independent one-pair formula: the kernel must match it in every bit.
+    u, v = unit_exponent(u), unit_exponent(v)
     cross = np.cross(u, v)
     return math.degrees(math.atan2(float(np.linalg.norm(cross)), float(np.dot(u, v))))
 
@@ -96,6 +104,33 @@ def test_angles_deg_matches_the_scalar_formula_bit_for_bit(triples):
     got = angles_deg(np.array(us), np.array(vs))
     want = np.array([scalar_angle(u, v) for u, v in zip(us, vs)])
     assert got.tobytes() == want.tobytes()
+
+
+# Components whose power-of-two rescaling by up to 2**±1000 stays exact.
+scalable = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+scalable_vec = st.tuples(scalable, scalable, scalable)
+
+
+@given(
+    st.lists(
+        st.tuples(scalable_vec, scalable_vec, st.integers(-1000, 1000), st.integers(-1000, 1000)),
+        min_size=1,
+        max_size=8,
+    )
+)
+@example([((1.0, 1.0, 1.0), (1.0, 0.0, 0.0), 1000, 0)])
+def test_angles_deg_is_blind_to_power_of_two_scaling(rows):
+    u = np.array([r[0] for r in rows])
+    v = np.array([r[1] for r in rows])
+    k = np.array([[r[2]] for r in rows])
+    m = np.array([[r[3]] for r in rows])
+    scaled = angles_deg(np.ldexp(u, k), np.ldexp(v, m))
+    assert scaled.tobytes() == angles_deg(u, v).tobytes()
+
+
+def test_one_pair_errors_on_rows_past_the_squared_range():
+    assert recovery_error((1e160, 1, 1), (1, 1, 1)) == pytest.approx(54.7356103172, abs=1e-9)
+    assert reproduction_error((1e-160, 1, 1), (1, 1, 1)) == pytest.approx(54.7356103172, abs=1e-9)
 
 
 # Magnitudes stay between 1e-150 and 1e3 where finite, so no product overflows.

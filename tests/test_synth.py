@@ -114,22 +114,22 @@ def test_round_trip_recovers_parallel_illuminant(tmp_path):
 
 def test_grayworld_scene_mean_is_parallel_to_illuminant():
     illum = np.array([0.8, 0.55, 0.3])
-    scene = synth.make_grayworld_scene(illum, size=(48, 40), rng_seed=5)
-    means = scene.image.data.mean(axis=(0, 1))
+    img = synthcases.grayworld_image(illum, size=(48, 40), rng_seed=5)
+    means = img.data.mean(axis=(0, 1))
     ratios = means / illum
     assert np.ptp(ratios) / ratios.mean() < 1e-12
 
 
 def test_grayworld_scene_neutral_illuminant_gives_neutral_mean():
-    scene = synth.make_grayworld_scene((1.0, 1.0, 1.0), rng_seed=3)
-    means = scene.image.data.mean(axis=(0, 1))
+    img = synthcases.grayworld_image((1.0, 1.0, 1.0), rng_seed=3)
+    means = img.data.mean(axis=(0, 1))
     assert np.ptp(means) / means.mean() < 1e-12
 
 
 def test_grey_world_estimator_nails_grayworld_scene():
-    scene = synth.make_grayworld_scene((0.9, 0.6, 0.35), rng_seed=11)
-    est = estimate(scene.image, PRESETS["grey-world"])
-    assert recovery_error(est.rgb, scene.true_illuminant) < 1e-6
+    illum = (0.9, 0.6, 0.35)
+    est = estimate(synthcases.grayworld_image(illum, rng_seed=11), PRESETS["grey-world"])
+    assert recovery_error(est.rgb, illum) < 1e-6
 
 
 def test_written_scene_files(tmp_path):
