@@ -102,6 +102,10 @@ def diff_ground_truths(
     outlier_threshold_deg: float = DEFAULT_OUTLIER_THRESHOLD_DEG,
 ) -> DivergenceReport:
     """Compare two sets image by image; intensity differences are invisible."""
+    if not 0.0 <= outlier_threshold_deg < math.inf:  # also rejects NaN
+        raise ValueError(
+            f"outlier threshold must be finite and >= 0, got {outlier_threshold_deg!r}"
+        )
     map_a, map_b, common = _aligned(a, b)
     angles = {
         image_id: recovery_error(map_a[image_id].illuminant, map_b[image_id].illuminant)

@@ -17,17 +17,15 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import atomic_write_text, fmt9
+from ._util import fmt9
 
 __all__ = [
     "ACHROMATIC_INDICES",
-    "BLACK_INDEX",
     "CHART_COLS",
     "CHART_ROWS",
     "ChartLayout",
     "DEFAULT_HALF_SIZE",
     "DEFAULT_RECT_SIZE",
-    "WHITE_INDEX",
     "apply_homography",
     "default_corner_patch_centers",
     "fit_homography",
@@ -35,14 +33,11 @@ __all__ = [
     "patch_centers",
     "read_chart_file",
     "sample_patches",
-    "write_chart_file",
 ]
 
 CHART_ROWS = 4
 CHART_COLS = 6
 ACHROMATIC_INDICES = tuple(range(18, 24))
-WHITE_INDEX = 18
-BLACK_INDEX = 23
 
 # Rectified-view defaults: 100x100-pixel patch cells, sample squares of
 # 31x31 rectified pixels stay well inside a cell.
@@ -140,29 +135,6 @@ def _bilinear_sample(data: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.nda
     return out
 
 
-def _validate_corners(corners: np.ndarray, width: int, height: int) -> None:
-    _check_no_collinear_triple(corners)
-    # Convexity: consistent turn direction around the quadrilateral.
-    cross = []
-    for i in range(4):
-        a = corners[i]
-        b = corners[(i + 1) % 4]
-        c = corners[(i + 2) % 4]
-        cross.append(
-            (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])
-        )
-    cross_arr = np.asarray(cross)
-    if not (np.all(cross_arr > 0) or np.all(cross_arr < 0)):
-        raise ValueError("chart corners must form a convex quadrilateral")
-    if (
-        np.any(corners[:, 0] < 0)
-        or np.any(corners[:, 0] > width - 1)
-        or np.any(corners[:, 1] < 0)
-        or np.any(corners[:, 1] > height - 1)
-    ):
-        raise ValueError("chart corners must lie inside the image")
-
-
 def default_corner_patch_centers() -> np.ndarray:
     """Centers of patches 0, 5, 23 and 18 on the canonical rectified grid."""
     cw = DEFAULT_RECT_SIZE[0] / CHART_COLS
@@ -219,7 +191,13 @@ def patch_centers(corner_patch_centers, half_size: int = DEFAULT_HALF_SIZE) -> n
 
 @dataclass(frozen=True, eq=False)
 class ChartLayout:
-    """Per-image chart annotation: source corners plus optional grid overrides."""
+    """Per-image chart annotation: source corners plus optional grid overrides.
+
+    Everything that does not depend on the frame is checked where the layout
+    is made: the corners are finite, no three collinear, and a convex
+    quadrilateral, and the sample grid is valid (:meth:`sample_grid`).
+    Whether the corners fit a given frame is :meth:`check_in_frame`.
+    """
 
     corners: np.ndarray  # (4, 2) source-pixel coordinates, TL TR BR BL
     corner_patch_centers: np.ndarray | None = None  # (4, 2) rectified coords
@@ -227,12 +205,42 @@ class ChartLayout:
 
     def __post_init__(self) -> None:
         corners = _as_points(self.corners, 4)
+        _check_no_collinear_triple(corners)
+        # Convexity: the same turn direction at every corner.
+        edges = np.roll(corners, -1, axis=0) - corners
+        following = np.roll(edges, -1, axis=0)
+        turns = edges[:, 0] * following[:, 1] - edges[:, 1] * following[:, 0]
+        if not (np.all(turns > 0) or np.all(turns < 0)):
+            raise ValueError("chart corners must form a convex quadrilateral")
         corners.setflags(write=False)
         object.__setattr__(self, "corners", corners)
         if self.corner_patch_centers is not None:
             cpc = _as_points(self.corner_patch_centers, 4)
             cpc.setflags(write=False)
             object.__setattr__(self, "corner_patch_centers", cpc)
+        self.sample_grid()
+
+    def check_in_frame(self, height: int, width: int) -> None:
+        """Reject corners outside the pixel-center span of a height x width frame."""
+        x, y = self.corners[:, 0], self.corners[:, 1]
+        if np.any(x < 0) or np.any(x > width - 1) or np.any(y < 0) or np.any(y > height - 1):
+            raise ValueError("chart corners must lie inside the image")
+
+    def sample_grid(self) -> tuple[np.ndarray, int]:
+        """The 24 sample-square centers on the rectified view, snapped to pixels, and the half size."""
+        cpc = self.corner_patch_centers
+        if cpc is None:
+            cpc = default_corner_patch_centers()
+        half = self.half_size if self.half_size is not None else DEFAULT_HALF_SIZE
+        centers = np.rint(patch_centers(cpc, half))
+        out_w, out_h = DEFAULT_RECT_SIZE
+        if (
+            np.any(centers - half < 0)
+            or np.any(centers[:, 0] + half > out_w - 1)
+            or np.any(centers[:, 1] + half > out_h - 1)
+        ):
+            raise ValueError("sample square exceeds image bounds")
+        return centers, half
 
 
 def sample_patches(data: np.ndarray, layout: ChartLayout) -> np.ndarray:
@@ -245,19 +253,9 @@ def sample_patches(data: np.ndarray, layout: ChartLayout) -> np.ndarray:
     (H, W, 3) source (zero outside it), so each square holds the values a
     full warp of the chart would hold there, in row-major order.
     """
-    _validate_corners(layout.corners, data.shape[1], data.shape[0])
-    cpc = layout.corner_patch_centers
-    if cpc is None:
-        cpc = default_corner_patch_centers()
-    half = layout.half_size if layout.half_size is not None else DEFAULT_HALF_SIZE
-    centers = np.rint(patch_centers(cpc, half))
+    layout.check_in_frame(*data.shape[:2])
+    centers, half = layout.sample_grid()
     out_w, out_h = DEFAULT_RECT_SIZE
-    if (
-        np.any(centers - half < 0)
-        or np.any(centers[:, 0] + half > out_w - 1)
-        or np.any(centers[:, 1] + half > out_h - 1)
-    ):
-        raise ValueError("sample square exceeds image bounds")
     side = np.arange(-half, half + 1, dtype=np.float64)
     us = centers[:, None, None, 0] + side[None, None, :]
     vs = centers[:, None, None, 1] + side[None, :, None]
@@ -285,7 +283,7 @@ def _parse_numbers(text: str, n: int, what: str) -> np.ndarray:
 def read_chart_file(path: str | Path) -> ChartLayout:
     """Parse a '.chart' annotation file.
 
-    Line format (one key per line, later lines optional)::
+    Line format (one key per line, each at most once, later lines optional)::
 
         corners: x0 y0 x1 y1 x2 y2 x3 y3
         corner_patch_centers: u0 v0 u1 v1 u2 v2 u3 v3
@@ -294,6 +292,7 @@ def read_chart_file(path: str | Path) -> ChartLayout:
     corners = None
     cpc = None
     half = None
+    seen: set[str] = set()
     for raw_line in Path(path).read_text(encoding="utf-8").splitlines():
         line = raw_line.strip()
         if not line or line.startswith("#"):
@@ -302,6 +301,9 @@ def read_chart_file(path: str | Path) -> ChartLayout:
         if not sep:
             raise ValueError(f"malformed chart file: {line!r}")
         key = key.strip()
+        if key in seen:
+            raise ValueError(f"malformed chart file: repeated key {key!r}")
+        seen.add(key)
         if key == "corners":
             corners = _parse_numbers(rest, 8, "corners").reshape(4, 2)
         elif key == "corner_patch_centers":
@@ -329,7 +331,3 @@ def format_chart(layout: ChartLayout) -> str:
     if layout.half_size is not None:
         lines.append(f"half_size: {layout.half_size}")
     return "\n".join(lines) + "\n"
-
-
-def write_chart_file(layout: ChartLayout, path: str | Path) -> None:
-    atomic_write_text(path, format_chart(layout))

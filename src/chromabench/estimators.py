@@ -28,9 +28,11 @@ from pathlib import Path
 import numpy as np
 
 from ._util import fmt9, read_csv, write_csv
+from .chartgeom import ChartLayout
 from .imagecore import LinearImage, clipped, normalize_estimate
 
 __all__ = [
+    "CHART_MARGIN_PX",
     "EstimatorSpec",
     "IlluminantEstimate",
     "PRESETS",
@@ -44,6 +46,9 @@ __all__ = [
     "spec_from_string",
     "write_estimates",
 ]
+
+# How far past the chart quadrilateral `chart_region_mask` masks.
+CHART_MARGIN_PX = 5
 
 _D1 = np.array([-0.5, 0.0, 0.5])  # central difference, d/dx
 _D2 = np.array([1.0, -2.0, 1.0])  # second central difference
@@ -238,24 +243,18 @@ def saturation_mask(img: LinearImage, saturation_level: float) -> np.ndarray:
     return ~np.any(clipped(img.data, saturation_level), axis=2)
 
 
-def chart_region_mask(
-    height: int, width: int, corners, dilate_px: int = 5
-) -> np.ndarray:
-    """True outside the chart quadrilateral dilated by ``dilate_px`` pixels.
+def chart_region_mask(height: int, width: int, layout: ChartLayout) -> np.ndarray:
+    """True outside the chart quadrilateral dilated by ``CHART_MARGIN_PX`` pixels.
 
-    Keeps the reference target from leaking into scene statistics.
+    Keeps the reference target from leaking into scene statistics.  A chart
+    outside the frame fails here as in :func:`chartgeom.sample_patches`.
     """
-    corners = np.asarray(corners, dtype=np.float64)
-    if corners.shape != (4, 2):
-        raise ValueError("expected 4 corner points")
-    # Map the output-rectangle convention onto the quad and test the unit box:
-    # cheaper here to use half-plane tests with consistent winding.
-    area2 = 0.0
-    for i in range(4):
-        x0, y0 = corners[i]
-        x1, y1 = corners[(i + 1) % 4]
-        area2 += x0 * y1 - x1 * y0
-    orientation = 1.0 if area2 > 0 else -1.0
+    layout.check_in_frame(height, width)
+    corners = layout.corners
+    # Half-plane tests with the quad's winding; a convex quad winds the way
+    # its first turn does.
+    (ax, ay), (bx, by), (cx, cy) = corners[:3]
+    orientation = 1.0 if (bx - ax) * (cy - by) - (by - ay) * (cx - bx) > 0 else -1.0
     ys, xs = np.mgrid[0:height, 0:width]
     inside = np.ones((height, width), dtype=bool)
     for i in range(4):
@@ -263,11 +262,10 @@ def chart_region_mask(
         bx, by = corners[(i + 1) % 4]
         cross = (bx - ax) * (ys - ay) - (by - ay) * (xs - ax)
         inside &= orientation * cross >= 0
-    if dilate_px > 0:
-        from scipy import ndimage
+    from scipy import ndimage
 
-        size = 2 * dilate_px + 1
-        inside = ndimage.binary_dilation(inside, structure=np.ones((size, size), bool))
+    size = 2 * CHART_MARGIN_PX + 1
+    inside = ndimage.binary_dilation(inside, structure=np.ones((size, size), bool))
     return ~inside
 
 

@@ -11,10 +11,10 @@ from chromabench.chartgeom import (
     apply_homography,
     default_corner_patch_centers,
     fit_homography,
+    format_chart,
     patch_centers,
     read_chart_file,
     sample_patches,
-    write_chart_file,
 )
 
 UNIT_SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
@@ -259,7 +259,7 @@ def test_chart_file_round_trip(tmp_path):
         half_size=11,
     )
     path = tmp_path / "img.chart"
-    write_chart_file(layout, path)
+    path.write_text(format_chart(layout))
     back = read_chart_file(path)
     assert np.array_equal(back.corners, layout.corners)
     assert np.array_equal(back.corner_patch_centers, layout.corner_patch_centers)
@@ -297,4 +297,30 @@ def test_chart_file_malformed(tmp_path, content):
     path.write_text(content)
     with pytest.raises(ValueError, match="malformed chart file"):
         read_chart_file(path)
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ("corners: 0 0 99 0 0 49 99 49\n", "chart corners must form a convex quadrilateral"),
+        ("corners: 0 0 50 0 99 0 0 49\n", "degenerate correspondence: three points collinear"),
+        ("corners: 0 0 99 0 99 49 0 49\ncorners: 1 1 98 1 98 48 1 48\n",
+         "malformed chart file: repeated key 'corners'"),
+        ("corners: 0 0 99 0 99 49 0 49\nhalf_size: 3\nhalf_size: 4\n",
+         "malformed chart file: repeated key 'half_size'"),
+        ("corners: 0 0 99 0 99 49 0 49\nhalf_size: -1\n", "half_size must be >= 0"),
+        ("corners: 0 0 99 0 99 49 0 49\nhalf_size: 60\n",
+         "sample squares overlap adjacent patches"),
+    ],
+    ids=["bow-tie", "collinear", "repeated-corners", "repeated-half-size", "negative-half-size",
+         "overlapping-squares"],
+)
+def test_chart_file_rejected_where_it_is_read(tmp_path, content, message):
+    # Checked on reading, before any frame is known, so every command that
+    # reads a .chart file rejects the same files with the same message.
+    path = tmp_path / "bad.chart"
+    path.write_text(content)
+    with pytest.raises(ValueError) as info:
+        read_chart_file(path)
+    assert str(info.value) == message
 

@@ -12,6 +12,9 @@ import pytest
 
 import synthcases
 from chromabench import cli, synth
+from chromabench._util import fmt9
+from chromabench.chartgeom import ChartLayout, format_chart, read_chart_file
+from chromabench.estimators import read_estimates
 from chromabench.groundtruth import read_gt, records_by_id
 from chromabench.imagecore import CameraProfile, LinearImage, save_image
 from chromabench.metrics import recovery_error
@@ -173,6 +176,32 @@ def test_extract_gt_byte_stable_across_jobs(small_corpus, tmp_path):
     assert outs[0] == outs[1] == outs[2]
 
 
+def test_worker_pool_is_capped_at_the_image_count(tmp_path, monkeypatch):
+    class RecordingPool:  # runs tasks in-process; starts no worker
+        sizes = []
+
+        def __init__(self, max_workers):
+            self.sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    synthcases.write_corpus(corpus, np.random.default_rng(32), count=2)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    gt = tmp_path / "gt.csv"
+    assert run(["extract-gt", "--images", corpus, "--charts", corpus, "--out", gt, "--jobs", "6"]) == 0
+    assert RecordingPool.sizes == [2]
+    assert len(read_gt(gt)) == 2
+
+
 def test_jobs_below_one_exits_1(small_corpus, tmp_path, capsys):
     corpus, _ = small_corpus
     out = tmp_path / "gt.csv"
@@ -260,6 +289,49 @@ def test_estimate_mask_chart_ignores_chart_pixels(tmp_path):
     masked = read_estimates(est_m)[0]
     unmasked = read_estimates(est_u)[0]
     assert recovery_error(masked.rgb, truth) < recovery_error(unmasked.rgb, truth)
+
+
+GRID_LINES = {
+    "negative-half-size": "half_size: -1",
+    "overlapping-squares": "half_size: 60",
+    "square-off-the-view": "corner_patch_centers: 5 5 595 5 595 395 5 395",
+}
+
+
+def bad_chart_text(good, case):
+    text = format_chart(ChartLayout(good.corners))
+    if case == "repeated-key":
+        return text + text.splitlines()[0] + "\n"
+    if case in GRID_LINES:
+        return text + GRID_LINES[case] + "\n"
+    corners = good.corners.copy()
+    if case == "bow-tie":
+        corners = corners[[0, 1, 3, 2]]
+    elif case == "outside":
+        corners[:, 0] += 640.0
+    else:  # collinear
+        corners[1] = (corners[0] + corners[2]) / 2.0
+    return "corners: " + " ".join(repr(float(v)) for v in corners.ravel()) + "\n"
+
+
+@pytest.mark.parametrize(
+    "case", ["bow-tie", "outside", "collinear", "repeated-key", *GRID_LINES]
+)
+def test_both_pixel_commands_reject_the_same_chart_file(tmp_path, capsys, case):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    synthcases.write_corpus(corpus, np.random.default_rng(43), count=2)
+    chart = corpus / "img001.chart"
+    chart.write_text(bad_chart_text(read_chart_file(chart), case))
+    gt, est = tmp_path / "gt.csv", tmp_path / "est.csv"
+    assert run(["extract-gt", "--images", corpus, "--charts", corpus, "--out", gt, "--jobs", "1"]) == 2
+    extract_err = capsys.readouterr().err
+    assert run(["estimate", "--images", corpus, "--algo", "grey-world", "--out", est,
+                "--mask-chart", "--jobs", "1"]) == 2
+    estimate_err = capsys.readouterr().err
+    assert extract_err.startswith("error: img001: ") and extract_err.count("\n") == 1
+    assert estimate_err == extract_err
+    assert [e.image_id for e in read_estimates(est)] == ["img000"]
 
 
 # --- evaluate ----------------------------------------------------------------
@@ -547,6 +619,21 @@ def test_diff_gt_rejects_a_non_finite_offset_before_writing(tmp_path, capsys, of
     assert not out.exists()
 
 
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-1", "-0.5"])
+def test_diff_gt_rejects_a_bad_threshold_before_writing(tmp_path, capsys, threshold):
+    gt = tmp_path / "gt.csv"
+    gt.write_text(GT_HEADER + "\na,1000,800,600,18,cam,true\n")
+    out = tmp_path / "report.csv"
+    assert run(["diff-gt", "--a", gt, "--b", gt, f"--threshold={threshold}", "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (
+        f"error: outlier threshold must be finite and >= 0, got {float(threshold)!r}"
+        in captured.err
+    )
+    assert not out.exists()
+
+
 def test_diff_gt_flags_perturbed_rows(tmp_path, capsys):
     base = [(1800.0, 1200.0, 700.0)] * 6
     rows_a = [f"im{i},{r},{g},{b},18,cam,true" for i, (r, g, b) in enumerate(base)]
@@ -572,6 +659,108 @@ def test_diff_gt_no_overlap_exits_1(tmp_path, capsys):
     b.write_text(GT_HEADER + "\ny,1,1,1,18,cam,true\n")
     assert run(["diff-gt", "--a", a, "--b", b, "--out", tmp_path / "r.csv"]) == 1
     assert "common" in capsys.readouterr().err
+
+
+# --- input order -------------------------------------------------------------
+# Row order in an input CSV carries no meaning: rank and diff-gt give the same
+# bytes for any order, and evaluate keeps its one row per estimate in estimate
+# order.  A few seeded shuffles of each input keep these cheap.
+
+ORDERS = (None, 1, 2, 3)  # as written, then three seeded shuffles
+
+
+def write_shuffled(path, header, rows, seed):
+    order = range(len(rows)) if seed is None else np.random.default_rng(seed).permutation(len(rows))
+    path.write_text("\n".join([header] + [rows[k] for k in order]) + "\n")
+    return [rows[k] for k in order]
+
+
+def run_captured(argv, capsys, outputs):
+    code = run(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, [path.read_bytes() for path in outputs]
+
+
+def test_rank_output_does_not_depend_on_row_order(tmp_path, capsys):
+    rng = np.random.default_rng(61)
+    header = "image_id,algorithm,metric,degrees"
+    tables = {
+        name: [
+            f"im{i:02d},{algo},recovery,{fmt9(rng.uniform(0.0, 20.0))}"
+            for algo in ("A", "B", "C", "D")
+            for i in range(12)
+            if (name, algo, i) != ("two", "C", 5)  # one image not shared
+        ]
+        for name in ("one", "two")
+    }
+    paths = [tmp_path / f"{name}.csv" for name in tables]
+    out = tmp_path / "cmp.csv"
+    argv = ["rank", "--errors", paths[0], "--errors", paths[1], "--stat", "mean", "--out", out]
+    outputs = [out, tmp_path / "cmp.one.csv", tmp_path / "cmp.two.csv"]
+    results = []
+    for seed in ORDERS:
+        for path, rows in zip(paths, tables.values()):
+            write_shuffled(path, header, rows, seed)
+        results.append(run_captured(argv, capsys, outputs))
+    assert results[0][0] == 0 and "(dropped: im05)" in results[0][2]
+    assert all(result == results[0] for result in results[1:])
+
+
+def test_diff_gt_scan_does_not_depend_on_row_order(tmp_path, capsys):
+    rng = np.random.default_rng(62)
+    rows_a, rows_b = [], []
+    for i in range(24):
+        v = rng.uniform(300.0, 2500.0, size=3)
+        w = v + 129.0 + (rng.normal(0.0, 30.0, size=3) if i % 5 == 0 else 0.0)
+        if i != 3:
+            rows_a.append(f"im{i:02d},{','.join(fmt9(c) for c in v)},18,cam,true")
+        if i != 7:
+            rows_b.append(f"im{i:02d},{','.join(fmt9(c) for c in w)},18,cam,false")
+    a, b, out = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "report.csv"
+    argv = ["diff-gt", "--a", a, "--b", b, "--scan-offset", "--out", out]
+    results = []
+    for seed in ORDERS:
+        write_shuffled(a, GT_HEADER, rows_a, seed)
+        write_shuffled(b, GT_HEADER, rows_b, seed)
+        results.append(run_captured(argv, capsys, [out]))
+    assert results[0][0] == 0 and "best offset: 129 " in results[0][1]
+    assert all(result == results[0] for result in results[1:])
+
+
+def test_evaluate_rows_follow_the_estimate_order(tmp_path, capsys):
+    rng = np.random.default_rng(63)
+    gt_rows = [f"im{i},{','.join(fmt9(c) for c in rng.uniform(300, 2500, 3))},18,cam,true"
+               for i in range(8)]
+    gt = tmp_path / "gt.csv"
+    gt.write_text(GT_HEADER + "\n" + "\n".join(gt_rows) + "\n")
+    est_rows = []
+    for i in range(10):  # im8 and im9 are missing from the ground truth
+        for algo in ("A", "B"):
+            v = rng.uniform(0.1, 1.0, 3)
+            if (i, algo) == (2, "B"):
+                v[1] = 0.0  # no reproduction error for a zero channel
+            v /= np.linalg.norm(v)
+            est_rows.append(f"im{i},{algo},,,,{','.join(fmt9(c) for c in v)}")
+    est, out = tmp_path / "est.csv", tmp_path / "err.csv"
+    argv = ["evaluate", "--gt", gt, "--est", est, "--metric", "reproduction", "--out", out]
+    runs = []
+    for seed in ORDERS:
+        shuffled = write_shuffled(est, EST_HEADER, est_rows, seed)
+        runs.append((shuffled, run_captured(argv, capsys, [out])))
+
+    def key(row):
+        return tuple(row.split(",")[:2])
+
+    _, (code, printed, err, (written,)) = runs[0]
+    assert code == 2 and printed.startswith("wrote 15 reproduction errors")
+    scored = {key(row): row for row in written.decode().splitlines()[1:]}
+    failed = [key(row) for row in est_rows if key(row) not in scored]
+    assert len(failed) == len(err.splitlines()) == 5
+    logged = dict(zip(failed, err.splitlines()))
+    for rows, (code_s, printed_s, err_s, (written_s,)) in runs[1:]:
+        assert (code_s, printed_s) == (code, printed)
+        assert written_s.decode().splitlines()[1:] == [scored[key(r)] for r in rows if key(r) in scored]
+        assert err_s.splitlines() == [logged[key(r)] for r in rows if key(r) in logged]
 
 
 # --- parser ------------------------------------------------------------------

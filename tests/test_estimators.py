@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from chromabench.chartgeom import ChartLayout
 from chromabench.estimators import (
     EstimatorSpec,
     IlluminantEstimate,
@@ -281,12 +282,25 @@ def test_saturation_mask_uses_raw_threshold():
 
 
 def test_chart_mask_excludes_dilated_quad():
-    corners = [(10, 10), (20, 10), (20, 20), (10, 20)]
-    mask = chart_region_mask(40, 40, corners, dilate_px=5)
+    layout = ChartLayout([(10, 10), (20, 10), (20, 20), (10, 20)])
+    mask = chart_region_mask(40, 40, layout)
     assert not mask[15, 15]  # inside the quad
     assert not mask[15, 24]  # within the 5 px dilation
     assert mask[15, 30]  # clear of it
     assert mask[0, 0]
+
+
+def test_chart_mask_is_the_same_for_both_windings():
+    corners = np.array([(12.5, 6), (33, 9.25), (30, 27), (7, 22.5)])
+    clockwise = chart_region_mask(36, 40, ChartLayout(corners))
+    counter = chart_region_mask(36, 40, ChartLayout(corners[::-1]))
+    assert np.array_equal(clockwise, counter) and not clockwise[15, 20]
+
+
+def test_chart_mask_rejects_a_chart_outside_the_frame():
+    layout = ChartLayout([(10, 10), (40, 10), (40, 20), (10, 20)])
+    with pytest.raises(ValueError, match="chart corners must lie inside the image"):
+        chart_region_mask(40, 40, layout)
 
 
 # --- estimates CSV -----------------------------------------------------------
