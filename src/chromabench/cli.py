@@ -117,8 +117,6 @@ def cmd_extract_gt(args) -> int:
 
 def _estimate_one(task):
     image_id, image_path, chart_path, specs, mask_chart = task
-    rows = []
-    errors = []
     try:
         img = imagecore.load_image(image_path)
         # Clipping is judged on raw counts, before the dark offset is removed.
@@ -129,14 +127,16 @@ def _estimate_one(task):
             # left the worker's heap laid out 8.6 MB higher in peak RSS.
             mask = estimators.chart_region_mask(img.height, img.width, layout) & mask
         linear = imagecore.subtract_black_level(img, img.camera.black_level)
+        del img  # the raw counts are a second full frame; only the masks needed them
+        results = estimators.estimate_many(linear, specs, mask, image_id=image_id)
     except Exception as exc:  # noqa: BLE001
         return image_id, [], [f"{exc}"]
-    for spec in specs:
-        try:
-            est = estimators.estimate(linear, spec, mask, image_id=image_id)
-            rows.append((est, spec))
-        except Exception as exc:  # noqa: BLE001
-            errors.append(f"{spec.name}: {exc}")
+    rows, errors = [], []
+    for result, spec in zip(results, specs):
+        if isinstance(result, ValueError):
+            errors.append(f"{spec.name}: {result}")
+        else:
+            rows.append((result, spec))
     return image_id, rows, errors
 
 

@@ -17,11 +17,18 @@ padding; the second-order magnitude is the Frobenius norm of the Hessian,
 sqrt(fxx^2 + 2*fxy^2 + fyy^2).  Pooling is ((1/N) * sum v^p)^(1/p) so that
 p = 1 is exactly the mean; p = inf is the maximum.  Estimates are invariant
 to exposure scaling by construction.
+
+`estimate_many` runs a list of specs on one image and shares the work they
+have in common: one blur per sigma, one derivative per (n, sigma), one masked
+gather per channel of each response, pooled for every p that asks for it.
+`estimate` is its one-spec case.  `chart_region_mask` tests and dilates only
+the chart's bounding box plus its margin; the rest of the frame is kept.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,6 +46,7 @@ __all__ = [
     "chart_region_mask",
     "derivative_magnitude",
     "estimate",
+    "estimate_many",
     "gaussian_smooth",
     "minkowski_pool",
     "read_estimates",
@@ -177,7 +185,10 @@ def derivative_magnitude(data: np.ndarray, n: int, sigma: float) -> np.ndarray:
     """
     if n not in (0, 1, 2):
         raise ValueError("derivative order n must be 0, 1 or 2")
-    a = gaussian_smooth(data, sigma)
+    return _derivative(gaussian_smooth(data, sigma), n)
+
+
+def _derivative(a: np.ndarray, n: int) -> np.ndarray:
     if n == 0:
         return a
     if n == 1:
@@ -221,21 +232,85 @@ def estimate(
     image_id: str = "",
 ) -> IlluminantEstimate:
     """Run one estimator on an image; optional boolean mask selects pixels."""
+    (result,) = estimate_many(img, [spec], mask, image_id)
+    if isinstance(result, ValueError):
+        raise result
+    return result
+
+
+def estimate_many(
+    img: LinearImage,
+    specs: Sequence[EstimatorSpec],
+    mask: np.ndarray | None = None,
+    image_id: str = "",
+) -> list[IlluminantEstimate | ValueError]:
+    """Run several estimators on one image, sharing the work they have in common.
+
+    The image is smoothed once per sigma, each derivative order is taken once
+    per (n, sigma) from that, and each channel of a response is gathered under
+    the mask once and pooled for every p that asks for it.  The result holds,
+    in spec order, each spec's estimate or the ValueError that
+    :func:`estimate` would raise for it alone, so one spec's failure (a sigma
+    too large for the frame, say) leaves the others standing.  A mask of the
+    wrong shape raises before any work is done.
+    """
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (img.height, img.width):
             raise ValueError("mask dimensions must match the image")
-    response = derivative_magnitude(img.data, spec.n, spec.sigma)
-    # One channel at a time, so one gathered copy lives at once; one (K, 3)
-    # row gather sliced into columns is about twice as slow on a full frame.
-    channels = (response[:, :, c] for c in range(3))
-    if mask is not None:
-        channels = (channel[mask] for channel in channels)
-    pooled = np.array([minkowski_pool(channel, spec.p) for channel in channels])
-    if np.any(pooled == 0.0):
-        raise ValueError("degenerate estimate: zero channel under mask")
-    rgb = normalize_estimate(pooled)
-    return IlluminantEstimate(image_id=image_id, algorithm=spec.name, rgb=tuple(rgb))
+    groups: dict[float, dict[int, list[int]]] = {}  # sigma -> n -> spec indices
+    for i, spec in enumerate(specs):
+        groups.setdefault(spec.sigma, {}).setdefault(spec.n, []).append(i)
+    results: list = [None] * len(specs)
+    for sigma, by_order in groups.items():
+        try:
+            smoothed = gaussian_smooth(img.data, sigma)
+        except ValueError as exc:
+            for members in by_order.values():
+                for i in members:
+                    results[i] = exc
+            continue
+        for n, members in by_order.items():
+            # The response lives only inside this call, so the next one is
+            # built after it is freed.
+            pooled = _pool_channels(_derivative(smoothed, n), mask, [specs[i].p for i in members])
+            for i, channels in zip(members, pooled):
+                results[i] = _finish(channels, specs[i], image_id)
+        del smoothed  # before the next sigma's blur is allocated
+    return results
+
+
+def _pool_channels(
+    response: np.ndarray, mask: np.ndarray | None, ps: list[float]
+) -> list[list[float] | ValueError]:
+    """Per p, the three pooled channels of one response, or the first pooling error."""
+    pooled: list = [[] for _ in ps]
+    for c in range(3):
+        # One channel at a time, so one gathered copy lives at once; one (K, 3)
+        # row gather sliced into columns is about twice as slow on a full frame.
+        values = response[:, :, c].ravel() if mask is None else response[:, :, c][mask]
+        for k, p in enumerate(ps):
+            if isinstance(pooled[k], list):
+                try:
+                    pooled[k].append(minkowski_pool(values, p))
+                except ValueError as exc:
+                    pooled[k] = exc
+        del values
+    return pooled
+
+
+def _finish(
+    channels: list[float] | ValueError, spec: EstimatorSpec, image_id: str
+) -> IlluminantEstimate | ValueError:
+    if isinstance(channels, ValueError):
+        return channels
+    try:
+        if 0.0 in channels:
+            raise ValueError("degenerate estimate: zero channel under mask")
+        rgb = normalize_estimate(channels)
+        return IlluminantEstimate(image_id=image_id, algorithm=spec.name, rgb=tuple(rgb))
+    except ValueError as exc:
+        return exc
 
 
 def saturation_mask(img: LinearImage, saturation_level: float) -> np.ndarray:
@@ -248,15 +323,21 @@ def chart_region_mask(height: int, width: int, layout: ChartLayout) -> np.ndarra
 
     Keeps the reference target from leaking into scene statistics.  A chart
     outside the frame fails here as in :func:`chartgeom.sample_patches`.
+    Only the quad's bounding box plus the margin, clipped to the frame, is
+    tested and dilated; no pixel past it can be inside or within the margin.
     """
     layout.check_in_frame(height, width)
     corners = layout.corners
+    margin = CHART_MARGIN_PX
+    x0, y0 = np.maximum(np.floor(corners.min(axis=0)).astype(int) - margin, 0)
+    x1, y1 = np.minimum(np.floor(corners.max(axis=0)).astype(int) + margin + 1, (width, height))
     # Half-plane tests with the quad's winding; a convex quad winds the way
     # its first turn does.
     (ax, ay), (bx, by), (cx, cy) = corners[:3]
     orientation = 1.0 if (bx - ax) * (cy - by) - (by - ay) * (cx - bx) > 0 else -1.0
-    ys, xs = np.mgrid[0:height, 0:width]
-    inside = np.ones((height, width), dtype=bool)
+    ys = np.arange(y0, y1)[:, None]
+    xs = np.arange(x0, x1)[None, :]
+    inside = np.ones((y1 - y0, x1 - x0), dtype=bool)
     for i in range(4):
         ax, ay = corners[i]
         bx, by = corners[(i + 1) % 4]
@@ -264,9 +345,14 @@ def chart_region_mask(height: int, width: int, layout: ChartLayout) -> np.ndarra
         inside &= orientation * cross >= 0
     from scipy import ndimage
 
-    size = 2 * CHART_MARGIN_PX + 1
-    inside = ndimage.binary_dilation(inside, structure=np.ones((size, size), bool))
-    return ~inside
+    # A square dilation is separable; the frame edge counts as outside.
+    for axis in (0, 1):
+        inside = ndimage.maximum_filter1d(
+            inside, 2 * margin + 1, axis=axis, mode="constant", cval=0
+        )
+    keep = np.ones((height, width), dtype=bool)
+    keep[y0:y1, x0:x1] = ~inside
+    return keep
 
 
 EST_FIELDS = ("image_id", "algorithm", "n", "p", "sigma", "R", "G", "B")

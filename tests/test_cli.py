@@ -14,7 +14,7 @@ import synthcases
 from chromabench import cli, synth
 from chromabench._util import fmt9
 from chromabench.chartgeom import ChartLayout, format_chart, read_chart_file
-from chromabench.estimators import read_estimates
+from chromabench.estimators import PRESETS, read_estimates
 from chromabench.groundtruth import read_gt, records_by_id
 from chromabench.imagecore import CameraProfile, LinearImage, save_image
 from chromabench.metrics import recovery_error
@@ -176,6 +176,28 @@ def test_extract_gt_byte_stable_across_jobs(small_corpus, tmp_path):
     assert outs[0] == outs[1] == outs[2]
 
 
+def test_estimate_byte_stable_across_jobs(small_corpus, tmp_path, capsys):
+    corpus, _ = small_corpus
+    (corpus / "img002.chart").unlink()  # fails under --mask-chart
+    algos = [a for name in (*PRESETS, "n=1,p=2,sigma=1") for a in ("--algo", name)]
+    out = tmp_path / "est.csv"
+    runs = []
+    for jobs in ("1", "2", "1"):
+        argv = ["estimate", "--images", corpus, *algos, "--mask-chart", "--out", out, "--jobs", jobs]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        runs.append((out.read_bytes(), captured.out, captured.err))
+    assert runs[0] == runs[1] == runs[2]
+    # The chartless image fails whole; the explicit spec's sigma=1 blur stays
+    # inside the masked margin of the flat scenes, so it is degenerate on the rest.
+    errors = runs[0][2].splitlines()
+    assert errors[2].startswith("error: img002: [Errno 2] No such file or directory")
+    assert errors[:2] + errors[3:] == [
+        f"error: img00{i}: grey-edge-1(p=2,s=1): degenerate estimate: zero channel under mask"
+        for i in (0, 1, 3, 4)
+    ]
+
+
 def test_worker_pool_is_capped_at_the_image_count(tmp_path, monkeypatch):
     class RecordingPool:  # runs tasks in-process; starts no worker
         sizes = []
@@ -233,7 +255,7 @@ def test_estimate_grey_world_on_constant_scenes(tmp_path):
     corpus = constant_color_corpus(tmp_path, colors)
     est_csv = tmp_path / "est.csv"
     assert run(["estimate", "--images", corpus, "--algo", "grey-world", "--out", est_csv, "--jobs", "1"]) == 0
-    from chromabench.estimators import read_estimates
+    from chromabench.estimators import PRESETS, read_estimates
 
     rows = read_estimates(est_csv)
     assert len(rows) == 2
@@ -284,7 +306,7 @@ def test_estimate_mask_chart_ignores_chart_pixels(tmp_path):
     assert run(["estimate", "--images", corpus, "--algo", "grey-world", "--out", est_m,
                 "--mask-chart", "--jobs", "1"]) == 0
     assert run(["estimate", "--images", corpus, "--algo", "grey-world", "--out", est_u, "--jobs", "1"]) == 0
-    from chromabench.estimators import read_estimates
+    from chromabench.estimators import PRESETS, read_estimates
 
     masked = read_estimates(est_m)[0]
     unmasked = read_estimates(est_u)[0]

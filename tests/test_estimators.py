@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from chromabench import estimators
 from chromabench.chartgeom import ChartLayout
 from chromabench.estimators import (
     EstimatorSpec,
@@ -13,6 +14,7 @@ from chromabench.estimators import (
     chart_region_mask,
     derivative_magnitude,
     estimate,
+    estimate_many,
     gaussian_smooth,
     minkowski_pool,
     read_estimates,
@@ -228,6 +230,104 @@ def test_mask_dimension_mismatch_rejected():
         estimate(img, PRESETS["grey-world"], np.ones((3, 3), bool))
 
 
+# --- several estimators in one pass ------------------------------------------
+
+
+def reference_estimate(img, spec, mask):
+    """The per-spec pipeline, written out: smooth, differentiate, gather, pool."""
+    response = derivative_magnitude(img.data, spec.n, spec.sigma)
+    channels = [response[:, :, c] if mask is None else response[:, :, c][mask] for c in range(3)]
+    pooled = np.array([minkowski_pool(channel, spec.p) for channel in channels])
+    return tuple(pooled / np.linalg.norm(pooled))
+
+
+engine_specs = st.lists(
+    st.builds(
+        "n={},p={},sigma={}".format,
+        st.sampled_from([0, 1, 2]),
+        st.sampled_from(["1", "6", "inf"]),
+        st.sampled_from([0, 0.5, 2]),
+    ).map(spec_from_string)
+    | st.sampled_from(list(PRESETS.values())),
+    min_size=1,
+    max_size=8,
+    unique_by=lambda spec: spec.name,
+)
+
+
+@given(engine_specs, st.integers(0, 2**32 - 1), st.booleans())
+def test_estimate_many_matches_estimate_per_spec(specs, seed, masked):
+    rng = np.random.default_rng(seed)
+    img = random_image(rng, h=11, w=13)
+    mask = rng.random((11, 13)) < 0.7 if masked else None
+    if mask is not None:
+        mask[5, 6] = True  # never empty
+    results = estimate_many(img, specs, mask, image_id="im")
+    assert len(results) == len(specs)
+    for spec, result in zip(specs, results):
+        one = estimate(img, spec, mask, image_id="im")
+        assert (result.image_id, result.algorithm, result.rgb) == ("im", spec.name, one.rgb)
+        assert one.rgb == reference_estimate(img, spec, mask)
+
+
+def test_estimate_many_shares_one_blur_per_sigma(monkeypatch):
+    sigmas = []
+    smooth = estimators.gaussian_smooth
+    monkeypatch.setattr(
+        estimators, "gaussian_smooth", lambda data, sigma: sigmas.append(sigma) or smooth(data, sigma)
+    )
+    specs = list(PRESETS.values()) + [spec_from_string("n=1,p=2,sigma=1")]
+    results = estimate_many(random_image(RNG), specs)
+    assert all(isinstance(r, IlluminantEstimate) for r in results)
+    assert sigmas == [0.0, 2.0, 1.0]
+
+
+def test_estimate_many_fails_only_the_specs_whose_sigma_is_too_large():
+    img = random_image(RNG, h=4, w=5)
+    specs = [
+        PRESETS["grey-world"],
+        spec_from_string("n=1,p=6,sigma=3"),
+        PRESETS["white-patch"],
+        spec_from_string("n=0,p=1,sigma=3"),
+    ]
+    results = estimate_many(img, specs)
+    for i in (1, 3):
+        assert isinstance(results[i], ValueError)
+        assert str(results[i]) == (
+            "sigma=3 is too large for a 5x4 image (3*sigma must not exceed the longer side)"
+        )
+    for i in (0, 2):
+        assert results[i].rgb == estimate(img, specs[i]).rgb
+
+
+def test_estimate_many_empty_mask_fails_every_spec():
+    img = random_image(RNG, h=6, w=6)
+    specs = list(PRESETS.values())
+    results = estimate_many(img, specs, np.zeros((6, 6), bool))
+    assert [str(r) for r in results] == ["empty mask: no values to pool"] * len(specs)
+    assert all(isinstance(r, ValueError) for r in results)
+
+
+def test_estimate_many_zero_channel_fails_only_its_specs():
+    data = random_image(RNG, h=8, w=8).data.copy()
+    data[:, :, 2] = 7.0  # no blue edges: every derivative spec is degenerate
+    specs = [PRESETS["grey-edge-1"], PRESETS["grey-world"], PRESETS["grey-edge-2"]]
+    results = estimate_many(LinearImage(data), specs)
+    assert isinstance(results[1], IlluminantEstimate)
+    for i in (0, 2):
+        assert isinstance(results[i], ValueError)
+        assert str(results[i]) == "degenerate estimate: zero channel under mask"
+
+
+def test_estimate_many_checks_the_mask_before_smoothing(monkeypatch):
+    def no_smoothing(data, sigma):
+        raise AssertionError("smoothed before the mask was checked")
+
+    monkeypatch.setattr(estimators, "gaussian_smooth", no_smoothing)
+    with pytest.raises(ValueError, match="mask dimensions must match the image"):
+        estimate_many(random_image(RNG, h=4, w=4), list(PRESETS.values()), np.ones((4, 5), bool))
+
+
 # --- specs -------------------------------------------------------------------
 
 
@@ -301,6 +401,74 @@ def test_chart_mask_rejects_a_chart_outside_the_frame():
     layout = ChartLayout([(10, 10), (40, 10), (40, 20), (10, 20)])
     with pytest.raises(ValueError, match="chart corners must lie inside the image"):
         chart_region_mask(40, 40, layout)
+
+
+def reference_chart_mask(height, width, corners):
+    """The chart mask over the whole frame: half-plane tests, then an 11x11 dilation."""
+    from scipy import ndimage
+
+    (ax, ay), (bx, by), (cx, cy) = corners[:3]
+    orientation = 1.0 if (bx - ax) * (cy - by) - (by - ay) * (cx - bx) > 0 else -1.0
+    ys, xs = np.mgrid[0:height, 0:width]
+    inside = np.ones((height, width), dtype=bool)
+    for i in range(4):
+        ax, ay = corners[i]
+        bx, by = corners[(i + 1) % 4]
+        inside &= orientation * ((bx - ax) * (ys - ay) - (by - ay) * (xs - ax)) >= 0
+    return ~ndimage.binary_dilation(inside, structure=np.ones((11, 11), bool))
+
+
+def random_convex_quads(rng, height, width, count):
+    """Seeded convex quads, one corner in each quarter of a random box in the frame.
+
+    Half the box sides lie within the 5 px margin of the frame edge, and half
+    the corners sit on the box corner itself, so the margin often reaches it.
+    """
+
+    def inset(span):
+        return rng.uniform(0, min(4.0, span / 4) if rng.random() < 0.5 else span / 4)
+
+    def jitter(half):
+        return rng.uniform(0, half) if rng.random() < 0.5 else 0.0
+
+    quads = []
+    while len(quads) < count:
+        x0, y0 = inset(width - 1), inset(height - 1)
+        x1, y1 = width - 1 - inset(width - 1), height - 1 - inset(height - 1)
+        mx, my = (x1 - x0) / 2, (y1 - y0) / 2
+        corners = np.array([
+            (x0 + jitter(mx), y0 + jitter(my)),
+            (x1 - jitter(mx), y0 + jitter(my)),
+            (x1 - jitter(mx), y1 - jitter(my)),
+            (x0 + jitter(mx), y1 - jitter(my)),
+        ])
+        if rng.random() < 0.5:
+            corners = np.round(corners)  # a corner on a pixel center is inside
+        try:
+            ChartLayout(corners)
+        except ValueError:
+            continue  # not convex, or three corners collinear
+        quads.append(corners)
+    return quads
+
+
+@pytest.mark.parametrize("height, width", [(60, 80), (41, 37), (7, 9)])
+def test_chart_mask_matches_a_full_frame_dilation(height, width):
+    rng = np.random.default_rng(height * 1000 + width)
+    quads = random_convex_quads(rng, height, width, 40)
+    near = np.array([[q[:, 0].min() < 5, q[:, 1].min() < 5,
+                      q[:, 0].max() > width - 6, q[:, 1].max() > height - 6] for q in quads])
+    assert near.any(axis=0).all()  # the margin reaches every frame edge at least once
+    for corners in quads:
+        for wound in (corners, corners[::-1]):
+            expected = reference_chart_mask(height, width, wound)
+            assert np.array_equal(chart_region_mask(height, width, ChartLayout(wound)), expected)
+
+
+def test_chart_mask_on_a_tiny_frame():
+    layout = ChartLayout([(0, 0), (3, 0.5), (3, 2), (0.5, 2)])
+    expected = reference_chart_mask(3, 4, layout.corners)
+    assert np.array_equal(chart_region_mask(3, 4, layout), expected) and not expected.any()
 
 
 # --- estimates CSV -----------------------------------------------------------
