@@ -292,8 +292,9 @@ def cmd_diff_gt(args) -> int:
     set_b = groundtruth.records_by_id(groundtruth.read_gt(args.b))
     report = audit.diff_ground_truths(set_a, set_b, args.threshold)
 
+    outliers = set(report.outliers)
     rows = (
-        [image_id, fmt9(angle), "true" if angle > report.threshold_deg else "false"]
+        [image_id, fmt9(angle), "true" if image_id in outliers else "false"]
         for image_id, angle in sorted(report.angles_deg.items())
     )
     write_csv(args.out, ["image_id", "degrees", "outlier"], rows)

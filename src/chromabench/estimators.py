@@ -121,12 +121,16 @@ def spec_from_string(text: str) -> EstimatorSpec:
     if "=" not in text:
         raise ValueError(f"unknown estimator: {text!r}")
     n, p, sigma = 0, 1.0, 0.0
+    seen: set[str] = set()
     for part in text.split(","):
         key, sep, value = part.partition("=")
         if not sep:
             raise ValueError(f"bad estimator spec fragment: {part!r}")
         key = key.strip()
         value = value.strip()
+        if key in seen:
+            raise ValueError(f"estimator spec repeats {key!r}")
+        seen.add(key)
         if key == "n":
             n = int(value)
         elif key == "p":

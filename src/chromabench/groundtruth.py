@@ -1,11 +1,15 @@
 """Ground-truth illuminant extraction from the achromatic chart row.
 
-Per image: sample a square inside every patch straight from the frame (laid
-out on the canonical rectified view of the chart), rank the six achromatic
-patches by mean brightness after discarding any patch containing a saturated
-sample, then take the per-channel median of the winner and subtract the
-camera black level.  Keeping a single winning patch index guarantees that
-R, G and B always come from the same patch.
+Per image, in two steps:
+
+* **Measure.**  Sample a square inside every patch straight from the frame
+  (laid out on the canonical rectified view of the chart) and reduce the six
+  achromatic squares, in one call, to three arrays: per-channel medians, the
+  largest single count and the mean brightness of each patch.
+* **Decide.**  Without pixels: the winner is the brightest patch whose
+  largest count is not clipped; its channel medians, less the camera black
+  level, are the illuminant.  Keeping a single winning patch guarantees that
+  R, G and B always come from the same patch.
 
 Saturation is judged on raw (pre-subtraction) counts: the threshold is stated
 against 12-bit digital counts.  A patch is disqualified if ANY single sample
@@ -16,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -28,7 +32,6 @@ from .imagecore import CameraProfile, LinearImage, clipped
 __all__ = [
     "GT_FIELDS",
     "GroundTruthRecord",
-    "PatchStats",
     "compute_ground_truth",
     "patch_stats",
     "read_gt",
@@ -46,16 +49,6 @@ GT_FIELDS = (
     "camera_id",
     "black_level_subtracted",
 )
-
-
-@dataclass(frozen=True)
-class PatchStats:
-    """Per-patch sample statistics in raw digital counts."""
-
-    patch_index: int
-    median_rgb: tuple[float, float, float]
-    max_sample: float
-    brightness: float  # mean over all samples and all three channels
 
 
 @dataclass(frozen=True)
@@ -81,42 +74,32 @@ class GroundTruthRecord:
         object.__setattr__(self, "illuminant", illum)
 
 
-def patch_stats(samples, patch_index: int) -> PatchStats:
-    """Channel-wise medians plus brightness/max over a patch sample square.
+def patch_stats(samples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Channel medians (K, 3), largest count (K,) and brightness (K,) of K sample squares.
 
-    Even sample counts take the mean of the two middle order statistics.
+    ``samples`` is (K, N, 3).  Brightness is the mean over all N x 3 counts;
+    even sample counts take the mean of the two middle order statistics.
     """
     arr = np.asarray(samples, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != 3 or arr.shape[0] == 0:
-        raise ValueError("samples must be a nonempty (N, 3) array")
-    med = np.median(arr, axis=0)
-    return PatchStats(
-        patch_index=int(patch_index),
-        median_rgb=(float(med[0]), float(med[1]), float(med[2])),
-        max_sample=float(arr.max()),
-        brightness=float(arr.mean()),
-    )
+    if arr.ndim != 3 or arr.shape[2] != 3 or 0 in arr.shape:
+        raise ValueError("samples must be a nonempty (K, N, 3) array")
+    flat = arr.reshape(arr.shape[0], -1)
+    return np.median(arr, axis=1), flat.max(axis=1), flat.mean(axis=1)
 
 
-def select_achromatic_patch(
-    stats: Sequence[PatchStats], saturation_level: float
-) -> int:
-    """Index of the brightest achromatic patch with no saturated sample.
+def select_achromatic_patch(peaks, brightness, saturation_level: float) -> int:
+    """Position of the brightest patch whose largest count is not clipped.
 
-    Patches whose maximum single count exceeds ``saturation_level`` are
-    discarded; ties in brightness go to the lower index (the whiter patch).
+    Ties in brightness go to the lower position (the whiter patch).
     """
-    pool = list(stats)
-    if not pool:
-        raise ValueError("no patch statistics given")
-    for s in pool:
-        if s.patch_index not in ACHROMATIC_INDICES:
-            raise ValueError(f"patch {s.patch_index} is not in the achromatic row")
-    survivors = [s for s in pool if not clipped(s.max_sample, saturation_level)]
-    if not survivors:
+    peaks = np.asarray(peaks, dtype=np.float64)
+    brightness = np.asarray(brightness, dtype=np.float64)
+    if peaks.ndim != 1 or peaks.shape != brightness.shape or peaks.size == 0:
+        raise ValueError("peaks and brightness must be two nonempty (K,) arrays")
+    usable = ~clipped(peaks, saturation_level)
+    if not usable.any():
         raise ValueError("no valid achromatic patch: all saturated")
-    best = min(survivors, key=lambda s: (-s.brightness, s.patch_index))
-    return best.patch_index
+    return int(np.argmax(np.where(usable, brightness, -np.inf)))
 
 
 def compute_ground_truth(
@@ -133,17 +116,16 @@ def compute_ground_truth(
     -> subtract the camera black level (clamped at zero).
     """
     samples = chartgeom.sample_patches(img.data, layout)
-    stats = [patch_stats(samples[i], i) for i in ACHROMATIC_INDICES]
-    winner = select_achromatic_patch(stats, camera.saturation_level)
-    med = np.asarray(stats[ACHROMATIC_INDICES.index(winner)].median_rgb, dtype=np.float64)
+    medians, peaks, brightness = patch_stats(samples[list(ACHROMATIC_INDICES)])
+    k = select_achromatic_patch(peaks, brightness, camera.saturation_level)
     level = camera.black_level if subtract_black else 0.0
-    illum = np.maximum(med - level, 0.0)
+    illum = np.maximum(medians[k] - level, 0.0)
     if np.any(illum <= 0):
         raise ValueError("degenerate ground truth: zero channel after subtraction")
     return GroundTruthRecord(
         image_id=image_id,
         illuminant=(float(illum[0]), float(illum[1]), float(illum[2])),
-        patch_index=winner,
+        patch_index=ACHROMATIC_INDICES[k],
         camera_id=camera.camera_id,
         black_level_subtracted=subtract_black,
     )

@@ -222,14 +222,12 @@ def render(spec: SceneSpec) -> RenderedScene:
     rendered scenes exactly representable in the 16-bit image format.
     """
     pose = spec.pose if spec.pose is not None else default_pose(spec.width, spec.height)
-    corners = apply_homography(pose, CANONICAL_CORNERS)
-    if (
-        np.any(corners[:, 0] < 0)
-        or np.any(corners[:, 0] > spec.width - 1)
-        or np.any(corners[:, 1] < 0)
-        or np.any(corners[:, 1] > spec.height - 1)
-    ):
-        raise ValueError("chart pose places the chart outside the image")
+    layout = ChartLayout(
+        apply_homography(pose, CANONICAL_CORNERS),
+        default_corner_patch_centers(),
+        DEFAULT_HALF_SIZE,
+    )
+    layout.check_in_frame(spec.height, spec.width)
 
     if spec.background.shape == (3,):
         reflectance = np.broadcast_to(
@@ -267,9 +265,7 @@ def render(spec: SceneSpec) -> RenderedScene:
     return RenderedScene(
         image=image,
         true_illuminant=spec.illuminant,
-        chart_text=format_chart(
-            ChartLayout(corners, default_corner_patch_centers(), DEFAULT_HALF_SIZE)
-        ),
+        chart_text=format_chart(layout),
     )
 
 

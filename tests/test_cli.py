@@ -60,7 +60,7 @@ def test_synth_pose_outside_frame_exits_1(tmp_path, capsys):
     corners = (synth.CANONICAL_CORNERS + np.array([300.0, 0.0])).ravel().tolist()
     spec = write_scene_json(tmp_path / "scene.json", corners=corners)
     assert run(["synth", "--spec", spec, "--out", tmp_path / "o"]) == 1
-    assert "outside" in capsys.readouterr().err
+    assert "inside the image" in capsys.readouterr().err
 
 
 def test_synth_unknown_field_exits_1(tmp_path, capsys):
@@ -290,6 +290,15 @@ def test_estimate_repeated_algo_exits_1(tmp_path, capsys):
             "--algo", "grey-world", "--out", out, "--jobs", "1"]
     assert run(argv) == 1
     assert "--algo repeats grey-world" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_estimate_repeated_spec_parameter_exits_1(tmp_path, capsys):
+    corpus = constant_color_corpus(tmp_path, [(500, 400, 300)])
+    out = tmp_path / "e.csv"
+    argv = ["estimate", "--images", corpus, "--algo", "n=1,p=2,n=2", "--out", out, "--jobs", "1"]
+    assert run(argv) == 1
+    assert "estimator spec repeats 'n'" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -357,6 +357,12 @@ def test_spec_from_string_presets_and_custom():
         spec_from_string("n=5,p=1,sigma=0")
 
 
+def test_spec_from_string_rejects_a_repeated_parameter():
+    for text in ("n=1,p=2,n=2", "n=1, sigma=1 ,p=2,sigma=1"):
+        with pytest.raises(ValueError, match="estimator spec repeats"):
+            spec_from_string(text)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         EstimatorSpec("x", 0, 0.5, 0.0)

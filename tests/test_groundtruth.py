@@ -1,14 +1,17 @@
+from types import SimpleNamespace
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import synthcases
-from chromabench import synth
-from chromabench.chartgeom import read_chart_file
+from chromabench import chartgeom, synth
+from chromabench.chartgeom import ACHROMATIC_INDICES, read_chart_file
 from chromabench.groundtruth import (
     GroundTruthRecord,
-    PatchStats,
     compute_ground_truth,
     patch_stats,
     read_gt,
@@ -21,66 +24,74 @@ from chromabench.metrics import recovery_error
 
 
 def rgb_samples(r_values, g=None, b=None):
+    """One (1, N, 3) sample square."""
     r = np.asarray(r_values, dtype=float)
     g = r if g is None else np.asarray(g, dtype=float)
     b = r if b is None else np.asarray(b, dtype=float)
-    return np.stack([r, g, b], axis=1)
+    return np.stack([r, g, b], axis=1)[None]
 
 
 def test_patch_stats_singleton():
-    stats = patch_stats([[1.0, 2.0, 3.0]], 18)
-    assert stats.median_rgb == (1.0, 2.0, 3.0)
-    assert stats.brightness == 2.0
-    assert stats.max_sample == 3.0
+    medians, peaks, brightness = patch_stats([[[1.0, 2.0, 3.0]]])
+    assert medians.tolist() == [[1.0, 2.0, 3.0]]
+    assert brightness.tolist() == [2.0]
+    assert peaks.tolist() == [3.0]
 
 
 def test_patch_stats_median_robust_to_outlier():
-    stats = patch_stats(rgb_samples([1, 2, 100]), 18)
-    assert stats.median_rgb[0] == 2.0
+    medians, _, _ = patch_stats(rgb_samples([1, 2, 100]))
+    assert medians[0, 0] == 2.0
 
 
 def test_patch_stats_even_count_averages_middle_two():
-    stats = patch_stats(rgb_samples([1, 2, 3, 10]), 18)
-    assert stats.median_rgb[0] == 2.5
+    medians, _, _ = patch_stats(rgb_samples([1, 2, 3, 10]))
+    assert medians[0, 0] == 2.5
 
 
 def test_patch_stats_rejects_empty():
-    with pytest.raises(ValueError):
-        patch_stats(np.zeros((0, 3)), 18)
+    for shape in [(1, 0, 3), (0, 4, 3), (4, 3)]:
+        with pytest.raises(ValueError, match="nonempty"):
+            patch_stats(np.zeros(shape))
 
 
-def make_stats(index, brightness, max_sample):
-    v = float(brightness)
-    return PatchStats(index, (v, v, v), float(max_sample), v)
+def make_row(peaks, brightness):
+    """(peaks, brightness) float arrays, one entry per achromatic position."""
+    return np.asarray(peaks, dtype=float), np.asarray(brightness, dtype=float)
 
 
 def test_saturated_white_patch_is_skipped():
-    stats = [make_stats(18, 3000, 3301)] + [
-        make_stats(18 + i, 3000 - 400 * i, 3000 - 400 * i) for i in range(1, 6)
-    ]
-    assert select_achromatic_patch(stats, 3300) == 19
+    ramp = [3000 - 400 * i for i in range(6)]
+    peaks, brightness = make_row([3301] + ramp[1:], ramp)
+    assert select_achromatic_patch(peaks, brightness, 3300) == 1
 
 
 def test_brightest_unsaturated_patch_wins():
-    stats = [make_stats(18 + i, 3000 - 400 * i, 3000 - 400 * i) for i in range(6)]
-    assert select_achromatic_patch(stats, 3300) == 18
+    ramp = [3000 - 400 * i for i in range(6)]
+    assert select_achromatic_patch(*make_row(ramp, ramp), 3300) == 0
 
 
 def test_all_saturated_is_an_error():
-    stats = [make_stats(18 + i, 3000, 4000) for i in range(6)]
-    with pytest.raises(ValueError, match="no valid achromatic patch"):
-        select_achromatic_patch(stats, 3300)
+    peaks, brightness = make_row([4000] * 6, [3000] * 6)
+    with pytest.raises(ValueError, match="no valid achromatic patch: all saturated"):
+        select_achromatic_patch(peaks, brightness, 3300)
 
 
 def test_brightness_tie_goes_to_whiter_patch():
-    stats = [make_stats(20, 1000, 1000), make_stats(19, 1000, 1000)]
-    assert select_achromatic_patch(stats, 3300) == 19
+    peaks, brightness = make_row([900, 1000, 1000], [900, 1000, 1000])
+    assert select_achromatic_patch(peaks, brightness, 3300) == 1
 
 
 def test_exact_threshold_is_not_saturated():
     # "no count above the threshold" is a strict inequality
-    stats = [make_stats(18, 3000, 3300), make_stats(19, 2000, 2000)]
-    assert select_achromatic_patch(stats, 3300) == 18
+    peaks, brightness = make_row([3300, 2000], [3000, 2000])
+    assert select_achromatic_patch(peaks, brightness, 3300) == 0
+
+
+def test_select_rejects_mismatched_or_empty_rows():
+    with pytest.raises(ValueError, match="nonempty"):
+        select_achromatic_patch([], [], 3300)
+    with pytest.raises(ValueError, match="nonempty"):
+        select_achromatic_patch([1.0, 2.0], [1.0], 3300)
 
 
 @settings(max_examples=100, deadline=None)
@@ -91,24 +102,71 @@ def test_exact_threshold_is_not_saturated():
     st.floats(0, 200),
 )
 def test_raising_saturation_never_picks_dimmer(bright, peaks, level, bump):
-    stats = [
-        make_stats(18 + i, bright[i], max(bright[i], peaks[i])) for i in range(6)
-    ]
+    peaks, brightness = make_row(np.maximum(bright, peaks), bright)
     try:
-        low = select_achromatic_patch(stats, level)
+        low = select_achromatic_patch(peaks, brightness, level)
     except ValueError:
         return  # nothing valid at the lower level; nothing to compare
-    high = select_achromatic_patch(stats, level + bump)
-    brightness = {s.patch_index: s.brightness for s in stats}
+    high = select_achromatic_patch(peaks, brightness, level + bump)
     assert brightness[high] >= brightness[low]
 
 
 @given(st.permutations(range(6)))
 def test_selection_is_order_invariant(order):
-    stats = [make_stats(18 + i, 1000 + 37 * i, 1200 + 11 * i) for i in range(6)]
-    base = select_achromatic_patch(stats, 3300)
-    shuffled = [stats[i] for i in order]
-    assert select_achromatic_patch(shuffled, 3300) == base
+    # Distinct brightnesses; the level clips the two brightest rows.
+    peaks, brightness = make_row(
+        [1200 + 11 * i for i in range(6)], [1000 + 37 * i for i in range(6)]
+    )
+    base = select_achromatic_patch(peaks, brightness, 1240)
+    assert base == 3
+    moved = select_achromatic_patch(peaks[order], brightness[order], 1240)
+    assert order[moved] == base
+
+
+def reference_ground_truth(samples, camera, subtract_black=True):
+    """The per-patch algorithm: median, max and mean per square, then the
+    brightest unclipped patch by (-brightness, patch index)."""
+    stats = [
+        (i, np.median(samples[i], axis=0), samples[i].max(), samples[i].mean())
+        for i in ACHROMATIC_INDICES
+    ]
+    survivors = [s for s in stats if not s[2] > camera.saturation_level]
+    if not survivors:
+        return "no valid achromatic patch: all saturated"
+    index, median, _, _ = min(survivors, key=lambda s: (-s[3], s[0]))
+    illum = np.maximum(median - (camera.black_level if subtract_black else 0.0), 0.0)
+    if np.any(illum <= 0):
+        return "degenerate ground truth: zero channel after subtraction"
+    return tuple(float(v) for v in illum), index
+
+
+def ground_truth_outcome(img, layout, camera, subtract_black=True):
+    try:
+        rec = compute_ground_truth(img, layout, camera, subtract_black=subtract_black)
+    except ValueError as exc:
+        return str(exc)
+    return rec.illuminant, rec.patch_index
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    hnp.arrays(
+        np.float64,
+        st.tuples(st.just(6), st.integers(1, 9), st.just(3)),
+        elements=st.integers(0, 12).map(float),
+    ),
+    st.integers(4, 13),  # above the black level, as CameraProfile requires
+    st.sampled_from([0.0, 3.0]),
+    st.booleans(),
+)
+def test_compute_ground_truth_matches_per_patch_reference(row, level, black, subtract):
+    # Small integer counts make brightness ties and clipped peaks common.
+    samples = np.zeros((24,) + row.shape[1:])
+    samples[list(ACHROMATIC_INDICES)] = row
+    camera = CameraProfile("cam", black, saturation_level=float(level))
+    with mock.patch.object(chartgeom, "sample_patches", return_value=samples):
+        got = ground_truth_outcome(SimpleNamespace(data=None), None, camera, subtract)
+    assert got == reference_ground_truth(samples, camera, subtract)
 
 
 def render_and_load(tmp_path, spec, image_id):
@@ -234,3 +292,24 @@ def test_saturated_white_patch_in_rendered_scene(tmp_path):
     loose = CameraProfile("cam", 0.0, saturation_level=3301.0)
     assert compute_ground_truth(img, layout, strict).patch_index == 19
     assert compute_ground_truth(img, layout, loose).patch_index == 18
+
+
+@pytest.mark.parametrize(
+    "white, black, noise",
+    [
+        ((2400, 1700, 1100), 0.0, 0.0),  # nothing clipped
+        ((2400, 1700, 1100), 129.0, 40.0),
+        ((4000, 3000, 2000), 0.0, 0.0),  # white patch clipped
+        ((5200, 4800, 4400), 129.0, 40.0),  # white and the next patch clipped
+    ],
+)
+def test_rendered_ground_truth_matches_per_patch_reference(tmp_path, white, black, noise):
+    rng = np.random.default_rng(31)
+    spec, _ = synthcases.scene_for_target(
+        white, synth.random_pose(rng), black_level=black, noise_sigma=noise, rng_seed=5
+    )
+    img, layout = render_and_load(tmp_path, spec, "r")
+    samples = chartgeom.sample_patches(img.data, layout)
+    for subtract in (True, False):
+        got = ground_truth_outcome(img, layout, img.camera, subtract)
+        assert got == reference_ground_truth(samples, img.camera, subtract)

@@ -76,7 +76,7 @@ def test_saturating_exposure_moves_selection_to_second_gray(tmp_path):
 
 def test_pose_outside_frame_rejected():
     pose = synth.pose_from_corners(synth.CANONICAL_CORNERS + np.array([300.0, 0.0]))
-    with pytest.raises(ValueError, match="outside"):
+    with pytest.raises(ValueError, match="inside the image"):
         synth.render(synth.SceneSpec(pose=pose))
 
 
