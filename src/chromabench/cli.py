@@ -100,7 +100,7 @@ def _extract_one(task):
 def cmd_extract_gt(args) -> int:
     jobs = _resolve_jobs(args.jobs)
     images = _discover_images(args.images)
-    charts_dir = Path(args.charts)
+    charts_dir = Path(args.charts or args.images)
     tasks = [
         (image_id, str(path), str(charts_dir / f"{image_id}.chart"), not args.no_black_subtract)
         for image_id, path in images
@@ -148,7 +148,7 @@ def cmd_estimate(args) -> int:
     if repeated:
         raise CliError(f"--algo repeats {', '.join(repeated)}")
     images = _discover_images(args.images)
-    charts_dir = Path(args.charts) if args.charts else Path(args.images)
+    charts_dir = Path(args.charts or args.images)
     tasks = [
         (image_id, str(path), str(charts_dir / f"{image_id}.chart"), specs, args.mask_chart)
         for image_id, path in images
@@ -391,7 +391,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract-gt", help="compute ground-truth illuminants")
     p.add_argument("--images", required=True, help="directory of .ppm images")
-    p.add_argument("--charts", required=True, help="directory of .chart files")
+    p.add_argument(
+        "--charts", default=None, help=".chart directory (default: --images)"
+    )
     p.add_argument("--out", required=True, help="output ground-truth CSV")
     p.add_argument(
         "--no-black-subtract",

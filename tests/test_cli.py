@@ -176,6 +176,14 @@ def test_extract_gt_byte_stable_across_jobs(small_corpus, tmp_path):
     assert outs[0] == outs[1] == outs[2]
 
 
+def test_extract_gt_charts_default_to_the_images_dir(small_corpus, tmp_path):
+    corpus, _ = small_corpus
+    beside, named = tmp_path / "beside.csv", tmp_path / "named.csv"
+    assert run(["extract-gt", "--images", corpus, "--out", beside, "--jobs", "1"]) == 0
+    assert run(["extract-gt", "--images", corpus, "--charts", corpus, "--out", named, "--jobs", "1"]) == 0
+    assert beside.read_bytes() == named.read_bytes()
+
+
 def test_estimate_byte_stable_across_jobs(small_corpus, tmp_path, capsys):
     corpus, _ = small_corpus
     (corpus / "img002.chart").unlink()  # fails under --mask-chart

@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chromabench import estimators
@@ -22,7 +23,7 @@ from chromabench.estimators import (
     spec_from_string,
     write_estimates,
 )
-from chromabench.imagecore import LinearImage
+from chromabench.imagecore import LinearImage, normalize_estimate
 from chromabench.metrics import recovery_error
 
 RNG = np.random.default_rng(99)
@@ -233,12 +234,23 @@ def test_mask_dimension_mismatch_rejected():
 # --- several estimators in one pass ------------------------------------------
 
 
-def reference_estimate(img, spec, mask):
-    """The per-spec pipeline, written out: smooth, differentiate, gather, pool."""
-    response = derivative_magnitude(img.data, spec.n, spec.sigma)
-    channels = [response[:, :, c] if mask is None else response[:, :, c][mask] for c in range(3)]
-    pooled = np.array([minkowski_pool(channel, spec.p) for channel in channels])
-    return tuple(pooled / np.linalg.norm(pooled))
+def whole_frame_estimate(data, spec, mask):
+    """One spec written out on the whole frame: smooth, differentiate, gather, pool.
+
+    Returns the estimate, or the message of the error the spec raises.
+    """
+    try:
+        response = derivative_magnitude(data, spec.n, spec.sigma)
+    except ValueError as exc:
+        return str(exc)
+    channels = [response[:, :, c].ravel() if mask is None else response[:, :, c][mask] for c in range(3)]
+    try:
+        pooled = [minkowski_pool(channel, spec.p) for channel in channels]
+    except ValueError as exc:
+        return str(exc)
+    if 0.0 in pooled:
+        return "degenerate estimate: zero channel under mask"
+    return tuple(float(v) for v in normalize_estimate(pooled))
 
 
 engine_specs = st.lists(
@@ -267,7 +279,66 @@ def test_estimate_many_matches_estimate_per_spec(specs, seed, masked):
     for spec, result in zip(specs, results):
         one = estimate(img, spec, mask, image_id="im")
         assert (result.image_id, result.algorithm, result.rgb) == ("im", spec.name, one.rgb)
-        assert one.rgb == reference_estimate(img, spec, mask)
+        assert one.rgb == whole_frame_estimate(img.data, spec, mask)
+
+
+@given(
+    st.integers(1, 40),
+    st.integers(1, 20),
+    st.sampled_from([0, 0.5, 1, 2, 3]),
+    st.sampled_from([1, 2, 3, 7, 41]),
+    st.sampled_from(["none", "pixels", "rows"]),
+    st.integers(0, 2**32 - 1),
+)
+@example(1, 5, 0.5, 1, "none", 0)  # a one-row frame: its own mirror row
+@example(2, 4, 1, 1, "rows", 1)  # one-row stripes, each edge the other's mirror
+@example(40, 20, 3, 7, "rows", 2)
+@settings(max_examples=200, deadline=None)
+def test_striped_pass_matches_the_whole_frame_bit_for_bit(
+    height, width, sigma, stripe_rows, mask_kind, seed
+):
+    rng = np.random.default_rng(seed)
+    data = random_image(rng, h=height, w=width).data
+    mask = None
+    if mask_kind != "none":
+        mask = rng.random((height, width)) < 0.8
+    if mask_kind == "rows":  # whole stripes with nothing to gather
+        mask &= (rng.random(height) < 0.5)[:, None]
+    specs = [
+        spec_from_string(f"n={n},p={p},sigma={sigma}") for n in (0, 1, 2) for p in ("1", "6", "inf")
+    ]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(estimators, "_STRIPE_ROWS", stripe_rows)
+        results = estimate_many(LinearImage(data), specs, mask)
+        if 3.0 * sigma <= max(height, width):
+            smoothed = gaussian_smooth(data, sigma)
+            for n in (1, 2):
+                response = estimators._derivative(smoothed, n)
+                gathered = estimators._gather(smoothed, n, mask)
+                for c in range(3):
+                    channel = response[:, :, c].ravel() if mask is None else response[:, :, c][mask]
+                    assert gathered[c].tobytes() == channel.tobytes()
+    for spec, result in zip(specs, results):
+        expected = whole_frame_estimate(data, spec, mask)
+        assert (str(result) if isinstance(result, ValueError) else result.rgb) == expected
+
+
+def test_estimate_many_peak_memory_stays_under_three_frames():
+    rng = np.random.default_rng(5)
+    img = random_image(rng, h=1024, w=96)
+    mask = rng.random((1024, 96)) < 0.9
+    import scipy.ndimage  # noqa: F401 - the import's own allocations are not the engine's
+
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        results = estimate_many(img, list(PRESETS.values()), mask)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert all(isinstance(r, IlluminantEstimate) for r in results)
+    assert peak < 3 * img.data.nbytes
 
 
 def test_estimate_many_shares_one_blur_per_sigma(monkeypatch):
