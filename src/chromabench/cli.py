@@ -90,7 +90,7 @@ def _extract_one(task):
         img = imagecore.load_image(image_path)
         layout = chartgeom.read_chart_file(chart_path)
         record = groundtruth.compute_ground_truth(
-            img, layout, img.camera, image_id=image_id, subtract_black=subtract_black
+            img.data, layout, img.camera, image_id=image_id, subtract_black=subtract_black
         )
         return image_id, [record], []
     except Exception as exc:  # noqa: BLE001 - per-image failures must not kill the run
@@ -120,13 +120,13 @@ def _estimate_one(task):
     try:
         img = imagecore.load_image(image_path)
         # Clipping is judged on raw counts, before the dark offset is removed.
-        mask = estimators.saturation_mask(img, img.camera.saturation_level)
+        mask = estimators.saturation_mask(img.data, img.camera.saturation_level)
         if mask_chart:
             layout = chartgeom.read_chart_file(chart_path)
             # A new array, not `mask &=`: on a full frame the in-place form
             # left the worker's heap laid out 8.6 MB higher in peak RSS.
             mask = estimators.chart_region_mask(img.height, img.width, layout) & mask
-        linear = imagecore.subtract_black_level(img, img.camera.black_level)
+        linear = imagecore.subtract_black_level(img.data, img.camera.black_level)
         del img  # the raw counts are a second full frame; only the masks needed them
         results = estimators.estimate_many(linear, specs, mask, image_id=image_id)
     except Exception as exc:  # noqa: BLE001

@@ -18,13 +18,13 @@ sqrt(fxx^2 + 2*fxy^2 + fyy^2).  Pooling is ((1/N) * sum v^p)^(1/p) so that
 p = 1 is exactly the mean; p = inf is the maximum.  Estimates are invariant
 to exposure scaling by construction.
 
-`estimate_many` runs a list of specs on one image and shares the work they
-have in common: one blur per sigma, one derivative per (n, sigma), one masked
-gather per channel of each response, pooled for every p that asks for it.
-A derivative is taken and gathered in row stripes of the smoothed frame, so
-beside the input the engine holds about two and a half frames at its peak
-(the smoothed frame, the gathered channels and one channel's pooling
-temporaries) whatever the frame size.  `estimate` is its one-spec case.
+`estimate_many` runs a list of specs on one (H, W, 3) array of counts and
+shares their work: one blur per sigma, one derivative per (n, sigma), one
+masked gather per channel of each response, pooled for every p that asks for
+it.  Every order, n = 0 too, is taken and gathered in row stripes of the
+smoothed frame, so beside the input the engine holds about 2.4 frames at its
+peak (the smoothed frame, the gathered channels and one pooling temporary)
+whatever the frame size.  `estimate` is its one-spec case.
 `chart_region_mask` tests and dilates only the chart's bounding box plus
 its margin; the rest of the frame is kept.
 """
@@ -40,7 +40,7 @@ import numpy as np
 
 from ._util import fmt9, read_csv, write_csv
 from .chartgeom import ChartLayout
-from .imagecore import LinearImage, clipped, normalize_estimate
+from .imagecore import clipped, normalize_estimate
 
 __all__ = [
     "CHART_MARGIN_PX",
@@ -234,41 +234,45 @@ def minkowski_pool(values, p: float) -> float:
     if vmax == 0.0:
         return 0.0
     scaled = v / vmax
-    return vmax * float(np.mean(scaled ** p) ** (1.0 / p))
+    scaled **= p
+    return vmax * float(np.mean(scaled) ** (1.0 / p))
 
 
 def estimate(
-    img: LinearImage,
+    data: np.ndarray,
     spec: EstimatorSpec,
     mask: np.ndarray | None = None,
     image_id: str = "",
 ) -> IlluminantEstimate:
-    """Run one estimator on an image; optional boolean mask selects pixels."""
-    (result,) = estimate_many(img, [spec], mask, image_id)
+    """Run one estimator on (H, W, 3) counts; optional boolean mask selects pixels."""
+    (result,) = estimate_many(data, [spec], mask, image_id)
     if isinstance(result, ValueError):
         raise result
     return result
 
 
 def estimate_many(
-    img: LinearImage,
+    data: np.ndarray,
     specs: Sequence[EstimatorSpec],
     mask: np.ndarray | None = None,
     image_id: str = "",
 ) -> list[IlluminantEstimate | ValueError]:
-    """Run several estimators on one image, sharing the work they have in common.
+    """Run several estimators on (H, W, 3) counts, sharing the work they have in common.
 
     The image is smoothed once per sigma, each derivative order is taken once
     per (n, sigma) from that, and each channel of a response is gathered under
     the mask once and pooled for every p that asks for it.  The result holds,
     in spec order, each spec's estimate or the ValueError that
     :func:`estimate` would raise for it alone, so one spec's failure (a sigma
-    too large for the frame, say) leaves the others standing.  A mask of the
-    wrong shape raises before any work is done.
+    too large for the frame, say) leaves the others standing.  Data or a mask
+    of the wrong shape raises before any work is done.
     """
+    data = np.asarray(data, dtype=np.float64)
+    if data.ndim != 3 or data.shape[2] != 3:
+        raise ValueError("image data must have shape (H, W, 3)")
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (img.height, img.width):
+        if mask.shape != data.shape[:2]:
             raise ValueError("mask dimensions must match the image")
     groups: dict[float, dict[int, list[int]]] = {}  # sigma -> n -> spec indices
     for i, spec in enumerate(specs):
@@ -276,7 +280,7 @@ def estimate_many(
     results: list = [None] * len(specs)
     for sigma, by_order in groups.items():
         try:
-            smoothed = gaussian_smooth(img.data, sigma)
+            smoothed = gaussian_smooth(data, sigma)
         except ValueError as exc:
             for members in by_order.values():
                 for i in members:
@@ -293,16 +297,14 @@ def estimate_many(
 def _gather(smoothed: np.ndarray, n: int, mask: np.ndarray | None):
     """The three channels of the order-n response, each masked in row order.
 
-    n = 0 gathers straight from the smoothed frame, one channel at a time.  A
-    derivative is taken in full-width stripes of ``_STRIPE_ROWS`` rows, each
-    differentiated with one row of context above and below and copied into
-    one array per channel, so no full-frame response or temporary exists.
-    At the frame's top and bottom edges a stripe has no context row there,
-    and the derivative's own mirror padding supplies the frame's mirror row,
-    so every kept row equals the whole-frame derivative's bit for bit.
+    The response is taken in full-width stripes of ``_STRIPE_ROWS`` rows (for
+    n = 0, the smoothed rows themselves), each differentiated with one row of
+    context above and below and copied into one array per channel, so no
+    full-frame response or temporary exists.  At the frame's top and bottom
+    edges a stripe has no context row, and the derivative's own mirror padding
+    supplies the frame's mirror row, so every kept row equals the whole-frame
+    derivative's bit for bit.
     """
-    if n == 0:
-        return (_masked(smoothed[:, :, c], mask) for c in range(3))
     height = smoothed.shape[0]
     count = smoothed.shape[1] * height if mask is None else int(np.count_nonzero(mask))
     channels = [np.empty(count) for _ in range(3)]
@@ -313,14 +315,10 @@ def _gather(smoothed: np.ndarray, n: int, mask: np.ndarray | None):
         response = _derivative(smoothed[lo : r1 + 1], n)[r0 - lo : r1 - lo]
         keep = None if mask is None else mask[r0:r1]
         for c, out in enumerate(channels):
-            values = _masked(response[:, :, c], keep)
+            values = response[:, :, c].ravel() if keep is None else response[:, :, c][keep]
             out[end : end + values.size] = values
         end += values.size
     return channels
-
-
-def _masked(channel: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
-    return channel.ravel() if mask is None else channel[mask]
 
 
 def _pool_channels(channels, ps: list[float]) -> list[list[float] | ValueError]:
@@ -333,7 +331,6 @@ def _pool_channels(channels, ps: list[float]) -> list[list[float] | ValueError]:
                     pooled[k].append(minkowski_pool(values, p))
                 except ValueError as exc:
                     pooled[k] = exc
-        del values  # an n = 0 gather builds the next channel only after this one is freed
     return pooled
 
 
@@ -351,9 +348,9 @@ def _finish(
         return exc
 
 
-def saturation_mask(img: LinearImage, saturation_level: float) -> np.ndarray:
-    """True where no channel is clipped (the rule ground truth also uses)."""
-    return ~np.any(clipped(img.data, saturation_level), axis=2)
+def saturation_mask(counts: np.ndarray, saturation_level: float) -> np.ndarray:
+    """True where no channel of the raw (H, W, 3) counts is clipped (ground truth's rule too)."""
+    return ~np.any(clipped(counts, saturation_level), axis=2)
 
 
 def chart_region_mask(height: int, width: int, layout: ChartLayout) -> np.ndarray:

@@ -8,8 +8,9 @@ Per image, in two steps:
   largest single count and the mean brightness of each patch.
 * **Decide.**  Without pixels: the winner is the brightest patch whose
   largest count is not clipped; its channel medians, less the camera black
-  level, are the illuminant.  Keeping a single winning patch guarantees that
-  R, G and B always come from the same patch.
+  level (``subtract_black_level``, estimation's rule), are the illuminant.
+  Keeping a single winning patch guarantees that R, G and B always come from
+  the same patch.
 
 Saturation is judged on raw (pre-subtraction) counts: the threshold is stated
 against 12-bit digital counts.  A patch is disqualified if ANY single sample
@@ -27,7 +28,7 @@ import numpy as np
 from . import chartgeom
 from ._util import fmt9, read_csv, write_csv
 from .chartgeom import ACHROMATIC_INDICES, ChartLayout
-from .imagecore import CameraProfile, LinearImage, clipped
+from .imagecore import CameraProfile, clipped, subtract_black_level
 
 __all__ = [
     "GT_FIELDS",
@@ -103,23 +104,22 @@ def select_achromatic_patch(peaks, brightness, saturation_level: float) -> int:
 
 
 def compute_ground_truth(
-    img: LinearImage,
+    data: np.ndarray,
     layout: ChartLayout,
     camera: CameraProfile,
     image_id: str = "",
     subtract_black: bool = True,
 ) -> GroundTruthRecord:
-    """Full extraction pipeline for one image.
+    """Full extraction pipeline for one (H, W, 3) frame of raw counts.
 
     sample the 24 patch squares -> stats of the six achromatic ones -> pick
     the brightest unsaturated one on raw counts -> take its channel medians
     -> subtract the camera black level (clamped at zero).
     """
-    samples = chartgeom.sample_patches(img.data, layout)
+    samples = chartgeom.sample_patches(data, layout)
     medians, peaks, brightness = patch_stats(samples[list(ACHROMATIC_INDICES)])
     k = select_achromatic_patch(peaks, brightness, camera.saturation_level)
-    level = camera.black_level if subtract_black else 0.0
-    illum = np.maximum(medians[k] - level, 0.0)
+    illum = subtract_black_level(medians[k], camera.black_level if subtract_black else 0.0)
     if np.any(illum <= 0):
         raise ValueError("degenerate ground truth: zero channel after subtraction")
     return GroundTruthRecord(

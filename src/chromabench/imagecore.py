@@ -4,8 +4,8 @@ Images are stored as (H, W, 3) float64 arrays of nonnegative digital counts in
 R, G, B order.  Sources are integer sensor counts, but everything downstream
 (warping, smoothing, Minkowski pooling) needs real arithmetic, so the arrays
 are double precision from the start.  A :class:`LinearImage` is validated and
-frozen where counts enter (``load_image``, ``synth.render``,
-``subtract_black_level``); the stages below it take and return plain arrays.
+frozen only at I/O (``load_image``, ``save_image``, ``synth.render``); every
+stage below it, ``subtract_black_level`` included, takes plain arrays.
 
 On-disk format: binary PPM ("P6", maxval 65535, big-endian 16-bit samples,
 linear values) plus a JSON sidecar ``<basename>.meta.json`` carrying
@@ -176,12 +176,15 @@ def save_image(img: LinearImage, path: str | Path) -> None:
     atomic_write_text(sidecar_path(path), json.dumps(meta, indent=2) + "\n")
 
 
-def subtract_black_level(img: LinearImage, level: float) -> LinearImage:
-    """Subtract a scalar dark offset from every sample, clamping at zero."""
+def subtract_black_level(counts, level: float) -> np.ndarray:
+    """The one dark-offset rule: a new array of ``counts - level`` clamped at zero.
+
+    Estimation applies it to a whole frame, ground truth to a patch's medians.
+    """
     if level < 0:
         raise ValueError("black level must be >= 0")
-    data = np.maximum(img.data - float(level), 0.0)
-    return LinearImage(data, bit_depth=img.bit_depth, camera=img.camera)
+    out = np.subtract(counts, float(level))
+    return np.maximum(out, 0.0, out=out)
 
 
 def clipped(counts, level: float):

@@ -14,7 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from chromabench import synth
-from chromabench.imagecore import CameraProfile, LinearImage
 
 # Achromatic ramp of exact binary fractions: products with integer exposures
 # stay exactly representable, which the saturation boundary tests rely on.
@@ -38,7 +37,7 @@ def grayworld_image(
     size: tuple[int, int] = (64, 64),
     rng_seed: int = 0,
     exposure: float = 1000.0,
-) -> LinearImage:
+) -> np.ndarray:
     """Chartless image whose spatial mean reflectance is exactly neutral.
 
     Reflectances are drawn i.i.d. then shifted per channel so the mean is
@@ -51,8 +50,7 @@ def grayworld_image(
     rng = np.random.default_rng(rng_seed)
     reflectance = rng.uniform(0.2, 0.8, size=(height, width, 3))
     reflectance += 0.5 - reflectance.mean(axis=(0, 1))
-    data = illum[None, None, :] * reflectance * exposure
-    return LinearImage(data, bit_depth=12, camera=CameraProfile("synthcam", 0.0))
+    return illum[None, None, :] * reflectance * exposure
 
 
 def scene_for_target(

@@ -1,4 +1,8 @@
-"""The demo script runs on the library alone, without the test suite on its path."""
+"""The demo script runs on the library alone, without the test suite on its path.
+
+Its seed-7, four-scene CSVs are committed under ``golden/demo_seed7``; every
+CSV of a run must equal its copy byte for byte.
+"""
 
 import csv
 import os
@@ -7,6 +11,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden" / "demo_seed7"
 
 
 def test_demo_script_needs_only_the_library(tmp_path):
@@ -17,6 +22,8 @@ def test_demo_script_needs_only_the_library(tmp_path):
             str(ROOT / "scripts" / "run_synthetic_benchmark.py"),
             "--scenes",
             "4",
+            "--seed",
+            "7",
             "--out",
             str(tmp_path / "out"),
         ],
@@ -35,3 +42,8 @@ def test_demo_script_needs_only_the_library(tmp_path):
     sub, raw = "rank_errors_recovery_sub", "rank_errors_recovery_raw"
     assert int(gw[sub]) < int(wp[sub])
     assert int(wp[raw]) < int(gw[raw])
+
+    written = sorted(path.name for path in (tmp_path / "out").glob("*.csv"))
+    assert written == sorted(path.name for path in GOLDEN.glob("*.csv"))
+    for name in written:
+        assert (tmp_path / "out" / name).read_bytes() == (GOLDEN / name).read_bytes(), name

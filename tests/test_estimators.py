@@ -23,21 +23,21 @@ from chromabench.estimators import (
     spec_from_string,
     write_estimates,
 )
-from chromabench.imagecore import LinearImage, normalize_estimate
+from chromabench.imagecore import normalize_estimate
 from chromabench.metrics import recovery_error
 
 RNG = np.random.default_rng(99)
 
 
 def random_image(rng, h=16, w=16, lo=1.0, hi=4000.0):
-    return LinearImage(rng.uniform(lo, hi, size=(h, w, 3)))
+    return rng.uniform(lo, hi, size=(h, w, 3))
 
 
 # --- smoothing ---------------------------------------------------------------
 
 
 def test_sigma_zero_is_identity():
-    data = random_image(RNG).data
+    data = random_image(RNG)
     assert gaussian_smooth(data, 0.0) is data
 
 
@@ -137,11 +137,22 @@ def test_pool_never_overflows_and_bounds(values, p):
     assert min(values) - 1e-9 <= out <= max(values) + 1e-9
 
 
+@given(
+    st.lists(st.floats(0, 4095, allow_nan=False), min_size=1, max_size=300),
+    st.sampled_from([1.5, 2.0, 3.0, 6.0, 41.0]),
+)
+def test_pool_in_place_power_matches_the_plain_expression_bit_for_bit(values, p):
+    v = np.asarray(values)
+    vmax = float(v.max())
+    expected = 0.0 if vmax == 0.0 else vmax * float(np.mean((v / vmax) ** p) ** (1.0 / p))
+    assert minkowski_pool(values, p) == expected
+
+
 # --- estimates ---------------------------------------------------------------
 
 
 def test_grey_world_on_constant_color():
-    img = LinearImage(np.tile(np.array([2.0, 4.0, 6.0]), (8, 8, 1)))
+    img = np.tile(np.array([2.0, 4.0, 6.0]), (8, 8, 1))
     est = estimate(img, PRESETS["grey-world"])
     expected = np.array([2.0, 4.0, 6.0]) / math.sqrt(56.0)
     np.testing.assert_allclose(est.rgb, expected, atol=1e-12)
@@ -152,7 +163,7 @@ def test_white_patch_takes_channel_maxima():
     data[0, 0] = [1, 0, 0]
     data[0, 1] = [0, 2, 0]
     data[0, 2] = [0, 0, 3]
-    est = estimate(LinearImage(data), PRESETS["white-patch"])
+    est = estimate(data, PRESETS["white-patch"])
     expected = np.array([1.0, 2.0, 3.0]) / math.sqrt(14.0)
     np.testing.assert_allclose(est.rgb, expected, atol=1e-12)
 
@@ -168,14 +179,14 @@ def test_grey_world_matches_channel_means():
     for seed in range(10):
         img = random_image(np.random.default_rng(seed))
         est = estimate(img, PRESETS["grey-world"])
-        means = img.data.mean(axis=(0, 1))
+        means = img.mean(axis=(0, 1))
         np.testing.assert_allclose(est.rgb, means / np.linalg.norm(means), atol=1e-12)
 
 
 def test_exposure_invariance():
     img = random_image(RNG, lo=1.0, hi=50.0)
     for alpha in (0.1, 3.0, 77.0):
-        scaled = LinearImage(img.data * alpha)
+        scaled = img * alpha
         for spec in PRESETS.values():
             a = estimate(img, spec)
             b = estimate(scaled, spec)
@@ -194,7 +205,7 @@ def test_rectangular_mask_equals_crop():
     img = random_image(RNG, h=12, w=14)
     mask = np.zeros((12, 14), dtype=bool)
     mask[3:9, 2:11] = True
-    cropped = LinearImage(img.data[3:9, 2:11])
+    cropped = img[3:9, 2:11]
     for name in ("grey-world", "white-patch", "shades-of-grey"):
         masked = estimate(img, PRESETS[name], mask)
         plain = estimate(cropped, PRESETS[name])
@@ -205,7 +216,7 @@ def test_degenerate_zero_channel_rejected():
     data = np.ones((4, 4, 3))
     data[:, :, 2] = 0.0
     with pytest.raises(ValueError, match="degenerate estimate"):
-        estimate(LinearImage(data), PRESETS["grey-world"])
+        estimate(data, PRESETS["grey-world"])
 
 
 def test_estimate_empty_mask_rejected():
@@ -217,11 +228,10 @@ def test_estimate_empty_mask_rejected():
 def test_estimate_mask_selects_pixels():
     data = np.ones((2, 2, 3))
     data[1, 1] = [100.0, 1.0, 1.0]
-    img = LinearImage(data)
-    assert estimate(img, PRESETS["white-patch"]).rgb[0] > 0.99
+    assert estimate(data, PRESETS["white-patch"]).rgb[0] > 0.99
     mask = np.ones((2, 2), dtype=bool)
     mask[1, 1] = False  # leave the brightest pixel out
-    masked = estimate(img, PRESETS["white-patch"], mask)
+    masked = estimate(data, PRESETS["white-patch"], mask)
     np.testing.assert_allclose(masked.rgb, np.ones(3) / math.sqrt(3.0), atol=1e-12)
 
 
@@ -279,7 +289,7 @@ def test_estimate_many_matches_estimate_per_spec(specs, seed, masked):
     for spec, result in zip(specs, results):
         one = estimate(img, spec, mask, image_id="im")
         assert (result.image_id, result.algorithm, result.rgb) == ("im", spec.name, one.rgb)
-        assert one.rgb == whole_frame_estimate(img.data, spec, mask)
+        assert one.rgb == whole_frame_estimate(img, spec, mask)
 
 
 @given(
@@ -298,7 +308,7 @@ def test_striped_pass_matches_the_whole_frame_bit_for_bit(
     height, width, sigma, stripe_rows, mask_kind, seed
 ):
     rng = np.random.default_rng(seed)
-    data = random_image(rng, h=height, w=width).data
+    data = random_image(rng, h=height, w=width)
     mask = None
     if mask_kind != "none":
         mask = rng.random((height, width)) < 0.8
@@ -309,10 +319,10 @@ def test_striped_pass_matches_the_whole_frame_bit_for_bit(
     ]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(estimators, "_STRIPE_ROWS", stripe_rows)
-        results = estimate_many(LinearImage(data), specs, mask)
+        results = estimate_many(data, specs, mask)
         if 3.0 * sigma <= max(height, width):
             smoothed = gaussian_smooth(data, sigma)
-            for n in (1, 2):
+            for n in (0, 1, 2):
                 response = estimators._derivative(smoothed, n)
                 gathered = estimators._gather(smoothed, n, mask)
                 for c in range(3):
@@ -338,7 +348,7 @@ def test_estimate_many_peak_memory_stays_under_three_frames():
     finally:
         tracemalloc.stop()
     assert all(isinstance(r, IlluminantEstimate) for r in results)
-    assert peak < 3 * img.data.nbytes
+    assert peak < 3 * img.nbytes
 
 
 def test_estimate_many_shares_one_blur_per_sigma(monkeypatch):
@@ -380,10 +390,10 @@ def test_estimate_many_empty_mask_fails_every_spec():
 
 
 def test_estimate_many_zero_channel_fails_only_its_specs():
-    data = random_image(RNG, h=8, w=8).data.copy()
+    data = random_image(RNG, h=8, w=8)
     data[:, :, 2] = 7.0  # no blue edges: every derivative spec is degenerate
     specs = [PRESETS["grey-edge-1"], PRESETS["grey-world"], PRESETS["grey-edge-2"]]
-    results = estimate_many(LinearImage(data), specs)
+    results = estimate_many(data, specs)
     assert isinstance(results[1], IlluminantEstimate)
     for i in (0, 2):
         assert isinstance(results[i], ValueError)
@@ -397,6 +407,9 @@ def test_estimate_many_checks_the_mask_before_smoothing(monkeypatch):
     monkeypatch.setattr(estimators, "gaussian_smooth", no_smoothing)
     with pytest.raises(ValueError, match="mask dimensions must match the image"):
         estimate_many(random_image(RNG, h=4, w=4), list(PRESETS.values()), np.ones((4, 5), bool))
+    for shape in ((4, 4), (4, 4, 4), (4, 4, 3, 1)):
+        with pytest.raises(ValueError, match=r"image data must have shape \(H, W, 3\)"):
+            estimate_many(np.ones(shape), list(PRESETS.values()))
 
 
 # --- specs -------------------------------------------------------------------
@@ -454,7 +467,7 @@ def test_saturation_mask_uses_raw_threshold():
     data = np.full((2, 2, 3), 100.0)
     data[0, 0, 1] = 3300.0
     data[1, 1, 2] = 3301.0
-    mask = saturation_mask(LinearImage(data), 3300.0)
+    mask = saturation_mask(data, 3300.0)
     assert mask[0, 0] and not mask[1, 1] and mask.sum() == 3
 
 

@@ -1,4 +1,3 @@
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -140,9 +139,9 @@ def reference_ground_truth(samples, camera, subtract_black=True):
     return tuple(float(v) for v in illum), index
 
 
-def ground_truth_outcome(img, layout, camera, subtract_black=True):
+def ground_truth_outcome(data, layout, camera, subtract_black=True):
     try:
-        rec = compute_ground_truth(img, layout, camera, subtract_black=subtract_black)
+        rec = compute_ground_truth(data, layout, camera, subtract_black=subtract_black)
     except ValueError as exc:
         return str(exc)
     return rec.illuminant, rec.patch_index
@@ -165,7 +164,7 @@ def test_compute_ground_truth_matches_per_patch_reference(row, level, black, sub
     samples[list(ACHROMATIC_INDICES)] = row
     camera = CameraProfile("cam", black, saturation_level=float(level))
     with mock.patch.object(chartgeom, "sample_patches", return_value=samples):
-        got = ground_truth_outcome(SimpleNamespace(data=None), None, camera, subtract)
+        got = ground_truth_outcome(None, None, camera, subtract)
     assert got == reference_ground_truth(samples, camera, subtract)
 
 
@@ -182,7 +181,7 @@ def test_pipeline_recovers_known_illuminant(tmp_path):
         (2400, 1700, 1100), synth.random_pose(rng)
     )
     img, layout = render_and_load(tmp_path, spec, "a")
-    rec = compute_ground_truth(img, layout, img.camera, image_id="a")
+    rec = compute_ground_truth(img.data, layout, img.camera, image_id="a")
     assert recovery_error(rec.illuminant, truth) < 1e-6
     assert rec.patch_index == 18
     assert rec.black_level_subtracted
@@ -195,8 +194,8 @@ def test_black_level_cancels_exactly(tmp_path):
     spec129, _ = synthcases.scene_for_target((2400, 1700, 1100), pose, black_level=129.0)
     img0, layout0 = render_and_load(tmp_path, spec0, "zero")
     img129, layout129 = render_and_load(tmp_path, spec129, "offset")
-    rec0 = compute_ground_truth(img0, layout0, img0.camera, image_id="zero")
-    rec129 = compute_ground_truth(img129, layout129, img129.camera, image_id="offset")
+    rec0 = compute_ground_truth(img0.data, layout0, img0.camera, image_id="zero")
+    rec129 = compute_ground_truth(img129.data, layout129, img129.camera, image_id="offset")
     assert recovery_error(rec0.illuminant, rec129.illuminant) < 1e-6
     assert recovery_error(rec129.illuminant, truth) < 1e-6
 
@@ -207,9 +206,9 @@ def test_skipping_subtraction_shifts_by_exactly_129(tmp_path):
         (2400, 1700, 1100), synth.random_pose(rng), black_level=129.0
     )
     img, layout = render_and_load(tmp_path, spec, "s")
-    subtracted = compute_ground_truth(img, layout, img.camera, image_id="s")
+    subtracted = compute_ground_truth(img.data, layout, img.camera, image_id="s")
     raw = compute_ground_truth(
-        img, layout, img.camera, image_id="s", subtract_black=False
+        img.data, layout, img.camera, image_id="s", subtract_black=False
     )
     diff = np.asarray(raw.illuminant) - np.asarray(subtracted.illuminant)
     assert diff.tolist() == [129.0, 129.0, 129.0]
@@ -290,8 +289,8 @@ def test_saturated_white_patch_in_rendered_scene(tmp_path):
     img, layout = render_and_load(tmp_path, spec, "sat")
     strict = CameraProfile("cam", 0.0, saturation_level=3300.0)
     loose = CameraProfile("cam", 0.0, saturation_level=3301.0)
-    assert compute_ground_truth(img, layout, strict).patch_index == 19
-    assert compute_ground_truth(img, layout, loose).patch_index == 18
+    assert compute_ground_truth(img.data, layout, strict).patch_index == 19
+    assert compute_ground_truth(img.data, layout, loose).patch_index == 18
 
 
 @pytest.mark.parametrize(
@@ -311,5 +310,5 @@ def test_rendered_ground_truth_matches_per_patch_reference(tmp_path, white, blac
     img, layout = render_and_load(tmp_path, spec, "r")
     samples = chartgeom.sample_patches(img.data, layout)
     for subtract in (True, False):
-        got = ground_truth_outcome(img, layout, img.camera, subtract)
+        got = ground_truth_outcome(img.data, layout, img.camera, subtract)
         assert got == reference_ground_truth(samples, img.camera, subtract)

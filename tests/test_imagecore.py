@@ -110,23 +110,23 @@ def test_sidecar_ignores_unknown_fields(tmp_path):
 
 def test_subtract_black_level_reference_case():
     img = LinearImage(np.full((1, 1, 3), 329.0))
-    assert subtract_black_level(img, 129).data.tolist() == [[[200.0, 200.0, 200.0]]]
+    assert subtract_black_level(img.data, 129).tolist() == [[[200.0, 200.0, 200.0]]]
 
 
 def test_subtract_zero_is_identity():
     img = LinearImage(np.arange(12, dtype=float).reshape(2, 2, 3))
-    assert np.array_equal(subtract_black_level(img, 0).data, img.data)
+    assert np.array_equal(subtract_black_level(img.data, 0), img.data)
 
 
 def test_subtract_clamps_at_zero():
     img = LinearImage(np.full((1, 1, 3), 100.0))
-    assert subtract_black_level(img, 129).data.tolist() == [[[0.0, 0.0, 0.0]]]
+    assert subtract_black_level(img.data, 129).tolist() == [[[0.0, 0.0, 0.0]]]
 
 
 def test_subtract_rejects_negative_level():
     img = LinearImage(np.zeros((1, 1, 3)))
     with pytest.raises(ValueError):
-        subtract_black_level(img, -1)
+        subtract_black_level(img.data, -1)
 
 
 @settings(max_examples=50, deadline=None)
@@ -140,9 +140,9 @@ def test_subtract_rejects_negative_level():
 )
 def test_subtract_is_monotone_and_nonnegative(arr, level):
     img = LinearImage(arr)
-    out = subtract_black_level(img, level)
-    assert np.all(out.data <= img.data)
-    assert np.all(out.data >= 0)
+    out = subtract_black_level(img.data, level)
+    assert np.all(out <= img.data)
+    assert np.all(out >= 0)
 
 
 def test_normalize_fixtures():

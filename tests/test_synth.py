@@ -69,7 +69,7 @@ def test_saturating_exposure_moves_selection_to_second_gray(tmp_path):
     synth.write_scene(scene, tmp_path, "clip")
     img = load_image(tmp_path / "clip.ppm")
     layout = read_chart_file(tmp_path / "clip.chart")
-    record = compute_ground_truth(img, layout, img.camera, image_id="clip")
+    record = compute_ground_truth(img.data, layout, img.camera, image_id="clip")
     assert record.patch_index == 19
     np.testing.assert_allclose(record.illuminant, 0.25 * 9000.0)
 
@@ -108,21 +108,21 @@ def test_round_trip_recovers_parallel_illuminant(tmp_path):
         synth.write_scene(scene, tmp_path, f"rt{i}")
         img = load_image(tmp_path / f"rt{i}.ppm")
         layout = read_chart_file(tmp_path / f"rt{i}.chart")
-        record = compute_ground_truth(img, layout, img.camera, image_id=f"rt{i}")
+        record = compute_ground_truth(img.data, layout, img.camera, image_id=f"rt{i}")
         assert recovery_error(record.illuminant, truth) < 1e-6
 
 
 def test_grayworld_scene_mean_is_parallel_to_illuminant():
     illum = np.array([0.8, 0.55, 0.3])
     img = synthcases.grayworld_image(illum, size=(48, 40), rng_seed=5)
-    means = img.data.mean(axis=(0, 1))
+    means = img.mean(axis=(0, 1))
     ratios = means / illum
     assert np.ptp(ratios) / ratios.mean() < 1e-12
 
 
 def test_grayworld_scene_neutral_illuminant_gives_neutral_mean():
     img = synthcases.grayworld_image((1.0, 1.0, 1.0), rng_seed=3)
-    means = img.data.mean(axis=(0, 1))
+    means = img.mean(axis=(0, 1))
     assert np.ptp(means) / means.mean() < 1e-12
 
 
