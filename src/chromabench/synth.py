@@ -91,6 +91,9 @@ DEFAULT_REFLECTANCES = np.array(
 )
 WHITE_REFLECTANCE = float(DEFAULT_REFLECTANCES[18][0])
 
+# Rows per in-place finishing pass in render; bounds its noise temporary.
+_STRIPE_ROWS = 64
+
 
 def pose_from_corners(corners) -> np.ndarray:
     """Homography placing the canonical chart onto the given image corners."""
@@ -159,11 +162,14 @@ class SceneSpec:
 
     def __post_init__(self) -> None:
         illum = tuple(float(v) for v in self.illuminant)
-        if len(illum) != 3 or any(v <= 0 for v in illum):
-            raise ValueError("illuminant must be positive in every channel")
+        if len(illum) != 3 or not all(math.isfinite(v) and v > 0 for v in illum):
+            raise ValueError("illuminant must be finite and positive in every channel")
         object.__setattr__(self, "illuminant", illum)
         if self.width < 8 or self.height < 8:
             raise ValueError("image too small")
+        for name in ("exposure", "black_level", "noise_sigma", "saturation_level"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.exposure <= 0:
             raise ValueError("exposure must be > 0")
         if self.noise_sigma < 0:
@@ -173,7 +179,7 @@ class SceneSpec:
         table = np.asarray(self.reflectance_table, dtype=np.float64)
         if table.shape != (CHART_ROWS * CHART_COLS, 3):
             raise ValueError("reflectance_table must be 24 RGB triples")
-        if np.any(table < 0) or np.any(table > 1):
+        if not np.all((table >= 0) & (table <= 1)):
             raise ValueError("reflectances must lie in [0, 1]")
         achromatic = table[18:24]
         if not np.all(achromatic[:, 0:1] == achromatic):
@@ -193,7 +199,7 @@ class SceneSpec:
             raise ValueError(
                 "background must be an RGB triple or a (height, width, 3) field"
             )
-        if np.any(bg < 0) or np.any(bg > 1):
+        if not np.all((bg >= 0) & (bg <= 1)):
             raise ValueError("background reflectance must lie in [0, 1]")
         bg.setflags(write=False)
         object.__setattr__(self, "background", bg)
@@ -214,12 +220,45 @@ class RenderedScene:
     chart_text: str
 
 
+def _footprint_box(pose: np.ndarray, height: int, width: int) -> tuple[int, int, int, int]:
+    """Row and column bounds (y0, y1, x0, x1) of the pixels that can show the chart.
+
+    A pixel shows the chart when its inverse image lies in the canonical
+    rectangle [0, CHART_W] x [0, CHART_H].  With every corner of that
+    rectangle on one side of the pose's horizon, the rectangle maps onto the
+    convex quad of its corners' images, so the quad's bounding box, padded by
+    a pixel against rounding, holds every such pixel.  Otherwise the box is
+    the whole frame.
+    """
+    rect = np.array(
+        [[0, 0, 1], [CHART_W, 0, 1], [CHART_W, CHART_H, 1], [0, CHART_H, 1]],
+        dtype=np.float64,
+    )
+    hom = rect @ pose.T
+    w = hom[:, 2]
+    if not (np.all(w > 0) or np.all(w < 0)):
+        return 0, height, 0, width
+    x, y = hom[:, 0] / w, hom[:, 1] / w
+    return (
+        int(max(np.floor(y.min()) - 1, 0)),
+        int(min(np.ceil(y.max()) + 2, height)),
+        int(max(np.floor(x.min()) - 1, 0)),
+        int(min(np.ceil(x.max()) + 2, width)),
+    )
+
+
 def render(spec: SceneSpec) -> RenderedScene:
     """Render a chart scene to integer digital counts, deterministically.
 
     Per channel: count = clip(round(illuminant * reflectance * exposure
     + black_level + noise), 0, clip_level).  Rounding to whole counts keeps
     rendered scenes exactly representable in the 16-bit image format.
+
+    Only the chart's footprint box is mapped through the inverse pose; the
+    frame is then finished in place, _STRIPE_ROWS rows at a time, with the
+    noise drawn stripe by stripe from one generator.  So the frame is the one
+    frame-size array, and the counts equal the whole-frame formula's bit for
+    bit.
     """
     pose = spec.pose if spec.pose is not None else default_pose(spec.width, spec.height)
     layout = ChartLayout(
@@ -228,39 +267,39 @@ def render(spec: SceneSpec) -> RenderedScene:
         DEFAULT_HALF_SIZE,
     )
     layout.check_in_frame(spec.height, spec.width)
-
-    if spec.background.shape == (3,):
-        reflectance = np.broadcast_to(
-            spec.background, (spec.height, spec.width, 3)
-        ).copy()
-    else:
-        reflectance = spec.background.copy()
-
-    xs, ys = np.meshgrid(np.arange(spec.width), np.arange(spec.height))
-    pts = np.stack([xs.ravel(), ys.ravel()], axis=1).astype(np.float64)
-    inv = np.linalg.inv(pose)
-    q = apply_homography(inv, pts)
-    qx = q[:, 0].reshape(spec.height, spec.width)
-    qy = q[:, 1].reshape(spec.height, spec.width)
-    inside = (qx >= 0) & (qx < CHART_W) & (qy >= 0) & (qy < CHART_H)
-    col = np.clip(np.floor(qx / CELL).astype(int), 0, CHART_COLS - 1)
-    row = np.clip(np.floor(qy / CELL).astype(int), 0, CHART_ROWS - 1)
-    patch_idx = row * CHART_COLS + col
-    reflectance[inside] = spec.reflectance_table[patch_idx[inside]]
-
-    illum = np.asarray(spec.illuminant)
-    linear = illum[None, None, :] * reflectance * spec.exposure
-    signal = linear + spec.black_level
-    if spec.noise_sigma > 0:
-        rng = np.random.default_rng(spec.rng_seed)
-        signal = signal + rng.normal(0.0, spec.noise_sigma, size=signal.shape)
-    counts = np.clip(np.rint(signal), 0.0, spec.clip_level)
-
     camera = CameraProfile(
         camera_id=spec.camera_id,
         black_level=spec.black_level,
         saturation_level=spec.saturation_level,
     )
+
+    counts = np.empty((spec.height, spec.width, 3))
+    counts[...] = spec.background
+
+    y0, y1, x0, x1 = _footprint_box(pose, spec.height, spec.width)
+    xs, ys = np.meshgrid(np.arange(x0, x1), np.arange(y0, y1))
+    pts = np.stack([xs.ravel(), ys.ravel()], axis=1).astype(np.float64)
+    q = apply_homography(np.linalg.inv(pose), pts)
+    qx = q[:, 0].reshape(y1 - y0, x1 - x0)
+    qy = q[:, 1].reshape(y1 - y0, x1 - x0)
+    inside = (qx >= 0) & (qx < CHART_W) & (qy >= 0) & (qy < CHART_H)
+    col = np.clip(np.floor(qx / CELL).astype(int), 0, CHART_COLS - 1)
+    row = np.clip(np.floor(qy / CELL).astype(int), 0, CHART_ROWS - 1)
+    patch_idx = row * CHART_COLS + col
+    counts[y0:y1, x0:x1][inside] = spec.reflectance_table[patch_idx[inside]]
+
+    illum = np.asarray(spec.illuminant)
+    rng = np.random.default_rng(spec.rng_seed) if spec.noise_sigma > 0 else None
+    for start in range(0, spec.height, _STRIPE_ROWS):
+        stripe = counts[start : start + _STRIPE_ROWS]
+        stripe *= illum
+        stripe *= spec.exposure
+        stripe += spec.black_level
+        if rng is not None:
+            stripe += rng.normal(0.0, spec.noise_sigma, size=stripe.shape)
+        np.rint(stripe, out=stripe)
+        np.clip(stripe, 0.0, spec.clip_level, out=stripe)
+
     image = LinearImage(counts, bit_depth=spec.bit_depth, camera=camera)
     return RenderedScene(
         image=image,

@@ -69,6 +69,15 @@ def test_synth_unknown_field_exits_1(tmp_path, capsys):
     assert "unknown scene spec fields" in capsys.readouterr().err
 
 
+def test_synth_nan_noise_sigma_exits_1(tmp_path, capsys):
+    # Python's json reads NaN; a NaN sigma must not render a noise-free scene.
+    spec = tmp_path / "scene.json"
+    spec.write_text('{"noise_sigma": NaN}')
+    assert run(["synth", "--spec", spec, "--out", tmp_path / "o"]) == 1
+    assert "invalid scene spec" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_synth_pose_with_corners_exits_1(tmp_path, capsys):
     spec = write_scene_json(
         tmp_path / "scene.json",

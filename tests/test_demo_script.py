@@ -1,10 +1,12 @@
 """The demo script runs on the library alone, without the test suite on its path.
 
 Its seed-7, four-scene CSVs are committed under ``golden/demo_seed7``; every
-CSV of a run must equal its copy byte for byte.
+CSV of a run must equal its copy byte for byte, and every file of its
+``scenes/`` must have the SHA-256 listed in ``golden/demo_seed7/scenes.sha256``.
 """
 
 import csv
+import hashlib
 import os
 import subprocess
 import sys
@@ -47,3 +49,14 @@ def test_demo_script_needs_only_the_library(tmp_path):
     assert written == sorted(path.name for path in GOLDEN.glob("*.csv"))
     for name in written:
         assert (tmp_path / "out" / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+    scenes = tmp_path / "out" / "scenes"
+    hashes = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in scenes.iterdir()
+    }
+    golden = {}
+    for line in (GOLDEN / "scenes.sha256").read_text().splitlines():
+        digest, name = line.split("  ")
+        golden[name] = digest
+    assert hashes == golden

@@ -1,12 +1,26 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import synthcases
 from chromabench import synth
-from chromabench.chartgeom import format_chart, read_chart_file
+from chromabench.chartgeom import (
+    CHART_COLS,
+    CHART_ROWS,
+    DEFAULT_HALF_SIZE,
+    ChartLayout,
+    apply_homography,
+    default_corner_patch_centers,
+    format_chart,
+    read_chart_file,
+)
 from chromabench.estimators import PRESETS, estimate
 from chromabench.groundtruth import compute_ground_truth
-from chromabench.imagecore import load_image
+from chromabench.imagecore import CameraProfile, LinearImage, load_image
 from chromabench.metrics import recovery_error
 
 
@@ -93,6 +107,174 @@ def test_spec_validation():
         synth.SceneSpec(illuminant=(1.0, 0.0, 1.0))
     with pytest.raises(ValueError, match="\\[0, 1\\]"):
         synth.SceneSpec(background=(1.5, 0.5, 0.5))
+    nan, inf = float("nan"), float("inf")
+    for bad in ((nan, 1.0, 1.0), (1.0, inf, 1.0)):
+        with pytest.raises(ValueError, match="illuminant must be finite"):
+            synth.SceneSpec(illuminant=bad)
+    for name in ("exposure", "black_level", "noise_sigma", "saturation_level"):
+        for bad in (nan, inf, -inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                synth.SceneSpec(**{name: bad})
+    field = np.full((480, 640, 3), 0.5)
+    field[7, 11, 2] = nan
+    with pytest.raises(ValueError, match="background reflectance"):
+        synth.SceneSpec(background=field)
+    with pytest.raises(ValueError, match="background reflectance"):
+        synth.SceneSpec(background=(0.5, nan, 0.5))
+    table = synth.DEFAULT_REFLECTANCES.copy()
+    table[3, 1] = nan
+    with pytest.raises(ValueError, match="reflectances must lie"):
+        synth.SceneSpec(reflectance_table=table)
+
+
+def _render_full_frame(spec: synth.SceneSpec) -> synth.RenderedScene:
+    """The whole-frame renderer that `synth.render` replaced, kept as its reference.
+
+    Every pixel center of the frame goes through the inverse pose, and the
+    counts come from one out-of-place expression over the whole frame.
+    """
+    pose = spec.pose if spec.pose is not None else synth.default_pose(spec.width, spec.height)
+    layout = ChartLayout(
+        apply_homography(pose, synth.CANONICAL_CORNERS),
+        default_corner_patch_centers(),
+        DEFAULT_HALF_SIZE,
+    )
+    layout.check_in_frame(spec.height, spec.width)
+
+    if spec.background.shape == (3,):
+        reflectance = np.broadcast_to(
+            spec.background, (spec.height, spec.width, 3)
+        ).copy()
+    else:
+        reflectance = spec.background.copy()
+
+    xs, ys = np.meshgrid(np.arange(spec.width), np.arange(spec.height))
+    pts = np.stack([xs.ravel(), ys.ravel()], axis=1).astype(np.float64)
+    inv = np.linalg.inv(pose)
+    q = apply_homography(inv, pts)
+    qx = q[:, 0].reshape(spec.height, spec.width)
+    qy = q[:, 1].reshape(spec.height, spec.width)
+    inside = (qx >= 0) & (qx < synth.CHART_W) & (qy >= 0) & (qy < synth.CHART_H)
+    col = np.clip(np.floor(qx / synth.CELL).astype(int), 0, CHART_COLS - 1)
+    row = np.clip(np.floor(qy / synth.CELL).astype(int), 0, CHART_ROWS - 1)
+    patch_idx = row * CHART_COLS + col
+    reflectance[inside] = spec.reflectance_table[patch_idx[inside]]
+
+    illum = np.asarray(spec.illuminant)
+    linear = illum[None, None, :] * reflectance * spec.exposure
+    signal = linear + spec.black_level
+    if spec.noise_sigma > 0:
+        rng = np.random.default_rng(spec.rng_seed)
+        signal = signal + rng.normal(0.0, spec.noise_sigma, size=signal.shape)
+    counts = np.clip(np.rint(signal), 0.0, spec.clip_level)
+
+    camera = CameraProfile(
+        camera_id=spec.camera_id,
+        black_level=spec.black_level,
+        saturation_level=spec.saturation_level,
+    )
+    image = LinearImage(counts, bit_depth=spec.bit_depth, camera=camera)
+    return synth.RenderedScene(
+        image=image,
+        true_illuminant=spec.illuminant,
+        chart_text=format_chart(layout),
+    )
+
+
+def _test_pose(rng, kind, width, height):
+    """A chart pose of the given kind that fits a width x height frame."""
+    if kind == "random":
+        fit = min((width - 1) / (synth.CHART_W - 1), (height - 1) / (synth.CHART_H - 1))
+        return synth.random_pose(
+            rng, width, height, scale_range=(0.3 * fit, 0.7 * fit),
+            jitter=0.05 * min(width, height),
+        )
+    frame = np.array([[0, 0], [width - 1, 0], [width - 1, height - 1], [0, height - 1]])
+    inward = np.array([[1, 1], [-1, 1], [-1, -1], [1, -1]])
+    if kind == "edges":  # every side of the chart within 2 px of the frame's
+        corners = frame + inward * rng.uniform(0.0, 2.0, size=(4, 2))
+    else:  # strongly projective: each corner anywhere in its own third of the frame
+        corners = frame + inward * rng.uniform(0.0, 1.0 / 3.0, size=(4, 2)) * (width - 1, height - 1)
+    return synth.pose_from_corners(corners)
+
+
+@pytest.mark.parametrize("height", [8, 63, 64, 65, 200])
+@pytest.mark.parametrize("stripe_rows", [1, 7, 64])
+@given(
+    st.integers(8, 90),
+    st.sampled_from(["random", "projective", "edges"]),
+    st.booleans(),
+    st.sampled_from([0.0, 0.7, 25.0]),
+    st.sampled_from([None, 900.0]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=12, deadline=None)
+def test_render_matches_the_full_frame_renderer_bit_for_bit(
+    height, stripe_rows, width, pose_kind, field_background, noise_sigma, clip_level, seed
+):
+    rng = np.random.default_rng(seed)
+    spec = synth.SceneSpec(
+        illuminant=tuple(rng.uniform(0.2, 1.0, size=3)),
+        pose=_test_pose(rng, pose_kind, width, height),
+        width=width,
+        height=height,
+        exposure=float(rng.uniform(500.0, 4000.0)),
+        background=(
+            rng.uniform(0.0, 1.0, size=(height, width, 3))
+            if field_background
+            else tuple(rng.uniform(0.0, 1.0, size=3))
+        ),
+        black_level=float(rng.choice([0.0, 129.0])),
+        noise_sigma=noise_sigma,
+        clip_level=clip_level,
+        rng_seed=int(rng.integers(0, 2**31)),
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(synth, "_STRIPE_ROWS", stripe_rows)
+        try:
+            scene = synth.render(spec)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                _render_full_frame(spec)
+            return
+    expected = _render_full_frame(spec)
+    assert scene.image.data.tobytes() == expected.image.data.tobytes()
+    assert scene.chart_text == expected.chart_text
+    assert scene.image.camera == expected.image.camera
+
+
+def test_render_matches_the_full_frame_renderer_past_a_horizon_inside_the_chart():
+    # The left edge is 1 px and the right 700 px, so the pose's horizon
+    # crosses the canonical raster between x = CHART_W - 1 and CHART_W, and
+    # the chart's image is not its corners' quad: the whole frame is mapped.
+    corners = [[20.0, 400.0], [780.0, 50.0], [780.0, 750.0], [20.0, 401.0]]
+    spec = synth.SceneSpec(pose=synth.pose_from_corners(corners), width=800, height=800)
+    scene = synth.render(spec)
+    assert scene.image.data.tobytes() == _render_full_frame(spec).image.data.tobytes()
+
+
+def test_render_peak_memory_stays_under_two_frames():
+    rng = np.random.default_rng(3)
+    width, height = 1024, 768
+    spec = synth.SceneSpec(
+        illuminant=(0.8, 0.6, 0.4),
+        pose=synth.random_pose(rng, width, height),
+        width=width,
+        height=height,
+        background=rng.uniform(0.05, 0.9, size=(height, width, 3)),
+        black_level=129.0,
+        noise_sigma=2.0,
+        rng_seed=11,
+    )
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        scene = synth.render(spec)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * scene.image.data.nbytes
 
 
 def test_round_trip_recovers_parallel_illuminant(tmp_path):
