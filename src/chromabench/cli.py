@@ -242,38 +242,39 @@ def cmd_rank(args) -> int:
     )
 
     out = Path(args.out)
-    tables: dict[str, metrics.RankingTable] = {}
+    ranked: dict[str, list[tuple[str, metrics.ErrorSummary]]] = {}
     for label in labels:
         summaries = {
             algo: metrics.summarize([d for i, d in by_image.items() if i in images])
             for algo, by_image in per_file[label].items()
             if algo in algorithms
         }
-        tables[label] = metrics.rank(summaries, key=args.stat)
+        ranked[label] = metrics.rank(summaries, key=args.stat)
         # One input writes its ranking to --out; several write one file each beside it.
         path = out if len(labels) == 1 else out.with_name(
             f"{out.stem}.{label}{out.suffix or '.csv'}"
         )
-        metrics.write_ranking_csv(tables[label], path)
-        print(metrics.format_ranking_text(tables[label], title=f"[{label}] by {args.stat}"))
+        metrics.write_ranking_csv(ranked[label], path)
+        print(metrics.format_ranking_text(ranked[label], title=f"[{label}] by {args.stat}"))
         print(f"wrote ranking to {path}")
     if len(labels) == 1:
         return EXIT_OK
 
     # Side-by-side comparison, ordered by the first input's ranking.
-    rank_of = {
-        label: {row.algorithm: row for row in tables[label].rows} for label in labels
+    cells = {
+        label: {
+            algo: [str(k), fmt9(getattr(summary, args.stat))]
+            for k, (algo, summary) in enumerate(ranked[label], 1)
+        }
+        for label in labels
     }
     header = ["algorithm"]
     for label in labels:
         header += [f"rank_{label}", f"{args.stat}_{label}"]
-    rows = []
-    for first in tables[labels[0]].rows:
-        row_out = [first.algorithm]
-        for label in labels:
-            row = rank_of[label][first.algorithm]
-            row_out += [str(row.rank), fmt9(metrics.summary_stat(row.summary, args.stat))]
-        rows.append(row_out)
+    rows = [
+        [algo, *(cell for label in labels for cell in cells[label][algo])]
+        for algo, _ in ranked[labels[0]]
+    ]
     write_csv(out, header, rows)
 
     print(metrics.format_table(header, rows, title="rank comparison:"))

@@ -16,6 +16,7 @@ Unknown sidecar fields are ignored.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,6 +48,11 @@ class CameraProfile:
     saturation_level: float = 3300.0
 
     def __post_init__(self) -> None:
+        # An infinite saturation level would switch clipping off unnoticed.
+        if not math.isfinite(self.black_level):
+            raise ValueError("black_level must be finite")
+        if not math.isfinite(self.saturation_level):
+            raise ValueError("saturation_level must be finite")
         if self.black_level < 0:
             raise ValueError("black_level must be >= 0")
         if not self.saturation_level > self.black_level:
@@ -128,7 +134,11 @@ def load_image(path: str | Path) -> LinearImage:
     if not meta_file.exists():
         raise FileNotFoundError(f"missing sidecar: {meta_file}")
     meta = json.loads(meta_file.read_text(encoding="utf-8"))
-    bit_depth = int(meta.get("bit_depth", 12))
+    bit_depth = meta.get("bit_depth", 12)
+    whole = isinstance(bit_depth, int) or (isinstance(bit_depth, float) and bit_depth.is_integer())
+    if not whole:
+        raise ValueError(f"bit_depth must be a whole number, got {bit_depth!r}")
+    bit_depth = int(bit_depth)
     camera = CameraProfile(
         camera_id=str(meta.get("camera_id", "unknown")),
         black_level=float(meta.get("black_level", 0.0)),

@@ -20,15 +20,18 @@ element (``np.arctan2`` differs from it in the last bit on some inputs), so a
 row's angle does not depend on the batch it is computed in.
 
 Quantiles interpolate linearly between order statistics at position (n-1)*q;
-that convention is pinned so summaries are reproducible bit for bit.
+that convention is pinned so summaries are reproducible bit for bit.  Each
+statistic has one name: the ``ErrorSummary`` fields are the ``--stat``
+choices (``STAT_KEYS``) and the ranking CSV columns, in that order.  A
+ranking is the sorted list of (algorithm, summary) pairs, best first, and an
+algorithm's rank is its 1-based position in it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,8 +41,6 @@ __all__ = [
     "ERROR_FIELDS",
     "ErrorSummary",
     "METRICS",
-    "RankRow",
-    "RankingTable",
     "STAT_KEYS",
     "angles_deg",
     "error_angles",
@@ -50,11 +51,8 @@ __all__ = [
     "recovery_error",
     "reproduction_error",
     "summarize",
-    "summary_stat",
     "write_ranking_csv",
 ]
-
-STAT_KEYS = ("mean", "median", "trimean", "q95", "best25", "worst25")
 
 METRICS = ("recovery", "reproduction")
 
@@ -181,17 +179,21 @@ def reproduction_error(e, g) -> float:
     return _one_pair("reproduction", e, g)
 
 
-@dataclass(frozen=True)
-class ErrorSummary:
-    """Summary statistics (degrees) over a corpus of angular errors."""
+class ErrorSummary(NamedTuple):
+    """Summary statistics (degrees) over a corpus of angular errors.
+
+    The field names are the ``--stat`` choices and the ranking CSV columns.
+    """
 
     mean: float
     median: float
     trimean: float
     q95: float
-    best25_mean: float
-    worst25_mean: float
-    count: int
+    best25: float
+    worst25: float
+
+
+STAT_KEYS = ErrorSummary._fields
 
 
 def summarize(errors: Sequence[float]) -> ErrorSummary:
@@ -209,56 +211,25 @@ def summarize(errors: Sequence[float]) -> ErrorSummary:
         median=float(q50),
         trimean=float((q25 + 2.0 * q50 + q75) / 4.0),
         q95=float(q95),
-        best25_mean=float(ordered[:k].mean()),
-        worst25_mean=float(ordered[-k:].mean()),
-        count=int(arr.size),
+        best25=float(ordered[:k].mean()),
+        worst25=float(ordered[-k:].mean()),
     )
 
 
-_STAT_ATTR = {
-    "mean": "mean",
-    "median": "median",
-    "trimean": "trimean",
-    "q95": "q95",
-    "best25": "best25_mean",
-    "worst25": "worst25_mean",
-}
+def rank(
+    summaries: Mapping[str, ErrorSummary], key: str = "median"
+) -> list[tuple[str, ErrorSummary]]:
+    """(algorithm, summary) pairs, best first by the chosen statistic.
 
-
-def summary_stat(summary: ErrorSummary, key: str) -> float:
-    if key not in _STAT_ATTR:
-        raise ValueError(f"unknown statistic {key!r}; choose from {STAT_KEYS}")
-    return getattr(summary, _STAT_ATTR[key])
-
-
-@dataclass(frozen=True)
-class RankRow:
-    rank: int
-    algorithm: str
-    summary: ErrorSummary
-
-
-@dataclass(frozen=True)
-class RankingTable:
-    rows: tuple[RankRow, ...]
-    key: str
-
-
-def rank(summaries: Mapping[str, ErrorSummary], key: str = "median") -> RankingTable:
-    """Ascending ranking by the chosen statistic; ties by mean, then name."""
+    Ties go by mean, then name.  An algorithm's rank is its 1-based position.
+    """
     if not summaries:
         raise ValueError("no summaries to rank")
-    if key not in _STAT_ATTR:
+    if key not in STAT_KEYS:
         raise ValueError(f"unknown statistic {key!r}; choose from {STAT_KEYS}")
-    ordered = sorted(
-        summaries.items(),
-        key=lambda kv: (summary_stat(kv[1], key), kv[1].mean, kv[0]),
+    return sorted(
+        summaries.items(), key=lambda kv: (getattr(kv[1], key), kv[1].mean, kv[0])
     )
-    rows = tuple(
-        RankRow(rank=i + 1, algorithm=name, summary=summary)
-        for i, (name, summary) in enumerate(ordered)
-    )
-    return RankingTable(rows=rows, key=key)
 
 
 def read_errors(path: str | Path) -> dict[str, dict[str, float]]:
@@ -294,11 +265,8 @@ def read_errors(path: str | Path) -> dict[str, dict[str, float]]:
     return by_algo
 
 
-def write_ranking_csv(table: RankingTable, path: str | Path) -> None:
-    rows = (
-        [row.rank, row.algorithm, *(fmt9(summary_stat(row.summary, k)) for k in STAT_KEYS)]
-        for row in table.rows
-    )
+def write_ranking_csv(ranked: Sequence[tuple[str, ErrorSummary]], path: str | Path) -> None:
+    rows = ([k, algo, *map(fmt9, summary)] for k, (algo, summary) in enumerate(ranked, 1))
     write_csv(path, ["rank", "algorithm", *STAT_KEYS], rows)
 
 
@@ -313,12 +281,10 @@ def format_table(
     return "\n".join(lines)
 
 
-def format_ranking_text(table: RankingTable, title: str = "") -> str:
-    """Aligned plain-text rendering of a ranking table."""
-    headers = ["rank", "algorithm"] + list(STAT_KEYS)
+def format_ranking_text(ranked: Sequence[tuple[str, ErrorSummary]], title: str = "") -> str:
+    """Aligned plain-text rendering of a ranking."""
     body = [
-        [str(row.rank), row.algorithm]
-        + [f"{summary_stat(row.summary, k):.4f}" for k in STAT_KEYS]
-        for row in table.rows
+        [str(k), algo, *(f"{v:.4f}" for v in summary)]
+        for k, (algo, summary) in enumerate(ranked, 1)
     ]
-    return format_table(headers, body, title)
+    return format_table(["rank", "algorithm", *STAT_KEYS], body, title)

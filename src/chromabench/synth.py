@@ -15,6 +15,7 @@ not measurements of any physical target.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -139,6 +140,10 @@ def random_pose(
     return pose_from_corners(corners)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True, eq=False)
 class SceneSpec:
     """Everything needed to render one scene deterministically."""
@@ -165,8 +170,11 @@ class SceneSpec:
         if len(illum) != 3 or not all(math.isfinite(v) and v > 0 for v in illum):
             raise ValueError("illuminant must be finite and positive in every channel")
         object.__setattr__(self, "illuminant", illum)
-        if self.width < 8 or self.height < 8:
-            raise ValueError("image too small")
+        if not (_is_int(self.width) and _is_int(self.height) and min(self.width, self.height) >= 8):
+            raise ValueError("width and height must be integers >= 8")
+        # The PPM stores 16-bit samples.
+        if not (_is_int(self.bit_depth) and 1 <= self.bit_depth <= 16):
+            raise ValueError("bit_depth must be an integer in 1..16")
         for name in ("exposure", "black_level", "noise_sigma", "saturation_level"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")

@@ -34,7 +34,6 @@ from chromabench.metrics import (
     recovery_error,
     reproduction_error,
     summarize,
-    summary_stat,
 )
 from chromabench.groundtruth import compute_ground_truth
 from chromabench.chartgeom import read_chart_file
@@ -250,7 +249,7 @@ def test_statistics_oracle():
         summary = summarize(errors)
         oracle = tm.brute_force_summary(errors)
         for key in ("mean", "median", "trimean", "q95", "best25", "worst25"):
-            assert summary_stat(summary, key) == pytest.approx(oracle[key], abs=1e-12)
+            assert getattr(summary, key) == pytest.approx(oracle[key], abs=1e-12)
     fixture = summarize(np.arange(100, dtype=float))
     assert fixture.q95 == 94.05
     _pass("summary statistics vs brute force on 1000 arrays; q95 fixture exact")

@@ -19,6 +19,8 @@ from chromabench.groundtruth import read_gt, records_by_id
 from chromabench.imagecore import CameraProfile, LinearImage, save_image
 from chromabench.metrics import recovery_error
 
+GOLDEN = Path(__file__).resolve().parent / "golden" / "demo_seed7"
+
 
 def run(argv):
     return cli.main([str(a) for a in argv])
@@ -75,6 +77,20 @@ def test_synth_nan_noise_sigma_exits_1(tmp_path, capsys):
     spec.write_text('{"noise_sigma": NaN}')
     assert run(["synth", "--spec", spec, "--out", tmp_path / "o"]) == 1
     assert "invalid scene spec" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("width", 640.5, "width and height must be integers >= 8"),
+        ("bit_depth", 2000, "bit_depth must be an integer in 1..16"),
+    ],
+)
+def test_synth_non_integer_or_out_of_range_size_exits_1(tmp_path, capsys, field, value, message):
+    spec = write_scene_json(tmp_path / "scene.json", **{field: value})
+    assert run(["synth", "--spec", spec, "--out", tmp_path / "o"]) == 1
+    assert capsys.readouterr().err == f"error: invalid scene spec: {message}\n"
     assert not (tmp_path / "o").exists()
 
 
@@ -552,6 +568,23 @@ def test_rank_comparison_shows_reversal(tmp_path):
     assert table["B"][1] == "2" and table["B"][3] == "1"
     assert (tmp_path / "cmp.one.csv").exists()
     assert (tmp_path / "cmp.two.csv").exists()
+
+
+@pytest.mark.parametrize("stat", ["mean", "median", "trimean", "q95", "best25", "worst25"])
+def test_rank_stdout_matches_golden(tmp_path, capsys, stat):
+    # The demo's two recovery-error tables, ranked under each --stat; the
+    # committed stdout has the temp directory replaced by "<tmp>".
+    inputs = [tmp_path / f"errors_recovery_{c}.csv" for c in ("sub", "raw")]
+    for path in inputs:
+        path.write_bytes((GOLDEN / path.name).read_bytes())
+    out = tmp_path / "ranking_recovery.csv"
+    argv = ["rank", "--errors", inputs[0], "--errors", inputs[1], "--stat", stat, "--out", out]
+    assert run(argv) == 0
+    printed = capsys.readouterr().out.replace(str(tmp_path), "<tmp>")
+    assert printed == (GOLDEN / f"rank_recovery.{stat}.stdout").read_text()
+    if stat == "median":
+        for name in ("ranking_recovery.csv", *(f"ranking_recovery.{p.stem}.csv" for p in inputs)):
+            assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
 def test_rank_warns_on_differing_algorithms(tmp_path, capsys):

@@ -44,6 +44,29 @@ def test_load_rejects_sample_over_bit_depth(tmp_path):
         load_image(p)
 
 
+def test_load_rejects_infinite_saturation_level(tmp_path):
+    # Python's json parses the bare token Infinity; clipping must not silently switch off.
+    p = tmp_path / "inf.ppm"
+    write_ppm(p, [1, 2, 3], 1, 1)
+    sidecar_path(p).write_text('{"saturation_level": Infinity}')
+    with pytest.raises(ValueError, match="saturation_level must be finite"):
+        load_image(p)
+
+
+@pytest.mark.parametrize("bit_depth", [12.7, "12", None, [12]])
+def test_load_rejects_bit_depth_that_is_not_a_whole_number(tmp_path, bit_depth):
+    p = tmp_path / "frac.ppm"
+    write_ppm(p, [1, 2, 3], 1, 1, meta={"bit_depth": bit_depth})
+    with pytest.raises(ValueError, match="bit_depth must be a whole number"):
+        load_image(p)
+
+
+def test_load_accepts_integral_float_bit_depth(tmp_path):
+    p = tmp_path / "twelve.ppm"
+    write_ppm(p, [1, 2, 3], 1, 1, meta={"bit_depth": 12.0})
+    assert load_image(p).bit_depth == 12
+
+
 def test_load_requires_sidecar(tmp_path):
     p = tmp_path / "orphan.ppm"
     header = b"P6\n1 1\n65535\n"
@@ -189,4 +212,8 @@ def test_camera_profile_invariants():
         CameraProfile("c", black_level=-1)
     with pytest.raises(ValueError):
         CameraProfile("c", black_level=100, saturation_level=100)
+    for field in ("black_level", "saturation_level"):
+        for bad in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                CameraProfile("c", **{field: bad})
     assert CameraProfile("c").saturation_level == 3300.0

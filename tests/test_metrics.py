@@ -16,7 +16,6 @@ from chromabench.metrics import (
     recovery_error,
     reproduction_error,
     summarize,
-    summary_stat,
     write_ranking_csv,
 )
 
@@ -239,10 +238,9 @@ def test_summarize_singleton():
         s.median,
         s.trimean,
         s.q95,
-        s.best25_mean,
-        s.worst25_mean,
-        s.count,
-    ) == (5.0, 5.0, 5.0, 5.0, 5.0, 5.0, 1)
+        s.best25,
+        s.worst25,
+    ) == (5.0, 5.0, 5.0, 5.0, 5.0, 5.0)
 
 
 def test_summarize_even_count_median():
@@ -287,8 +285,8 @@ def test_summarize_matches_brute_force(errors):
     s = summarize(errors)
     oracle = brute_force_summary(errors)
     for key in STAT_KEYS:
-        assert summary_stat(s, key) == pytest.approx(oracle[key], abs=1e-12)
-    assert s.best25_mean <= s.median <= s.worst25_mean
+        assert getattr(s, key) == pytest.approx(oracle[key], abs=1e-12)
+    assert s.best25 <= s.median <= s.worst25
     assert s.q95 >= s.median
 
 
@@ -316,25 +314,23 @@ def summary_with(median, mean):
         median=median,
         trimean=median,
         q95=median,
-        best25_mean=median,
-        worst25_mean=median,
-        count=4,
+        best25=median,
+        worst25=median,
     )
 
 
 def test_rank_orders_by_median():
-    table = rank(
+    ranked = rank(
         {"A": summary_with(3, 3), "B": summary_with(2, 2), "C": summary_with(5, 5)}
     )
-    assert [r.algorithm for r in table.rows] == ["B", "A", "C"]
-    assert [r.rank for r in table.rows] == [1, 2, 3]
+    assert [algo for algo, _ in ranked] == ["B", "A", "C"]
 
 
 def test_rank_breaks_ties_by_mean_then_name():
-    table = rank({"A": summary_with(1, 4), "B": summary_with(1, 3)})
-    assert [r.algorithm for r in table.rows] == ["B", "A"]
-    table = rank({"Z": summary_with(1, 3), "B": summary_with(1, 3)})
-    assert [r.algorithm for r in table.rows] == ["B", "Z"]
+    ranked = rank({"A": summary_with(1, 4), "B": summary_with(1, 3)})
+    assert [algo for algo, _ in ranked] == ["B", "A"]
+    ranked = rank({"Z": summary_with(1, 3), "B": summary_with(1, 3)})
+    assert [algo for algo, _ in ranked] == ["B", "Z"]
 
 
 def test_rank_is_input_order_invariant():
@@ -351,12 +347,12 @@ def test_rank_rejects_empty_and_bad_key():
 
 
 def test_ranking_csv_and_text(tmp_path):
-    table = rank({"A": summary_with(3, 3), "B": summary_with(2, 2)})
+    ranked = rank({"A": summary_with(3, 3), "B": summary_with(2, 2)})
     path = tmp_path / "rank.csv"
-    write_ranking_csv(table, path)
+    write_ranking_csv(ranked, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "rank,algorithm,mean,median,trimean,q95,best25,worst25"
     assert lines[1].startswith("1,B,")
-    text = format_ranking_text(table, title="t")
+    text = format_ranking_text(ranked, title="t")
     assert text.splitlines()[0] == "t"
     assert "algorithm" in text.splitlines()[1]

@@ -125,6 +125,15 @@ def test_spec_validation():
     table[3, 1] = nan
     with pytest.raises(ValueError, match="reflectances must lie"):
         synth.SceneSpec(reflectance_table=table)
+    for bad in (640.5, 640.0, "640", True, 7, np.int64(4)):
+        with pytest.raises(ValueError, match="width and height must be integers >= 8"):
+            synth.SceneSpec(width=bad)
+        with pytest.raises(ValueError, match="width and height must be integers >= 8"):
+            synth.SceneSpec(height=bad)
+    for bad in (0, 17, 2000, 12.0, 12.5, "12", True):
+        with pytest.raises(ValueError, match="bit_depth must be an integer in 1..16"):
+            synth.SceneSpec(bit_depth=bad)
+    assert synth.SceneSpec(width=np.int64(8), height=8, bit_depth=16).bit_depth == 16
 
 
 def _render_full_frame(spec: synth.SceneSpec) -> synth.RenderedScene:
