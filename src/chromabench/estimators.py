@@ -19,12 +19,13 @@ p = 1 is exactly the mean; p = inf is the maximum.  Estimates are invariant
 to exposure scaling by construction.
 
 `estimate_many` runs a list of specs on one (H, W, 3) array of counts and
-shares their work: one blur per sigma, one derivative per (n, sigma), one
-masked gather per channel of each response, pooled for every p that asks for
-it.  Every order, n = 0 too, is taken and gathered in row stripes of the
-smoothed frame, so beside the input the engine holds about 2.4 frames at its
-peak (the smoothed frame, the gathered channels and one pooling temporary)
-whatever the frame size.  `estimate` is its one-spec case.
+shares their work: one blur per (sigma, channel), one derivative per
+(n, sigma, channel), and one masked gather per channel of each response,
+pooled for every p that asks for it.  It works one channel at a time, and
+every order, n = 0 too, is taken and gathered in row stripes of the smoothed
+channel, so beside the input the engine holds about one frame at its peak
+(a smoothed channel, its gather and one pooling temporary, each a third of a
+frame or less) whatever the frame size.  `estimate` is its one-spec case.
 `chart_region_mask` tests and dilates only the chart's bounding box plus
 its margin; the rest of the frame is kept.
 """
@@ -63,11 +64,9 @@ __all__ = [
 CHART_MARGIN_PX = 5
 
 # Rows per stripe of the derivative pass in `estimate_many`: each stripe
-# temporary is 3.4 MB on a 2193-pixel-wide frame, against 77 MB for the frame.
+# temporary of one channel is 1.1 MB on a 2193-pixel-wide frame, against
+# 77 MB for the (H, W, 3) frame.
 _STRIPE_ROWS = 64
-
-_D1 = np.array([-0.5, 0.0, 0.5])  # central difference, d/dx
-_D2 = np.array([1.0, -2.0, 1.0])  # second central difference
 
 
 @dataclass(frozen=True)
@@ -160,14 +159,16 @@ def _gaussian_kernel(sigma: float) -> np.ndarray:
 
 def _correlate_axis(data: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
     # scipy's "mirror" mode is reflect-about-edge-sample padding, matching
-    # np.pad(mode="reflect"); used consistently for smoothing and derivatives.
+    # np.pad(mode="reflect"); `_difference` pads the derivatives the same way.
     from scipy import ndimage  # slower to import than the package; only estimation needs it
 
     return ndimage.correlate1d(data, weights, axis=axis, mode="mirror")
 
 
 def gaussian_smooth(data: np.ndarray, sigma: float) -> np.ndarray:
-    """Separable Gaussian blur of (H, W, 3) data; sigma = 0 returns the input unchanged.
+    """Separable Gaussian blur of (H, W) or (H, W, 3) data over its first two axes.
+
+    sigma = 0 returns the input unchanged.
 
     Kernel radius is ceil(3*sigma); weights are the sampled Gaussian
     normalized to sum 1, so constants pass through exactly.  A radius past
@@ -204,13 +205,42 @@ def _derivative(a: np.ndarray, n: int) -> np.ndarray:
     if n == 0:
         return a
     if n == 1:
-        fx = _correlate_axis(a, _D1, axis=1)
-        fy = _correlate_axis(a, _D1, axis=0)
+        fx = _difference(a, 1, axis=1)
+        fy = _difference(a, 1, axis=0)
         return np.sqrt(fx * fx + fy * fy)
-    fxx = _correlate_axis(a, _D2, axis=1)
-    fyy = _correlate_axis(a, _D2, axis=0)
-    fxy = _correlate_axis(_correlate_axis(a, _D1, axis=1), _D1, axis=0)
+    fxx = _difference(a, 2, axis=1)
+    fyy = _difference(a, 2, axis=0)
+    fxy = _difference(_difference(a, 1, axis=1), 1, axis=0)
     return np.sqrt(fxx * fxx + 2.0 * fxy * fxy + fyy * fyy)
+
+
+def _difference(a: np.ndarray, order: int, axis: int) -> np.ndarray:
+    """The first (order 1) or second (order 2) central difference along axis 0 or 1.
+
+    The 3-tap stencils [-0.5, 0, 0.5] and [1, -2, 1] in the order
+    ``scipy.ndimage.correlate1d`` accumulates them, (a[i-1] - a[i+1]) * -0.5
+    and (a[i-1] + a[i+1]) + a[i] * -2.0, with its "mirror" edges: index -1
+    reads index 1, index L reads L - 2, and a length-1 axis reads itself.
+    So the derivative magnitudes match correlate1d's bit for bit, on 2-D
+    and 3-D arrays alike.
+    """
+    a = np.moveaxis(a, axis, 0)
+    out = np.empty_like(a)
+    length = a.shape[0]
+    m = 1 if length > 1 else 0  # offset of each edge row's mirror neighbour
+    first, last = a[m : m + 1], a[length - 1 - m : length - m]
+    for dst, before, mid, after in (
+        (out[1:-1], a[:-2], a[1:-1], a[2:]),
+        (out[:1], first, a[:1], first),
+        (out[-1:], last, a[-1:], last),
+    ):
+        if order == 1:
+            np.subtract(before, after, out=dst)
+            dst *= -0.5
+        else:
+            np.add(before, after, out=dst)
+            dst += mid * -2.0
+    return np.moveaxis(out, 0, axis)
 
 
 def minkowski_pool(values, p: float) -> float:
@@ -259,12 +289,13 @@ def estimate_many(
 ) -> list[IlluminantEstimate | ValueError]:
     """Run several estimators on (H, W, 3) counts, sharing the work they have in common.
 
-    The image is smoothed once per sigma, each derivative order is taken once
-    per (n, sigma) from that, and each channel of a response is gathered under
-    the mask once and pooled for every p that asks for it.  The result holds,
-    in spec order, each spec's estimate or the ValueError that
-    :func:`estimate` would raise for it alone, so one spec's failure (a sigma
-    too large for the frame, say) leaves the others standing.  Data or a mask
+    The work goes one channel at a time: each channel is smoothed once per
+    sigma, each derivative order is taken once per (n, sigma) from that, and
+    the response is gathered under the mask once and pooled for every p that
+    asks for it.  The result holds, in spec order, each spec's estimate or the
+    ValueError that :func:`estimate` would raise for it alone (the first
+    channel's, if several fail), so one spec's failure (a sigma too large for
+    the frame, say) leaves the others standing.  Data or a mask
     of the wrong shape raises before any work is done.
     """
     data = np.asarray(data, dtype=np.float64)
@@ -277,61 +308,51 @@ def estimate_many(
     groups: dict[float, dict[int, list[int]]] = {}  # sigma -> n -> spec indices
     for i, spec in enumerate(specs):
         groups.setdefault(spec.sigma, {}).setdefault(spec.n, []).append(i)
-    results: list = [None] * len(specs)
+    pooled: list = [[] for _ in specs]  # per spec: its pooled channels, or its first error
     for sigma, by_order in groups.items():
-        try:
-            smoothed = gaussian_smooth(data, sigma)
-        except ValueError as exc:
-            for members in by_order.values():
+        for c in range(3):
+            try:
+                smoothed = gaussian_smooth(data[:, :, c], sigma)
+            except ValueError as exc:  # the frame's size decides it, so every channel fails
+                for members in by_order.values():
+                    for i in members:
+                        pooled[i] = exc
+                break
+            for n, members in by_order.items():
+                values = _gather(smoothed, n, mask)
                 for i in members:
-                    results[i] = exc
-            continue
-        for n, members in by_order.items():
-            pooled = _pool_channels(_gather(smoothed, n, mask), [specs[i].p for i in members])
-            for i, channels in zip(members, pooled):
-                results[i] = _finish(channels, specs[i], image_id)
-        del smoothed  # before the next sigma's blur is allocated
-    return results
+                    if isinstance(pooled[i], list):
+                        try:
+                            pooled[i].append(minkowski_pool(values, specs[i].p))
+                        except ValueError as exc:
+                            pooled[i] = exc
+                del values  # before the next response is gathered
+            del smoothed  # before the next channel's blur is allocated
+    return [_finish(channels, spec, image_id) for channels, spec in zip(pooled, specs)]
 
 
-def _gather(smoothed: np.ndarray, n: int, mask: np.ndarray | None):
-    """The three channels of the order-n response, each masked in row order.
+def _gather(smoothed: np.ndarray, n: int, mask: np.ndarray | None) -> np.ndarray:
+    """The order-n response of one smoothed (H, W) channel, masked in row order.
 
     The response is taken in full-width stripes of ``_STRIPE_ROWS`` rows (for
     n = 0, the smoothed rows themselves), each differentiated with one row of
-    context above and below and copied into one array per channel, so no
-    full-frame response or temporary exists.  At the frame's top and bottom
-    edges a stripe has no context row, and the derivative's own mirror padding
+    context above and below and copied into one array, so no full-frame
+    response or temporary exists.  At the frame's top and bottom edges a
+    stripe has no context row, and the derivative's own mirror padding
     supplies the frame's mirror row, so every kept row equals the whole-frame
     derivative's bit for bit.
     """
-    height = smoothed.shape[0]
-    count = smoothed.shape[1] * height if mask is None else int(np.count_nonzero(mask))
-    channels = [np.empty(count) for _ in range(3)]
+    height, width = smoothed.shape
+    out = np.empty(width * height if mask is None else int(np.count_nonzero(mask)))
     end = 0
     for r0 in range(0, height, _STRIPE_ROWS):
         r1 = min(r0 + _STRIPE_ROWS, height)
         lo = max(r0 - 1, 0)
         response = _derivative(smoothed[lo : r1 + 1], n)[r0 - lo : r1 - lo]
-        keep = None if mask is None else mask[r0:r1]
-        for c, out in enumerate(channels):
-            values = response[:, :, c].ravel() if keep is None else response[:, :, c][keep]
-            out[end : end + values.size] = values
+        values = response.ravel() if mask is None else response[mask[r0:r1]]
+        out[end : end + values.size] = values
         end += values.size
-    return channels
-
-
-def _pool_channels(channels, ps: list[float]) -> list[list[float] | ValueError]:
-    """Per p, the three pooled channels, or the first pooling error."""
-    pooled: list = [[] for _ in ps]
-    for values in channels:
-        for k, p in enumerate(ps):
-            if isinstance(pooled[k], list):
-                try:
-                    pooled[k].append(minkowski_pool(values, p))
-                except ValueError as exc:
-                    pooled[k] = exc
-    return pooled
+    return out
 
 
 def _finish(

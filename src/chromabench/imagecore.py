@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -77,8 +78,9 @@ class LinearImage:
             raise ValueError("image contains non-finite values")
         if np.any(data < 0):
             raise ValueError("image contains negative digital counts")
-        if self.bit_depth < 1:
-            raise ValueError("bit_depth must be >= 1")
+        # The PPM stores 16-bit samples.
+        if not (isinstance(self.bit_depth, numbers.Integral) and 1 <= self.bit_depth <= 16):
+            raise ValueError("bit_depth must be an integer in 1..16")
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
 
@@ -126,8 +128,9 @@ def _parse_ppm_header(raw: bytes) -> tuple[int, int, int, int]:
 def load_image(path: str | Path) -> LinearImage:
     """Read a 16-bit binary PPM and its metadata sidecar.
 
-    Raises if the header is malformed, if any sample exceeds the sidecar's
-    bit depth, or if the sidecar is missing.
+    Raises if the header is malformed, if the sidecar is missing or its
+    ``bit_depth`` is not an integer in 1..16, or if any sample exceeds that
+    bit depth.
     """
     path = Path(path)
     meta_file = sidecar_path(path)
@@ -139,6 +142,8 @@ def load_image(path: str | Path) -> LinearImage:
     if not whole:
         raise ValueError(f"bit_depth must be a whole number, got {bit_depth!r}")
     bit_depth = int(bit_depth)
+    if not 1 <= bit_depth <= 16:
+        raise ValueError("bit_depth must be an integer in 1..16")
     camera = CameraProfile(
         camera_id=str(meta.get("camera_id", "unknown")),
         black_level=float(meta.get("black_level", 0.0)),

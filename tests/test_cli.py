@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -172,6 +173,18 @@ def test_extract_gt_partial_failure(small_corpus, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("error:") == 1
     assert "img002" in err
+
+
+@pytest.mark.parametrize("bit_depth", [0, 17, 2000])
+def test_extract_gt_rejects_a_sidecar_bit_depth_outside_1_to_16(small_corpus, tmp_path, capsys, bit_depth):
+    corpus, _ = small_corpus
+    sidecar = corpus / "img002.meta.json"
+    meta = json.loads(sidecar.read_text())
+    sidecar.write_text(json.dumps({**meta, "bit_depth": bit_depth}))
+    gt = tmp_path / "gt.csv"
+    assert run(["extract-gt", "--images", corpus, "--charts", corpus, "--out", gt, "--jobs", "1"]) == 2
+    assert capsys.readouterr().err == "error: img002: bit_depth must be an integer in 1..16\n"
+    assert [r.image_id for r in read_gt(gt)] == ["img000", "img001", "img003", "img004"]
 
 
 def test_extract_gt_no_black_subtract_differs_by_offset(tmp_path):
@@ -396,6 +409,22 @@ def test_both_pixel_commands_reject_the_same_chart_file(tmp_path, capsys, case):
     assert extract_err.startswith("error: img001: ") and extract_err.count("\n") == 1
     assert estimate_err == extract_err
     assert [e.image_id for e in read_estimates(est)] == ["img000"]
+
+
+def test_estimate_all_presets_matches_golden(tmp_path):
+    # The seed-7 demo's four scenes, rendered as the demo script renders them.
+    scenes = tmp_path / "scenes"
+    scenes.mkdir()
+    synth.write_reversal_corpus(scenes, np.random.default_rng(7), count=4)
+    pinned = dict(
+        reversed(line.split("  ")) for line in (GOLDEN / "scenes.sha256").read_text().splitlines()
+    )
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in scenes.iterdir()} == pinned
+    algos = [a for name in (*PRESETS, "n=2,p=4,sigma=3") for a in ("--algo", name)]
+    out = tmp_path / "estimates_all_presets.csv"
+    argv = ["estimate", "--images", scenes, *algos, "--mask-chart", "--out", out, "--jobs", "1"]
+    assert run(argv) == 0
+    assert out.read_bytes() == (GOLDEN / out.name).read_bytes()
 
 
 # --- evaluate ----------------------------------------------------------------

@@ -61,6 +61,21 @@ def test_load_rejects_bit_depth_that_is_not_a_whole_number(tmp_path, bit_depth):
         load_image(p)
 
 
+@pytest.mark.parametrize("bit_depth", [0, 17, 2000])
+def test_load_rejects_bit_depth_outside_1_to_16(tmp_path, bit_depth):
+    # The PPM holds 16-bit samples; 2000 used to fail as "int too large to convert to float".
+    p = tmp_path / "deep.ppm"
+    write_ppm(p, [1, 2, 3], 1, 1, meta={"bit_depth": bit_depth})
+    with pytest.raises(ValueError, match=r"^bit_depth must be an integer in 1\.\.16$"):
+        load_image(p)
+
+
+@pytest.mark.parametrize("bit_depth", [0, 17, 12.0])
+def test_linear_image_rejects_bit_depth_that_is_not_an_integer_in_1_to_16(bit_depth):
+    with pytest.raises(ValueError, match=r"^bit_depth must be an integer in 1\.\.16$"):
+        LinearImage(np.ones((1, 1, 3)), bit_depth=bit_depth)
+
+
 def test_load_accepts_integral_float_bit_depth(tmp_path):
     p = tmp_path / "twelve.ppm"
     write_ppm(p, [1, 2, 3], 1, 1, meta={"bit_depth": 12.0})
