@@ -114,7 +114,11 @@ def apply_homography(H, pts) -> np.ndarray:
 
 
 def _bilinear_sample(data: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Sample (H, W, 3) data at float positions; outside [0, W-1]x[0, H-1] -> 0."""
+    """Sample (H, W, 3) data at float positions; outside [0, W-1]x[0, H-1] -> 0.
+
+    The float64 weights widen integer counts exactly, so uint16 counts give
+    the samples their float64 copy would.
+    """
     h, w = data.shape[:2]
     inside = (xs >= 0) & (xs <= w - 1) & (ys >= 0) & (ys <= h - 1)
     xc = np.clip(xs, 0, w - 1)
@@ -251,7 +255,8 @@ def sample_patches(data: np.ndarray, layout: ChartLayout) -> np.ndarray:
     nearest rectified pixel.  Only their own pixels are mapped through the
     rectified-view -> corners homography and sampled bilinearly from the
     (H, W, 3) source (zero outside it), so each square holds the values a
-    full warp of the chart would hold there, in row-major order.
+    full warp of the chart would hold there, in row-major order.  ``data``
+    may be raw uint16 counts or float; the samples are float64.
     """
     layout.check_in_frame(*data.shape[:2])
     centers, half = layout.sample_grid()

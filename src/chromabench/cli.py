@@ -87,10 +87,10 @@ def _run_per_image(worker, tasks: list, jobs: int) -> tuple[list, int]:
 def _extract_one(task):
     image_id, image_path, chart_path, subtract_black = task
     try:
-        img = imagecore.load_image(image_path)
+        counts, camera, _ = imagecore.load_counts(image_path)
         layout = chartgeom.read_chart_file(chart_path)
         record = groundtruth.compute_ground_truth(
-            img.data, layout, img.camera, image_id=image_id, subtract_black=subtract_black
+            counts, layout, camera, image_id=image_id, subtract_black=subtract_black
         )
         return image_id, [record], []
     except Exception as exc:  # noqa: BLE001 - per-image failures must not kill the run
@@ -118,17 +118,17 @@ def cmd_extract_gt(args) -> int:
 def _estimate_one(task):
     image_id, image_path, chart_path, specs, mask_chart = task
     try:
-        img = imagecore.load_image(image_path)
+        counts, camera, _ = imagecore.load_counts(image_path)
         # Clipping is judged on raw counts, before the dark offset is removed.
-        mask = estimators.saturation_mask(img.data, img.camera.saturation_level)
+        mask = estimators.saturation_mask(counts, camera.saturation_level)
         if mask_chart:
             layout = chartgeom.read_chart_file(chart_path)
             # A new array, not `mask &=`: on a full frame the in-place form
             # left the worker's heap laid out 8.6 MB higher in peak RSS.
-            mask = estimators.chart_region_mask(img.height, img.width, layout) & mask
-        linear = imagecore.subtract_black_level(img.data, img.camera.black_level)
-        del img  # the raw counts are a second full frame; only the masks needed them
-        results = estimators.estimate_many(linear, specs, mask, image_id=image_id)
+            mask = estimators.chart_region_mask(*counts.shape[:2], layout) & mask
+        results = estimators.estimate_many(
+            counts, specs, mask, image_id=image_id, black_level=camera.black_level
+        )
     except Exception as exc:  # noqa: BLE001
         return image_id, [], [f"{exc}"]
     rows, errors = [], []

@@ -18,14 +18,19 @@ sqrt(fxx^2 + 2*fxy^2 + fyy^2).  Pooling is ((1/N) * sum v^p)^(1/p) so that
 p = 1 is exactly the mean; p = inf is the maximum.  Estimates are invariant
 to exposure scaling by construction.
 
-`estimate_many` runs a list of specs on one (H, W, 3) array of counts and
-shares their work: one blur per (sigma, channel), one derivative per
-(n, sigma, channel), and one masked gather per channel of each response,
-pooled for every p that asks for it.  It works one channel at a time, and
-every order, n = 0 too, is taken and gathered in row stripes of the smoothed
-channel, so beside the input the engine holds about one frame at its peak
-(a smoothed channel, its gather and one pooling temporary, each a third of a
-frame or less) whatever the frame size.  `estimate` is its one-spec case.
+`estimate_many` runs a list of specs on one (H, W, 3) array of raw counts
+(native uint16 from ``imagecore.load_counts``, or float) and shares their
+work: one blur per (sigma, channel), one derivative per (n, sigma, channel),
+and one masked gather per channel of each response, pooled for every p that
+asks for it.  It works one channel at a time in buffers it owns: it
+linearises the channel into a fresh float64 array with
+``imagecore.subtract_black_level``, blurs that array in place through one
+axis temporary, takes every order, n = 0 too, in row stripes of it, and lets
+the last finite p > 1 of a gather scale the gather in place.  So beside the
+counts the engine holds under one float64 frame at its peak (a channel and
+its blur temporary, or a channel, its gather and stripe temporaries, each a
+third of a frame or less) whatever the frame size.  `estimate` is its
+one-spec case.
 `chart_region_mask` tests and dilates only the chart's bounding box plus
 its margin; the rest of the frame is kept.
 """
@@ -41,7 +46,7 @@ import numpy as np
 
 from ._util import fmt9, read_csv, write_csv
 from .chartgeom import ChartLayout
-from .imagecore import clipped, normalize_estimate
+from .imagecore import check_counts, clipped, normalize_estimate, subtract_black_level
 
 __all__ = [
     "CHART_MARGIN_PX",
@@ -157,12 +162,29 @@ def _gaussian_kernel(sigma: float) -> np.ndarray:
     return weights / weights.sum()
 
 
-def _correlate_axis(data: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
+def _correlate_axis(
+    data: np.ndarray, weights: np.ndarray, axis: int, output: np.ndarray | None = None
+) -> np.ndarray:
     # scipy's "mirror" mode is reflect-about-edge-sample padding, matching
     # np.pad(mode="reflect"); `_difference` pads the derivatives the same way.
     from scipy import ndimage  # slower to import than the package; only estimation needs it
 
-    return ndimage.correlate1d(data, weights, axis=axis, mode="mirror")
+    return ndimage.correlate1d(data, weights, axis=axis, output=output, mode="mirror")
+
+
+def _smoothing_kernel(shape: tuple[int, ...], sigma: float) -> np.ndarray | None:
+    """The blur kernel for data of ``shape`` at ``sigma``; None for sigma = 0."""
+    if sigma < 0:
+        raise ValueError("sigma must be >= 0")
+    if sigma == 0:
+        return None
+    height, width = shape[:2]
+    if 3.0 * sigma > max(height, width):
+        raise ValueError(
+            f"sigma={sigma:g} is too large for a {width}x{height} image "
+            "(3*sigma must not exceed the longer side)"
+        )
+    return _gaussian_kernel(sigma)
 
 
 def gaussian_smooth(data: np.ndarray, sigma: float) -> np.ndarray:
@@ -174,19 +196,23 @@ def gaussian_smooth(data: np.ndarray, sigma: float) -> np.ndarray:
     normalized to sum 1, so constants pass through exactly.  A radius past
     the longer image side is rejected before any kernel is built.
     """
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
-    if sigma == 0:
+    kernel = _smoothing_kernel(data.shape, sigma)
+    if kernel is None:
         return data
-    height, width = data.shape[:2]
-    if 3.0 * sigma > max(height, width):
-        raise ValueError(
-            f"sigma={sigma:g} is too large for a {width}x{height} image "
-            "(3*sigma must not exceed the longer side)"
-        )
-    kernel = _gaussian_kernel(sigma)
     out = _correlate_axis(data, kernel, axis=1)
     return _correlate_axis(out, kernel, axis=0)
+
+
+def _smooth_in_place(channel: np.ndarray, sigma: float) -> None:
+    """:func:`gaussian_smooth` of an (H, W) float64 array the engine owns, written back into it.
+
+    The axis-1 pass goes into one temporary and the axis-0 pass from it into
+    ``channel``, so input and output are never the same array; the values
+    are gaussian_smooth's bit for bit.
+    """
+    kernel = _smoothing_kernel(channel.shape, sigma)
+    if kernel is not None:
+        _correlate_axis(_correlate_axis(channel, kernel, axis=1), kernel, axis=0, output=channel)
 
 
 def derivative_magnitude(data: np.ndarray, n: int, sigma: float) -> np.ndarray:
@@ -249,7 +275,12 @@ def minkowski_pool(values, p: float) -> float:
     Large p is computed on values scaled by their maximum so arbitrary count
     magnitudes cannot overflow; p = 1 is the exact arithmetic mean.
     """
-    v = np.asarray(values, dtype=np.float64).ravel()
+    return _pool(np.asarray(values, dtype=np.float64).ravel(), p, scale_in_place=False)
+
+
+def _pool(v: np.ndarray, p: float, scale_in_place: bool) -> float:
+    """:func:`minkowski_pool` of a flat float64 array; ``scale_in_place`` lets
+    a finite p > 1 scale and raise ``v`` itself rather than a copy of it."""
     if v.size == 0:
         raise ValueError("empty mask: no values to pool")
     if np.any(v < 0):
@@ -263,7 +294,7 @@ def minkowski_pool(values, p: float) -> float:
     vmax = float(v.max())
     if vmax == 0.0:
         return 0.0
-    scaled = v / vmax
+    scaled = np.divide(v, vmax, out=v if scale_in_place else None)
     scaled **= p
     return vmax * float(np.mean(scaled) ** (1.0 / p))
 
@@ -282,28 +313,35 @@ def estimate(
 
 
 def estimate_many(
-    data: np.ndarray,
+    counts: np.ndarray,
     specs: Sequence[EstimatorSpec],
     mask: np.ndarray | None = None,
     image_id: str = "",
+    black_level: float = 0.0,
 ) -> list[IlluminantEstimate | ValueError]:
-    """Run several estimators on (H, W, 3) counts, sharing the work they have in common.
+    """Run several estimators on (H, W, 3) raw counts, sharing the work they have in common.
 
-    The work goes one channel at a time: each channel is smoothed once per
-    sigma, each derivative order is taken once per (n, sigma) from that, and
-    the response is gathered under the mask once and pooled for every p that
-    asks for it.  The result holds, in spec order, each spec's estimate or the
-    ValueError that :func:`estimate` would raise for it alone (the first
-    channel's, if several fail), so one spec's failure (a sigma too large for
-    the frame, say) leaves the others standing.  Data or a mask
-    of the wrong shape raises before any work is done.
+    The work goes one channel at a time: each channel is linearised once per
+    sigma (``counts - black_level``, clamped at zero, by
+    :func:`imagecore.subtract_black_level`) and smoothed, each derivative
+    order is taken once per (n, sigma) from that, and the response is
+    gathered under the mask once and pooled for every p that asks for it.
+    The result holds, in spec order, each spec's estimate or the ValueError
+    that :func:`estimate` would raise for it alone (the first channel's, if
+    several fail), so one spec's failure (a sigma too large for the frame,
+    say) leaves the others standing.  Counts or a mask of the wrong shape,
+    and float counts with a negative or non-finite sample, raise before any
+    work is done.  Neither the counts nor the mask is written to.
     """
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 3 or data.shape[2] != 3:
+    counts = np.asarray(counts)
+    if counts.ndim != 3 or counts.shape[2] != 3:
         raise ValueError("image data must have shape (H, W, 3)")
+    if counts.dtype.kind != "u":  # unsigned counts cannot be negative
+        counts = np.asarray(counts, dtype=np.float64)
+        check_counts(counts)
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
-        if mask.shape != data.shape[:2]:
+        if mask.shape != counts.shape[:2]:
             raise ValueError("mask dimensions must match the image")
     groups: dict[float, dict[int, list[int]]] = {}  # sigma -> n -> spec indices
     for i, spec in enumerate(specs):
@@ -311,24 +349,36 @@ def estimate_many(
     pooled: list = [[] for _ in specs]  # per spec: its pooled channels, or its first error
     for sigma, by_order in groups.items():
         for c in range(3):
+            channel = subtract_black_level(counts[:, :, c], black_level)
             try:
-                smoothed = gaussian_smooth(data[:, :, c], sigma)
+                _smooth_in_place(channel, sigma)
             except ValueError as exc:  # the frame's size decides it, so every channel fails
                 for members in by_order.values():
                     for i in members:
                         pooled[i] = exc
                 break
             for n, members in by_order.items():
-                values = _gather(smoothed, n, mask)
-                for i in members:
-                    if isinstance(pooled[i], list):
-                        try:
-                            pooled[i].append(minkowski_pool(values, specs[i].p))
-                        except ValueError as exc:
-                            pooled[i] = exc
-                del values  # before the next response is gathered
-            del smoothed  # before the next channel's blur is allocated
+                _pool_members(_gather(channel, n, mask), members, specs, pooled)
+            del channel  # before the next channel is linearised
     return [_finish(channels, spec, image_id) for channels, spec in zip(pooled, specs)]
+
+
+def _pool_members(
+    values: np.ndarray, members: list[int], specs: Sequence[EstimatorSpec], pooled: list
+) -> None:
+    """Pool one gathered response for every spec in ``members``.
+
+    The specs with p = 1 or p = inf only read the gather, so they go first;
+    the last one with a finite p > 1 may then scale the gather in place,
+    since no spec reads it after that.
+    """
+    order = sorted(members, key=lambda i: 1.0 < specs[i].p < math.inf)
+    for i in order:
+        if isinstance(pooled[i], list):
+            try:
+                pooled[i].append(_pool(values, specs[i].p, scale_in_place=i == order[-1]))
+            except ValueError as exc:
+                pooled[i] = exc
 
 
 def _gather(smoothed: np.ndarray, n: int, mask: np.ndarray | None) -> np.ndarray:

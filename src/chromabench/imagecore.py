@@ -1,11 +1,14 @@
 """Linear image data model, 16-bit binary PPM I/O, and black-level arithmetic.
 
-Images are stored as (H, W, 3) float64 arrays of nonnegative digital counts in
-R, G, B order.  Sources are integer sensor counts, but everything downstream
-(warping, smoothing, Minkowski pooling) needs real arithmetic, so the arrays
-are double precision from the start.  A :class:`LinearImage` is validated and
-frozen only at I/O (``load_image``, ``save_image``, ``synth.render``); every
-stage below it, ``subtract_black_level`` included, takes plain arrays.
+Images are (H, W, 3) arrays of nonnegative digital counts in R, G, B order.
+Sources are integer sensor counts, and ``load_counts`` keeps them as native
+uint16, a quarter of a float64 frame: the clipping test, patch sampling and
+the estimators read them as they are, and a channel becomes float64 only
+where ``subtract_black_level`` linearises it (widening 16-bit integers to
+float64 is exact).  A :class:`LinearImage` is the validated float64 frame at
+I/O (``load_image``, ``save_image``, ``synth.render``) and for any float
+frame that comes in from outside; every stage below it,
+``subtract_black_level`` included, takes plain arrays.
 
 On-disk format: binary PPM ("P6", maxval 65535, big-endian 16-bit samples,
 linear values) plus a JSON sidecar ``<basename>.meta.json`` carrying
@@ -28,7 +31,9 @@ from ._util import atomic_write_bytes, atomic_write_text
 __all__ = [
     "CameraProfile",
     "LinearImage",
+    "check_counts",
     "clipped",
+    "load_counts",
     "load_image",
     "normalize_estimate",
     "save_image",
@@ -74,10 +79,7 @@ class LinearImage:
             raise ValueError("image data must have shape (H, W, 3)")
         if data.shape[0] < 1 or data.shape[1] < 1:
             raise ValueError("image must be at least 1x1")
-        if not np.all(np.isfinite(data)):
-            raise ValueError("image contains non-finite values")
-        if np.any(data < 0):
-            raise ValueError("image contains negative digital counts")
+        check_counts(data)
         # The PPM stores 16-bit samples.
         if not (isinstance(self.bit_depth, numbers.Integral) and 1 <= self.bit_depth <= 16):
             raise ValueError("bit_depth must be an integer in 1..16")
@@ -91,6 +93,14 @@ class LinearImage:
     @property
     def width(self) -> int:
         return self.data.shape[1]
+
+
+def check_counts(data: np.ndarray) -> None:
+    """Raise unless every sample of ``data`` is a finite, nonnegative count."""
+    if not np.all(np.isfinite(data)):
+        raise ValueError("image contains non-finite values")
+    if np.any(data < 0):
+        raise ValueError("image contains negative digital counts")
 
 
 def sidecar_path(image_path: str | Path) -> Path:
@@ -125,12 +135,13 @@ def _parse_ppm_header(raw: bytes) -> tuple[int, int, int, int]:
     return width, height, maxval, pos
 
 
-def load_image(path: str | Path) -> LinearImage:
-    """Read a 16-bit binary PPM and its metadata sidecar.
+def load_counts(path: str | Path) -> tuple[np.ndarray, CameraProfile, int]:
+    """Read a 16-bit binary PPM and its metadata sidecar as raw counts.
 
-    Raises if the header is malformed, if the sidecar is missing or its
-    ``bit_depth`` is not an integer in 1..16, or if any sample exceeds that
-    bit depth.
+    Returns the samples as a C-contiguous native uint16 (H, W, 3) array,
+    with the sidecar's camera profile and bit depth.  Raises if the header
+    is malformed, if the sidecar is missing or its ``bit_depth`` is not an
+    integer in 1..16, or if any sample exceeds that bit depth.
     """
     path = Path(path)
     meta_file = sidecar_path(path)
@@ -160,13 +171,22 @@ def load_image(path: str | Path) -> LinearImage:
     if len(raw) - offset < count * 2:
         raise ValueError("malformed file: truncated sample data")
     samples = np.frombuffer(raw, dtype=">u2", count=count, offset=offset)
-    data = samples.reshape(height, width, 3).astype(np.float64)
+    counts = samples.astype(np.uint16).reshape(height, width, 3)
     limit = 2 ** bit_depth - 1
-    if data.max(initial=0.0) > limit:
-        raise ValueError(
-            f"value exceeds bit depth: {int(data.max())} > {limit} ({bit_depth}-bit)"
-        )
-    return LinearImage(data, bit_depth=bit_depth, camera=camera)
+    peak = int(counts.max(initial=0))
+    if peak > limit:
+        raise ValueError(f"value exceeds bit depth: {peak} > {limit} ({bit_depth}-bit)")
+    return counts, camera, bit_depth
+
+
+def load_image(path: str | Path) -> LinearImage:
+    """Read a 16-bit binary PPM and its sidecar as a float64 :class:`LinearImage`.
+
+    :func:`load_counts` with the counts widened to float64; it raises what
+    that raises.
+    """
+    counts, camera, bit_depth = load_counts(path)
+    return LinearImage(counts.astype(np.float64), bit_depth=bit_depth, camera=camera)
 
 
 def save_image(img: LinearImage, path: str | Path) -> None:
@@ -192,13 +212,15 @@ def save_image(img: LinearImage, path: str | Path) -> None:
 
 
 def subtract_black_level(counts, level: float) -> np.ndarray:
-    """The one dark-offset rule: a new array of ``counts - level`` clamped at zero.
+    """The one dark-offset rule: a new float64 array of ``counts - level`` clamped at zero.
 
-    Estimation applies it to a whole frame, ground truth to a patch's medians.
+    Estimation applies it to one channel of the raw counts at a time, ground
+    truth to a patch's medians.  Integer counts widen to float64 exactly, so
+    the result does not depend on whether they arrive as uint16 or float64.
     """
     if level < 0:
         raise ValueError("black level must be >= 0")
-    out = np.subtract(counts, float(level))
+    out = np.subtract(counts, float(level), dtype=np.float64)
     return np.maximum(out, 0.0, out=out)
 
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -425,6 +426,26 @@ def test_estimate_all_presets_matches_golden(tmp_path):
     argv = ["estimate", "--images", scenes, *algos, "--mask-chart", "--out", out, "--jobs", "1"]
     assert run(argv) == 0
     assert out.read_bytes() == (GOLDEN / out.name).read_bytes()
+
+
+def test_estimate_worker_peak_memory_stays_under_one_and_a_half_frames(tmp_path):
+    """Load, masks, linearisation and all six presets of one image, traced."""
+    spec = synth.SceneSpec(illuminant=(0.8, 0.6, 0.4), black_level=129.0, noise_sigma=4.0, rng_seed=1)
+    path = synth.write_scene(synth.render(spec), tmp_path, "scene")
+    task = ("scene", str(path), str(tmp_path / "scene.chart"), list(PRESETS.values()), True)
+    frame_bytes = spec.height * spec.width * 3 * 8  # one float64 (H, W, 3) frame
+    import scipy.ndimage  # noqa: F401 - the import's own allocations are not the worker's
+
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        image_id, rows, errors = cli._estimate_one(task)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert (image_id, len(rows), errors) == ("scene", len(PRESETS), [])
+    assert peak < 1.5 * frame_bytes
 
 
 # --- evaluate ----------------------------------------------------------------

@@ -24,7 +24,7 @@ from chromabench.estimators import (
     spec_from_string,
     write_estimates,
 )
-from chromabench.imagecore import normalize_estimate
+from chromabench.imagecore import normalize_estimate, subtract_black_level
 from chromabench.metrics import recovery_error
 
 RNG = np.random.default_rng(99)
@@ -304,6 +304,11 @@ def whole_frame_estimate(data, spec, mask):
     return tuple(float(v) for v in normalize_estimate(pooled))
 
 
+def outcome(result):
+    """An engine result as whole_frame_estimate reports it: the RGB, or the error message."""
+    return str(result) if isinstance(result, ValueError) else result.rgb
+
+
 engine_specs = st.lists(
     st.builds(
         "n={},p={},sigma={}".format,
@@ -371,10 +376,10 @@ def test_striped_pass_matches_the_whole_frame_bit_for_bit(
                     assert gathered.tobytes() == expected.tobytes()
     for spec, result in zip(specs, results):
         expected = whole_frame_estimate(data, spec, mask)
-        assert (str(result) if isinstance(result, ValueError) else result.rgb) == expected
+        assert outcome(result) == expected
 
 
-def test_estimate_many_peak_memory_stays_under_one_and_a_half_frames():
+def test_estimate_many_peak_memory_stays_under_one_frame():
     rng = np.random.default_rng(5)
     img = random_image(rng, h=1024, w=96)
     mask = rng.random((1024, 96)) < 0.9
@@ -389,18 +394,18 @@ def test_estimate_many_peak_memory_stays_under_one_and_a_half_frames():
     finally:
         tracemalloc.stop()
     assert all(isinstance(r, IlluminantEstimate) for r in results)
-    assert peak < 1.5 * img.nbytes
+    assert peak < 1.0 * img.nbytes
 
 
 def test_estimate_many_shares_one_blur_per_sigma(monkeypatch):
     blurs = []
-    smooth = estimators.gaussian_smooth
+    smooth = estimators._smooth_in_place
 
-    def recorded(data, sigma):
-        blurs.append((sigma, data.shape))
-        return smooth(data, sigma)
+    def recorded(channel, sigma):
+        blurs.append((sigma, channel.shape))
+        smooth(channel, sigma)
 
-    monkeypatch.setattr(estimators, "gaussian_smooth", recorded)
+    monkeypatch.setattr(estimators, "_smooth_in_place", recorded)
     specs = list(PRESETS.values()) + [spec_from_string("n=1,p=2,sigma=1")]
     results = estimate_many(random_image(RNG, h=16, w=12), specs)
     assert all(isinstance(r, IlluminantEstimate) for r in results)
@@ -445,15 +450,94 @@ def test_estimate_many_zero_channel_fails_only_its_specs():
 
 
 def test_estimate_many_checks_the_mask_before_smoothing(monkeypatch):
-    def no_smoothing(data, sigma):
+    def no_smoothing(channel, sigma):
         raise AssertionError("smoothed before the mask was checked")
 
-    monkeypatch.setattr(estimators, "gaussian_smooth", no_smoothing)
+    monkeypatch.setattr(estimators, "_smooth_in_place", no_smoothing)
     with pytest.raises(ValueError, match="mask dimensions must match the image"):
         estimate_many(random_image(RNG, h=4, w=4), list(PRESETS.values()), np.ones((4, 5), bool))
     for shape in ((4, 4), (4, 4, 4), (4, 4, 3, 1)):
         with pytest.raises(ValueError, match=r"image data must have shape \(H, W, 3\)"):
             estimate_many(np.ones(shape), list(PRESETS.values()))
+
+
+def test_smooth_in_place_matches_gaussian_smooth_bit_for_bit():
+    channel = random_image(RNG, h=23, w=17)[:, :, 1].copy()
+    for sigma in (0.0, 0.5, 2.0):
+        owned = channel.copy()
+        estimators._smooth_in_place(owned, sigma)
+        assert owned.tobytes() == gaussian_smooth(channel, sigma).tobytes()
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.0, 1.0, 129.0, 600.5]),
+    st.booleans(),
+)
+@settings(max_examples=25, deadline=None)
+def test_uint16_counts_estimate_as_the_linear_float_frame(seed, black_level, masked):
+    """Linearising inside the engine, a channel at a time, is the whole-frame subtraction."""
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, 4096, size=(14, 12, 3), dtype=np.uint16)
+    mask = rng.random((14, 12)) < 0.8 if masked else None
+    # Two finite p > 1 share each sigma's n = 0 gather, and two share n = 1's.
+    specs = list(PRESETS.values()) + [
+        spec_from_string(text) for text in ("n=0,p=2,sigma=0", "n=1,p=3,sigma=2", "n=0,p=4,sigma=2")
+    ]
+    linear = subtract_black_level(counts.astype(np.float64), black_level)
+    got = estimate_many(counts, specs, mask, black_level=black_level)
+    want = estimate_many(linear, specs, mask)
+    assert [outcome(r) for r in got] == [outcome(r) for r in want]
+    assert [outcome(r) for r in want] == [whole_frame_estimate(linear, spec, mask) for spec in specs]
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (-1.0, "image contains negative digital counts"),
+        (math.nan, "image contains non-finite values"),
+        (math.inf, "image contains non-finite values"),
+    ],
+)
+def test_estimate_many_rejects_a_bad_float_sample_for_every_spec(bad, message):
+    data = random_image(RNG, h=10, w=10)
+    data[4, 7, 1] = bad
+    specs = list(PRESETS.values())
+    with pytest.raises(ValueError, match=message):
+        estimate_many(data, specs)
+    for spec in specs:  # each spec alone, the derivative ones included
+        with pytest.raises(ValueError, match=message):
+            estimate(data, spec)
+    if math.isfinite(bad):  # signed integer counts are checked too
+        with pytest.raises(ValueError, match=message):
+            estimate_many(data.astype(np.int32), specs)
+
+
+def test_estimate_many_leaves_the_counts_and_mask_unchanged():
+    rng = np.random.default_rng(3)
+    counts = rng.integers(0, 4096, size=(30, 20, 3), dtype=np.uint16)
+    data = counts.astype(np.float64)
+    mask = rng.random((30, 20)) < 0.8
+    specs = list(PRESETS.values()) + [spec_from_string("n=1,p=3,sigma=1")]
+    for image, level in ((counts, 129.0), (data, 0.0)):
+        before = (image.tobytes(), mask.tobytes())
+        results = estimate_many(image, specs, mask, black_level=level)
+        assert all(isinstance(r, IlluminantEstimate) for r in results)
+        assert (image.tobytes(), mask.tobytes()) == before
+
+
+def test_smoothing_and_pooling_leave_their_argument_unchanged():
+    data = random_image(RNG, h=12, w=9)
+    for sigma in (0.0, 1.0):
+        before = data.tobytes()
+        gaussian_smooth(data, sigma)
+        gaussian_smooth(data[:, :, 0], sigma)
+        assert data.tobytes() == before
+    values = data.ravel()
+    for p in (1.0, 2.0, 6.0, math.inf):
+        before = values.tobytes()
+        minkowski_pool(values, p)
+        assert values.tobytes() == before
 
 
 # --- specs -------------------------------------------------------------------
@@ -513,6 +597,22 @@ def test_saturation_mask_uses_raw_threshold():
     data[1, 1, 2] = 3301.0
     mask = saturation_mask(data, 3300.0)
     assert mask[0, 0] and not mask[1, 1] and mask.sum() == 3
+
+
+@given(
+    hnp.arrays(np.uint16, st.tuples(st.integers(1, 6), st.integers(1, 6), st.just(3))),
+    st.integers(0, 2**32 - 1),
+)
+def test_saturation_mask_on_uint16_counts_is_the_float_masks(counts, seed):
+    rng = np.random.default_rng(seed)
+    sample = float(counts.flat[rng.integers(counts.size)])
+    data = counts.astype(np.float64)
+    # A level equal to a sample keeps that sample under `>`; a fractional one
+    # falls between two counts.
+    for level in (sample, sample + 0.5, sample - 0.25, 3300.0):
+        got = saturation_mask(counts, level)
+        assert got.tobytes() == saturation_mask(data, level).tobytes()
+    assert saturation_mask(counts, sample)[np.all(counts <= sample, axis=2)].all()
 
 
 def test_chart_mask_excludes_dilated_quad():

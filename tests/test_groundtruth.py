@@ -18,7 +18,7 @@ from chromabench.groundtruth import (
     select_achromatic_patch,
     write_gt,
 )
-from chromabench.imagecore import CameraProfile, load_image
+from chromabench.imagecore import CameraProfile, load_counts, load_image
 from chromabench.metrics import recovery_error
 
 
@@ -308,7 +308,10 @@ def test_rendered_ground_truth_matches_per_patch_reference(tmp_path, white, blac
         white, synth.random_pose(rng), black_level=black, noise_sigma=noise, rng_seed=5
     )
     img, layout = render_and_load(tmp_path, spec, "r")
+    counts, camera, _ = load_counts(tmp_path / "r.ppm")
     samples = chartgeom.sample_patches(img.data, layout)
     for subtract in (True, False):
         got = ground_truth_outcome(img.data, layout, img.camera, subtract)
         assert got == reference_ground_truth(samples, img.camera, subtract)
+        # The uint16 counts the CLI reads give the float64 frame's record exactly.
+        assert ground_truth_outcome(counts, layout, camera, subtract) == got

@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 from chromabench.imagecore import (
     CameraProfile,
     LinearImage,
+    load_counts,
     load_image,
     normalize_estimate,
     save_image,
@@ -42,6 +43,23 @@ def test_load_rejects_sample_over_bit_depth(tmp_path):
     write_ppm(p, [5000, 0, 0], 1, 1)
     with pytest.raises(ValueError, match="exceeds bit depth"):
         load_image(p)
+    with pytest.raises(ValueError, match=r"^value exceeds bit depth: 5000 > 4095 \(12-bit\)$"):
+        load_counts(p)
+
+
+def test_load_counts_keeps_native_uint16_that_load_image_widens(tmp_path):
+    rng = np.random.default_rng(4)
+    samples = rng.integers(0, 4096, size=5 * 7 * 3)
+    p = tmp_path / "c.ppm"
+    write_ppm(p, samples.tolist(), 7, 5, meta={"black_level": 129, "bit_depth": 12})
+    counts, camera, bit_depth = load_counts(p)
+    assert counts.dtype == np.uint16 and counts.dtype.isnative
+    assert counts.flags.c_contiguous and counts.shape == (5, 7, 3)
+    assert counts.ravel().tolist() == samples.tolist()
+    assert (camera, bit_depth) == (CameraProfile("cam", 129.0, 3300.0), 12)
+    img = load_image(p)
+    assert img.data.tobytes() == counts.astype(np.float64).tobytes()
+    assert (img.camera, img.bit_depth) == (camera, bit_depth)
 
 
 def test_load_rejects_infinite_saturation_level(tmp_path):
@@ -116,6 +134,22 @@ def test_header_comments_are_skipped(tmp_path):
     assert img.data.tolist() == [[[1, 2, 3], [4, 5, 6]]]
 
 
+def test_a_comment_that_moves_the_samples_to_an_odd_offset_reads_the_same(tmp_path):
+    samples = struct.pack(">6H", 1, 2, 3, 4000, 65535 >> 4, 6)
+    offsets, reads = set(), []
+    for comment in (b"", b"#x\n", b"# odd\n"):
+        header = b"P6\n" + comment + b"2 1\n65535\n"
+        offsets.add(len(header) % 2)
+        p = tmp_path / f"c{len(reads)}.ppm"
+        p.write_bytes(header + samples)
+        sidecar_path(p).write_text("{}")
+        counts, _, _ = load_counts(p)
+        assert counts.dtype == np.uint16 and counts.flags.aligned
+        reads.append(counts.tobytes())
+    assert offsets == {0, 1}
+    assert reads == [np.array([1, 2, 3, 4000, 4095, 6], dtype=np.uint16).tobytes()] * 3
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     hnp.arrays(
@@ -159,6 +193,21 @@ def test_subtract_zero_is_identity():
 def test_subtract_clamps_at_zero():
     img = LinearImage(np.full((1, 1, 3), 100.0))
     assert subtract_black_level(img.data, 129).tolist() == [[[0.0, 0.0, 0.0]]]
+
+
+def test_subtract_widens_uint16_counts_as_float64_and_leaves_them_unchanged():
+    counts = np.array([[[0, 128, 129], [130, 4095, 65535]]], dtype=np.uint16)
+    before = counts.tobytes()
+    for level in (0, 129, 129.5):
+        out = subtract_black_level(counts, level)
+        assert out.dtype == np.float64
+        assert out.tobytes() == subtract_black_level(counts.astype(np.float64), level).tobytes()
+    assert counts.tobytes() == before
+    data = counts.astype(np.float64)
+    before = data.tobytes()
+    subtract_black_level(data, 129)
+    subtract_black_level(data[:, :, 1], 129)
+    assert data.tobytes() == before
 
 
 def test_subtract_rejects_negative_level():
