@@ -1,7 +1,8 @@
 """Benchmark toolkit for camera illuminant estimation on color-chart scenes.
 
 Modules:
-    imagecore    linear image model, 16-bit PPM + sidecar I/O, black level
+    imagecore    raw uint16 counts: 16-bit PPM + sidecar I/O, black level,
+                 clipping
     chartgeom    homography fitting, patch grid, patch sampling from the frame
     groundtruth  white-point extraction from the achromatic chart row
     estimators   statistical illuminant estimators (derivative order n,

@@ -54,7 +54,6 @@ __all__ = [
     "IlluminantEstimate",
     "PRESETS",
     "chart_region_mask",
-    "derivative_magnitude",
     "estimate",
     "estimate_many",
     "gaussian_smooth",
@@ -215,19 +214,8 @@ def _smooth_in_place(channel: np.ndarray, sigma: float) -> None:
         _correlate_axis(_correlate_axis(channel, kernel, axis=1), kernel, axis=0, output=channel)
 
 
-def derivative_magnitude(data: np.ndarray, n: int, sigma: float) -> np.ndarray:
-    """Per-channel derivative-magnitude response of order n after smoothing.
-
-    n=0: the smoothed image itself.
-    n=1: sqrt(fx^2 + fy^2) with central differences.
-    n=2: sqrt(fxx^2 + 2*fxy^2 + fyy^2), the Hessian Frobenius norm.
-    """
-    if n not in (0, 1, 2):
-        raise ValueError("derivative order n must be 0, 1 or 2")
-    return _derivative(gaussian_smooth(data, sigma), n)
-
-
 def _derivative(a: np.ndarray, n: int) -> np.ndarray:
+    """The order-n magnitude of smoothed data: a itself, |gradient| or |Hessian|."""
     if n == 0:
         return a
     if n == 1:

@@ -1,14 +1,14 @@
-"""Linear image data model, 16-bit binary PPM I/O, and black-level arithmetic.
+"""Raw sensor counts: 16-bit binary PPM I/O, black-level and clipping rules.
 
-Images are (H, W, 3) arrays of nonnegative digital counts in R, G, B order.
-Sources are integer sensor counts, and ``load_counts`` keeps them as native
-uint16, a quarter of a float64 frame: the clipping test, patch sampling and
-the estimators read them as they are, and a channel becomes float64 only
-where ``subtract_black_level`` linearises it (widening 16-bit integers to
-float64 is exact).  A :class:`LinearImage` is the validated float64 frame at
-I/O (``load_image``, ``save_image``, ``synth.render``) and for any float
-frame that comes in from outside; every stage below it,
-``subtract_black_level`` included, takes plain arrays.
+A frame is a C-contiguous native uint16 (H, W, 3) array of digital counts in
+R, G, B order, with the camera's ``CameraProfile`` and the sensor's bit
+depth beside it.  ``synth.render`` makes one, ``save_image`` writes it and
+``load_counts`` reads it back bit for bit, so integer counts never pass
+through a float frame on their way to disk.  The clipping test, patch
+sampling and the estimators read the counts as they are; a channel becomes
+float64 only where ``subtract_black_level`` linearises it (widening 16-bit
+integers to float64 is exact).  ``check_counts`` is the rule for float
+frames that come in from outside.
 
 On-disk format: binary PPM ("P6", maxval 65535, big-endian 16-bit samples,
 linear values) plus a JSON sidecar ``<basename>.meta.json`` carrying
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,11 +29,9 @@ from ._util import atomic_write_bytes, atomic_write_text
 
 __all__ = [
     "CameraProfile",
-    "LinearImage",
     "check_counts",
     "clipped",
     "load_counts",
-    "load_image",
     "normalize_estimate",
     "save_image",
     "sidecar_path",
@@ -63,36 +60,6 @@ class CameraProfile:
             raise ValueError("black_level must be >= 0")
         if not self.saturation_level > self.black_level:
             raise ValueError("saturation_level must exceed black_level")
-
-
-@dataclass(frozen=True, eq=False)
-class LinearImage:
-    """Demosaiced linear image: (H, W, 3) nonnegative float64 digital counts."""
-
-    data: np.ndarray
-    bit_depth: int = 12
-    camera: CameraProfile | None = None
-
-    def __post_init__(self) -> None:
-        data = np.ascontiguousarray(np.asarray(self.data, dtype=np.float64))
-        if data.ndim != 3 or data.shape[2] != 3:
-            raise ValueError("image data must have shape (H, W, 3)")
-        if data.shape[0] < 1 or data.shape[1] < 1:
-            raise ValueError("image must be at least 1x1")
-        check_counts(data)
-        # The PPM stores 16-bit samples.
-        if not (isinstance(self.bit_depth, numbers.Integral) and 1 <= self.bit_depth <= 16):
-            raise ValueError("bit_depth must be an integer in 1..16")
-        data.setflags(write=False)
-        object.__setattr__(self, "data", data)
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
 
 
 def check_counts(data: np.ndarray) -> None:
@@ -135,31 +102,49 @@ def _parse_ppm_header(raw: bytes) -> tuple[int, int, int, int]:
     return width, height, maxval, pos
 
 
+def _check_bit_depth(counts: np.ndarray, bit_depth: int) -> None:
+    """Raise unless ``bit_depth`` is in 1..16 and no count exceeds it."""
+    # The PPM stores 16-bit samples.
+    if not 1 <= bit_depth <= 16:
+        raise ValueError("bit_depth must be an integer in 1..16")
+    limit = 2 ** bit_depth - 1
+    peak = int(counts.max(initial=0))
+    if peak > limit:
+        raise ValueError(f"value exceeds bit depth: {peak} > {limit} ({bit_depth}-bit)")
+
+
 def load_counts(path: str | Path) -> tuple[np.ndarray, CameraProfile, int]:
     """Read a 16-bit binary PPM and its metadata sidecar as raw counts.
 
     Returns the samples as a C-contiguous native uint16 (H, W, 3) array,
     with the sidecar's camera profile and bit depth.  Raises if the header
-    is malformed, if the sidecar is missing or its ``bit_depth`` is not an
-    integer in 1..16, or if any sample exceeds that bit depth.
+    is malformed, if the sidecar is missing or not a JSON object, if its
+    ``bit_depth`` is not an integer in 1..16 or a level is not a number, or
+    if any sample exceeds that bit depth.
     """
     path = Path(path)
     meta_file = sidecar_path(path)
     if not meta_file.exists():
         raise FileNotFoundError(f"missing sidecar: {meta_file}")
     meta = json.loads(meta_file.read_text(encoding="utf-8"))
+    if not isinstance(meta, dict):
+        raise ValueError(f"{meta_file}: sidecar must be a JSON object")
     bit_depth = meta.get("bit_depth", 12)
+    # JSON true and false arrive as Python bools, which are ints.
     whole = isinstance(bit_depth, int) or (isinstance(bit_depth, float) and bit_depth.is_integer())
-    if not whole:
+    if isinstance(bit_depth, bool) or not whole:
         raise ValueError(f"bit_depth must be a whole number, got {bit_depth!r}")
     bit_depth = int(bit_depth)
-    if not 1 <= bit_depth <= 16:
-        raise ValueError("bit_depth must be an integer in 1..16")
-    camera = CameraProfile(
-        camera_id=str(meta.get("camera_id", "unknown")),
-        black_level=float(meta.get("black_level", 0.0)),
-        saturation_level=float(meta.get("saturation_level", 3300.0)),
-    )
+    levels = {}
+    for name, default in (("black_level", 0.0), ("saturation_level", 3300.0)):
+        value = meta.get(name, default)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+        try:
+            levels[name] = float(value)
+        except OverflowError:  # an integer past the float range
+            raise ValueError(f"{name} must be finite") from None
+    camera = CameraProfile(str(meta.get("camera_id", "unknown")), **levels)
 
     raw = path.read_bytes()
     width, height, maxval, offset = _parse_ppm_header(raw)
@@ -172,41 +157,34 @@ def load_counts(path: str | Path) -> tuple[np.ndarray, CameraProfile, int]:
         raise ValueError("malformed file: truncated sample data")
     samples = np.frombuffer(raw, dtype=">u2", count=count, offset=offset)
     counts = samples.astype(np.uint16).reshape(height, width, 3)
-    limit = 2 ** bit_depth - 1
-    peak = int(counts.max(initial=0))
-    if peak > limit:
-        raise ValueError(f"value exceeds bit depth: {peak} > {limit} ({bit_depth}-bit)")
+    _check_bit_depth(counts, bit_depth)
     return counts, camera, bit_depth
 
 
-def load_image(path: str | Path) -> LinearImage:
-    """Read a 16-bit binary PPM and its sidecar as a float64 :class:`LinearImage`.
+def save_image(
+    counts: np.ndarray, camera: CameraProfile, bit_depth: int, path: str | Path
+) -> None:
+    """Write uint16 (H, W, 3) counts as a PPM and ``camera`` and ``bit_depth`` as its sidecar.
 
-    :func:`load_counts` with the counts widened to float64; it raises what
-    that raises.
+    Raises, with :func:`load_counts`'s messages, on what it would reject:
+    a ``bit_depth`` outside 1..16 or a count above ``2**bit_depth - 1``.
     """
-    counts, camera, bit_depth = load_counts(path)
-    return LinearImage(counts.astype(np.float64), bit_depth=bit_depth, camera=camera)
-
-
-def save_image(img: LinearImage, path: str | Path) -> None:
-    """Write image + sidecar. Samples must be integer-valued counts <= 65535."""
+    if counts.dtype != np.uint16 or counts.ndim != 3 or counts.shape[2] != 3:
+        raise ValueError("counts must be a uint16 (H, W, 3) array")
+    height, width = counts.shape[:2]
+    if height < 1 or width < 1:
+        raise ValueError("image must be at least 1x1")
+    if not isinstance(bit_depth, (int, np.integer)) or isinstance(bit_depth, bool):
+        raise ValueError("bit_depth must be an integer in 1..16")
+    _check_bit_depth(counts, bit_depth)
     path = Path(path)
-    data = img.data
-    if np.any(data != np.floor(data)):
-        raise ValueError("non-integer sample values; PPM stores integer counts")
-    if data.max(initial=0.0) > 65535:
-        raise ValueError("sample value exceeds 16-bit PPM range")
-    header = f"P6\n{img.width} {img.height}\n65535\n".encode("ascii")
-    payload = header + data.astype(">u2").tobytes()
-    atomic_write_bytes(path, payload)
-
-    cam = img.camera or CameraProfile("unknown")
+    header = f"P6\n{width} {height}\n65535\n".encode("ascii")
+    atomic_write_bytes(path, header + counts.astype(">u2").tobytes())
     meta = {
-        "camera_id": cam.camera_id,
-        "black_level": cam.black_level,
-        "bit_depth": img.bit_depth,
-        "saturation_level": cam.saturation_level,
+        "camera_id": camera.camera_id,
+        "black_level": camera.black_level,
+        "bit_depth": int(bit_depth),
+        "saturation_level": camera.saturation_level,
     }
     atomic_write_text(sidecar_path(path), json.dumps(meta, indent=2) + "\n")
 

@@ -33,7 +33,7 @@ from .chartgeom import (
     fit_homography,
     format_chart,
 )
-from .imagecore import CameraProfile, LinearImage, save_image
+from .imagecore import CameraProfile, save_image
 
 __all__ = [
     "CANONICAL_CORNERS",
@@ -221,9 +221,11 @@ class SceneSpec:
 
 @dataclass(frozen=True, eq=False)
 class RenderedScene:
-    """A rendered image with its known illuminant and companion-file content."""
+    """Rendered uint16 counts with their sidecar content, known illuminant and chart file."""
 
-    image: LinearImage
+    counts: np.ndarray
+    camera: CameraProfile
+    bit_depth: int
     true_illuminant: tuple[float, float, float]
     chart_text: str
 
@@ -256,17 +258,18 @@ def _footprint_box(pose: np.ndarray, height: int, width: int) -> tuple[int, int,
 
 
 def render(spec: SceneSpec) -> RenderedScene:
-    """Render a chart scene to integer digital counts, deterministically.
+    """Render a chart scene to uint16 digital counts, deterministically.
 
     Per channel: count = clip(round(illuminant * reflectance * exposure
-    + black_level + noise), 0, clip_level).  Rounding to whole counts keeps
-    rendered scenes exactly representable in the 16-bit image format.
+    + black_level + noise), 0, clip_level).  The clip level is at most
+    2**bit_depth - 1, so the whole counts convert to uint16 exactly.
 
     Only the chart's footprint box is mapped through the inverse pose; the
-    frame is then finished in place, _STRIPE_ROWS rows at a time, with the
-    noise drawn stripe by stripe from one generator.  So the frame is the one
-    frame-size array, and the counts equal the whole-frame formula's bit for
-    bit.
+    float64 work frame is then finished in place, _STRIPE_ROWS rows at a
+    time, with the noise drawn stripe by stripe from one generator, and
+    converted to uint16 once, at the end.  So the work frame is the one
+    float64 frame-size array, and the counts equal the whole-frame
+    formula's bit for bit.
     """
     pose = spec.pose if spec.pose is not None else default_pose(spec.width, spec.height)
     layout = ChartLayout(
@@ -308,20 +311,26 @@ def render(spec: SceneSpec) -> RenderedScene:
         np.rint(stripe, out=stripe)
         np.clip(stripe, 0.0, spec.clip_level, out=stripe)
 
-    image = LinearImage(counts, bit_depth=spec.bit_depth, camera=camera)
     return RenderedScene(
-        image=image,
+        counts=counts.astype(np.uint16),
+        camera=camera,
+        bit_depth=spec.bit_depth,
         true_illuminant=spec.illuminant,
         chart_text=format_chart(layout),
     )
 
 
 def write_scene(scene: RenderedScene, out_dir: str | Path, image_id: str) -> Path:
-    """Write <id>.ppm, <id>.meta.json and <id>.chart; returns the image path."""
+    """Write <id>.ppm, <id>.meta.json and <id>.chart; returns the image path.
+
+    ``image_id`` must be a plain file name, so the files land in ``out_dir``.
+    """
+    if image_id in ("", ".", "..") or "/" in image_id or "\\" in image_id:
+        raise ValueError(f"image_id must be a plain file name, got {image_id!r}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     image_path = out_dir / f"{image_id}.ppm"
-    save_image(scene.image, image_path)
+    save_image(scene.counts, scene.camera, scene.bit_depth, image_path)
     atomic_write_text(out_dir / f"{image_id}.chart", scene.chart_text)
     return image_path
 

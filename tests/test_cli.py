@@ -18,7 +18,7 @@ from chromabench._util import fmt9
 from chromabench.chartgeom import ChartLayout, format_chart, read_chart_file
 from chromabench.estimators import PRESETS, read_estimates
 from chromabench.groundtruth import read_gt, records_by_id
-from chromabench.imagecore import CameraProfile, LinearImage, save_image
+from chromabench.imagecore import CameraProfile, save_image
 from chromabench.metrics import recovery_error
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "demo_seed7"
@@ -94,6 +94,16 @@ def test_synth_non_integer_or_out_of_range_size_exits_1(tmp_path, capsys, field,
     assert run(["synth", "--spec", spec, "--out", tmp_path / "o"]) == 1
     assert capsys.readouterr().err == f"error: invalid scene spec: {message}\n"
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("image_id", ["../escaped", "", ".", "..", "a/b", "a\\b", "/abs"])
+def test_synth_image_id_that_is_not_a_plain_file_name_exits_1(tmp_path, capsys, image_id):
+    # "../escaped" used to write escaped.ppm, .meta.json and .chart beside --out.
+    spec = write_scene_json(tmp_path / "scene.json", image_id=image_id)
+    assert run(["synth", "--spec", spec, "--out", tmp_path / "run" / "o"]) == 1
+    message = f"error: image_id must be a plain file name, got {image_id!r}\n"
+    assert capsys.readouterr().err == message
+    assert [p.name for p in tmp_path.rglob("*")] == ["scene.json"]
 
 
 def test_synth_pose_with_corners_exits_1(tmp_path, capsys):
@@ -291,9 +301,8 @@ def constant_color_corpus(tmp_path, colors):
     corpus = tmp_path / "flat"
     corpus.mkdir()
     for i, color in enumerate(colors):
-        data = np.tile(np.asarray(color, dtype=float), (16, 16, 1))
-        img = LinearImage(data, camera=CameraProfile(f"cam{i}", 0.0))
-        save_image(img, corpus / f"flat{i}.ppm")
+        counts = np.tile(np.asarray(color, dtype=np.uint16), (16, 16, 1))
+        save_image(counts, CameraProfile(f"cam{i}", 0.0), 12, corpus / f"flat{i}.ppm")
     return corpus
 
 

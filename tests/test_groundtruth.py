@@ -18,7 +18,7 @@ from chromabench.groundtruth import (
     select_achromatic_patch,
     write_gt,
 )
-from chromabench.imagecore import CameraProfile, load_counts, load_image
+from chromabench.imagecore import CameraProfile, load_counts
 from chromabench.metrics import recovery_error
 
 
@@ -170,9 +170,9 @@ def test_compute_ground_truth_matches_per_patch_reference(row, level, black, sub
 
 def render_and_load(tmp_path, spec, image_id):
     synth.write_scene(synth.render(spec), tmp_path, image_id)
-    img = load_image(tmp_path / f"{image_id}.ppm")
+    counts, camera, _ = load_counts(tmp_path / f"{image_id}.ppm")
     layout = read_chart_file(tmp_path / f"{image_id}.chart")
-    return img, layout
+    return counts, camera, layout
 
 
 def test_pipeline_recovers_known_illuminant(tmp_path):
@@ -180,8 +180,8 @@ def test_pipeline_recovers_known_illuminant(tmp_path):
     spec, truth = synthcases.scene_for_target(
         (2400, 1700, 1100), synth.random_pose(rng)
     )
-    img, layout = render_and_load(tmp_path, spec, "a")
-    rec = compute_ground_truth(img.data, layout, img.camera, image_id="a")
+    counts, camera, layout = render_and_load(tmp_path, spec, "a")
+    rec = compute_ground_truth(counts, layout, camera, image_id="a")
     assert recovery_error(rec.illuminant, truth) < 1e-6
     assert rec.patch_index == 18
     assert rec.black_level_subtracted
@@ -192,10 +192,10 @@ def test_black_level_cancels_exactly(tmp_path):
     pose = synth.random_pose(rng)
     spec0, truth = synthcases.scene_for_target((2400, 1700, 1100), pose)
     spec129, _ = synthcases.scene_for_target((2400, 1700, 1100), pose, black_level=129.0)
-    img0, layout0 = render_and_load(tmp_path, spec0, "zero")
-    img129, layout129 = render_and_load(tmp_path, spec129, "offset")
-    rec0 = compute_ground_truth(img0.data, layout0, img0.camera, image_id="zero")
-    rec129 = compute_ground_truth(img129.data, layout129, img129.camera, image_id="offset")
+    counts0, camera0, layout0 = render_and_load(tmp_path, spec0, "zero")
+    counts129, camera129, layout129 = render_and_load(tmp_path, spec129, "offset")
+    rec0 = compute_ground_truth(counts0, layout0, camera0, image_id="zero")
+    rec129 = compute_ground_truth(counts129, layout129, camera129, image_id="offset")
     assert recovery_error(rec0.illuminant, rec129.illuminant) < 1e-6
     assert recovery_error(rec129.illuminant, truth) < 1e-6
 
@@ -205,11 +205,9 @@ def test_skipping_subtraction_shifts_by_exactly_129(tmp_path):
     spec, _ = synthcases.scene_for_target(
         (2400, 1700, 1100), synth.random_pose(rng), black_level=129.0
     )
-    img, layout = render_and_load(tmp_path, spec, "s")
-    subtracted = compute_ground_truth(img.data, layout, img.camera, image_id="s")
-    raw = compute_ground_truth(
-        img.data, layout, img.camera, image_id="s", subtract_black=False
-    )
+    counts, camera, layout = render_and_load(tmp_path, spec, "s")
+    subtracted = compute_ground_truth(counts, layout, camera, image_id="s")
+    raw = compute_ground_truth(counts, layout, camera, image_id="s", subtract_black=False)
     diff = np.asarray(raw.illuminant) - np.asarray(subtracted.illuminant)
     assert diff.tolist() == [129.0, 129.0, 129.0]
     assert not raw.black_level_subtracted
@@ -286,11 +284,11 @@ def test_saturated_white_patch_in_rendered_scene(tmp_path):
         reflectance_table=synthcases.exact_reflectance_table(),
         rng_seed=0,
     )
-    img, layout = render_and_load(tmp_path, spec, "sat")
+    counts, _, layout = render_and_load(tmp_path, spec, "sat")
     strict = CameraProfile("cam", 0.0, saturation_level=3300.0)
     loose = CameraProfile("cam", 0.0, saturation_level=3301.0)
-    assert compute_ground_truth(img.data, layout, strict).patch_index == 19
-    assert compute_ground_truth(img.data, layout, loose).patch_index == 18
+    assert compute_ground_truth(counts, layout, strict).patch_index == 19
+    assert compute_ground_truth(counts, layout, loose).patch_index == 18
 
 
 @pytest.mark.parametrize(
@@ -307,11 +305,11 @@ def test_rendered_ground_truth_matches_per_patch_reference(tmp_path, white, blac
     spec, _ = synthcases.scene_for_target(
         white, synth.random_pose(rng), black_level=black, noise_sigma=noise, rng_seed=5
     )
-    img, layout = render_and_load(tmp_path, spec, "r")
-    counts, camera, _ = load_counts(tmp_path / "r.ppm")
-    samples = chartgeom.sample_patches(img.data, layout)
+    counts, camera, layout = render_and_load(tmp_path, spec, "r")
+    samples = chartgeom.sample_patches(counts, layout)
     for subtract in (True, False):
-        got = ground_truth_outcome(img.data, layout, img.camera, subtract)
-        assert got == reference_ground_truth(samples, img.camera, subtract)
-        # The uint16 counts the CLI reads give the float64 frame's record exactly.
-        assert ground_truth_outcome(counts, layout, camera, subtract) == got
+        got = ground_truth_outcome(counts, layout, camera, subtract)
+        assert got == reference_ground_truth(samples, camera, subtract)
+        # The counts widened to a float64 frame give the same record exactly.
+        widened = counts.astype(np.float64)
+        assert ground_truth_outcome(widened, layout, camera, subtract) == got

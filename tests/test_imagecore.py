@@ -9,9 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from chromabench.imagecore import (
     CameraProfile,
-    LinearImage,
     load_counts,
-    load_image,
     normalize_estimate,
     save_image,
     sidecar_path,
@@ -31,23 +29,21 @@ def write_ppm(path, samples, width, height, meta=None):
 def test_load_reads_samples_exactly(tmp_path):
     p = tmp_path / "one.ppm"
     write_ppm(p, [100, 200, 300], 1, 1)
-    img = load_image(p)
-    assert img.width == 1 and img.height == 1
-    assert img.bit_depth == 12
-    assert img.data.tolist() == [[[100.0, 200.0, 300.0]]]
-    assert img.camera.camera_id == "cam"
+    counts, camera, bit_depth = load_counts(p)
+    assert counts.shape == (1, 1, 3)
+    assert bit_depth == 12
+    assert counts.tolist() == [[[100, 200, 300]]]
+    assert camera.camera_id == "cam"
 
 
 def test_load_rejects_sample_over_bit_depth(tmp_path):
     p = tmp_path / "hot.ppm"
     write_ppm(p, [5000, 0, 0], 1, 1)
-    with pytest.raises(ValueError, match="exceeds bit depth"):
-        load_image(p)
     with pytest.raises(ValueError, match=r"^value exceeds bit depth: 5000 > 4095 \(12-bit\)$"):
         load_counts(p)
 
 
-def test_load_counts_keeps_native_uint16_that_load_image_widens(tmp_path):
+def test_load_counts_keeps_native_uint16(tmp_path):
     rng = np.random.default_rng(4)
     samples = rng.integers(0, 4096, size=5 * 7 * 3)
     p = tmp_path / "c.ppm"
@@ -57,9 +53,6 @@ def test_load_counts_keeps_native_uint16_that_load_image_widens(tmp_path):
     assert counts.flags.c_contiguous and counts.shape == (5, 7, 3)
     assert counts.ravel().tolist() == samples.tolist()
     assert (camera, bit_depth) == (CameraProfile("cam", 129.0, 3300.0), 12)
-    img = load_image(p)
-    assert img.data.tobytes() == counts.astype(np.float64).tobytes()
-    assert (img.camera, img.bit_depth) == (camera, bit_depth)
 
 
 def test_load_rejects_infinite_saturation_level(tmp_path):
@@ -68,7 +61,7 @@ def test_load_rejects_infinite_saturation_level(tmp_path):
     write_ppm(p, [1, 2, 3], 1, 1)
     sidecar_path(p).write_text('{"saturation_level": Infinity}')
     with pytest.raises(ValueError, match="saturation_level must be finite"):
-        load_image(p)
+        load_counts(p)
 
 
 @pytest.mark.parametrize("bit_depth", [12.7, "12", None, [12]])
@@ -76,7 +69,7 @@ def test_load_rejects_bit_depth_that_is_not_a_whole_number(tmp_path, bit_depth):
     p = tmp_path / "frac.ppm"
     write_ppm(p, [1, 2, 3], 1, 1, meta={"bit_depth": bit_depth})
     with pytest.raises(ValueError, match="bit_depth must be a whole number"):
-        load_image(p)
+        load_counts(p)
 
 
 @pytest.mark.parametrize("bit_depth", [0, 17, 2000])
@@ -85,19 +78,51 @@ def test_load_rejects_bit_depth_outside_1_to_16(tmp_path, bit_depth):
     p = tmp_path / "deep.ppm"
     write_ppm(p, [1, 2, 3], 1, 1, meta={"bit_depth": bit_depth})
     with pytest.raises(ValueError, match=r"^bit_depth must be an integer in 1\.\.16$"):
-        load_image(p)
+        load_counts(p)
 
 
-@pytest.mark.parametrize("bit_depth", [0, 17, 12.0])
-def test_linear_image_rejects_bit_depth_that_is_not_an_integer_in_1_to_16(bit_depth):
+@pytest.mark.parametrize(
+    "sidecar, message",
+    [
+        ("[12]", r"/meta\.meta\.json: sidecar must be a JSON object$"),
+        ('"cam"', r"/meta\.meta\.json: sidecar must be a JSON object$"),
+        ('{"bit_depth": true}', r"^bit_depth must be a whole number, got True$"),
+        ('{"black_level": true}', r"^black_level must be a number, got True$"),
+        ('{"black_level": "129"}', r"^black_level must be a number, got '129'$"),
+        ('{"saturation_level": false}', r"^saturation_level must be a number, got False$"),
+        ('{"saturation_level": null}', r"^saturation_level must be a number, got None$"),
+        ('{"black_level": 1%s}' % ("0" * 400), r"^black_level must be finite$"),
+    ],
+    ids=["list", "text", "bool-depth", "bool-black", "text-black", "bool-sat", "null-sat", "huge"],
+)
+def test_load_rejects_a_malformed_sidecar(tmp_path, sidecar, message):
+    p = tmp_path / "meta.ppm"
+    write_ppm(p, [1, 2, 3], 1, 1)
+    sidecar_path(p).write_text(sidecar)
+    with pytest.raises(ValueError, match=message):
+        load_counts(p)
+
+
+@pytest.mark.parametrize("bit_depth", [0, 17, 12.0, True])
+def test_save_rejects_bit_depth_that_is_not_an_integer_in_1_to_16(tmp_path, bit_depth):
     with pytest.raises(ValueError, match=r"^bit_depth must be an integer in 1\.\.16$"):
-        LinearImage(np.ones((1, 1, 3)), bit_depth=bit_depth)
+        save_image(np.ones((1, 1, 3), np.uint16), CameraProfile("c"), bit_depth, tmp_path / "x.ppm")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_save_rejects_counts_that_load_counts_would_reject_as_over_bit_depth(tmp_path):
+    cam = CameraProfile("cam")
+    with pytest.raises(ValueError, match=r"^value exceeds bit depth: 5000 > 4095 \(12-bit\)$"):
+        save_image(np.full((2, 2, 3), 5000, dtype=np.uint16), cam, 12, tmp_path / "hot.ppm")
+    assert list(tmp_path.iterdir()) == []
+    save_image(np.full((2, 2, 3), 4095, dtype=np.uint16), cam, 12, tmp_path / "top.ppm")
+    assert load_counts(tmp_path / "top.ppm")[0].max() == 4095
 
 
 def test_load_accepts_integral_float_bit_depth(tmp_path):
     p = tmp_path / "twelve.ppm"
     write_ppm(p, [1, 2, 3], 1, 1, meta={"bit_depth": 12.0})
-    assert load_image(p).bit_depth == 12
+    assert load_counts(p)[2] == 12
 
 
 def test_load_requires_sidecar(tmp_path):
@@ -105,7 +130,7 @@ def test_load_requires_sidecar(tmp_path):
     header = b"P6\n1 1\n65535\n"
     p.write_bytes(header + struct.pack(">3H", 1, 2, 3))
     with pytest.raises(FileNotFoundError, match="missing sidecar"):
-        load_image(p)
+        load_counts(p)
 
 
 @pytest.mark.parametrize(
@@ -122,7 +147,7 @@ def test_load_rejects_malformed_files(tmp_path, raw):
     p.write_bytes(raw)
     sidecar_path(p).write_text("{}")
     with pytest.raises(ValueError, match="malformed"):
-        load_image(p)
+        load_counts(p)
 
 
 def test_header_comments_are_skipped(tmp_path):
@@ -130,8 +155,8 @@ def test_header_comments_are_skipped(tmp_path):
     raw = b"P6\n# a comment\n2 1\n# another\n65535\n" + struct.pack(">6H", 1, 2, 3, 4, 5, 6)
     p.write_bytes(raw)
     sidecar_path(p).write_text("{}")
-    img = load_image(p)
-    assert img.data.tolist() == [[[1, 2, 3], [4, 5, 6]]]
+    counts, _, _ = load_counts(p)
+    assert counts.tolist() == [[[1, 2, 3], [4, 5, 6]]]
 
 
 def test_a_comment_that_moves_the_samples_to_an_odd_offset_reads_the_same(tmp_path):
@@ -153,46 +178,46 @@ def test_a_comment_that_moves_the_samples_to_an_odd_offset_reads_the_same(tmp_pa
 @settings(max_examples=30, deadline=None)
 @given(
     hnp.arrays(
-        dtype=np.int64,
+        dtype=np.uint16,
         shape=st.tuples(st.integers(1, 8), st.integers(1, 8), st.just(3)),
         elements=st.integers(0, 4095),
     )
 )
 def test_save_load_round_trip_bit_exact(tmp_path_factory, arr):
     tmp = tmp_path_factory.mktemp("rt")
-    img = LinearImage(arr.astype(float), bit_depth=12, camera=CameraProfile("cam", 129.0))
-    save_image(img, tmp / "img.ppm")
-    back = load_image(tmp / "img.ppm")
-    assert np.array_equal(back.data, img.data)
-    assert back.bit_depth == img.bit_depth
-    assert back.camera == img.camera
+    camera = CameraProfile("cam", 129.0)
+    save_image(arr, camera, 12, tmp / "img.ppm")
+    back, back_camera, back_bit_depth = load_counts(tmp / "img.ppm")
+    assert back.tobytes() == arr.tobytes()
+    assert (back_camera, back_bit_depth) == (camera, 12)
 
 
 def test_save_rejects_non_integer_samples(tmp_path):
-    img = LinearImage(np.full((1, 1, 3), 1.5))
-    with pytest.raises(ValueError, match="non-integer"):
-        save_image(img, tmp_path / "x.ppm")
+    # Counts are uint16 by type, so a float frame is rejected whatever its values.
+    for data in (np.full((1, 1, 3), 1.5), np.full((1, 1, 3), 1.0)):
+        with pytest.raises(ValueError, match=r"^counts must be a uint16 \(H, W, 3\) array$"):
+            save_image(data, CameraProfile("cam"), 12, tmp_path / "x.ppm")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sidecar_ignores_unknown_fields(tmp_path):
     p = tmp_path / "u.ppm"
     write_ppm(p, [1, 2, 3], 1, 1, meta={"future_field": [1, 2], "black_level": 7})
-    assert load_image(p).camera.black_level == 7.0
+    assert load_counts(p)[1].black_level == 7.0
 
 
 def test_subtract_black_level_reference_case():
-    img = LinearImage(np.full((1, 1, 3), 329.0))
-    assert subtract_black_level(img.data, 129).tolist() == [[[200.0, 200.0, 200.0]]]
+    out = subtract_black_level(np.full((1, 1, 3), 329.0), 129)
+    assert out.tolist() == [[[200.0, 200.0, 200.0]]]
 
 
 def test_subtract_zero_is_identity():
-    img = LinearImage(np.arange(12, dtype=float).reshape(2, 2, 3))
-    assert np.array_equal(subtract_black_level(img.data, 0), img.data)
+    data = np.arange(12, dtype=float).reshape(2, 2, 3)
+    assert np.array_equal(subtract_black_level(data, 0), data)
 
 
 def test_subtract_clamps_at_zero():
-    img = LinearImage(np.full((1, 1, 3), 100.0))
-    assert subtract_black_level(img.data, 129).tolist() == [[[0.0, 0.0, 0.0]]]
+    assert subtract_black_level(np.full((1, 1, 3), 100.0), 129).tolist() == [[[0.0, 0.0, 0.0]]]
 
 
 def test_subtract_widens_uint16_counts_as_float64_and_leaves_them_unchanged():
@@ -211,9 +236,8 @@ def test_subtract_widens_uint16_counts_as_float64_and_leaves_them_unchanged():
 
 
 def test_subtract_rejects_negative_level():
-    img = LinearImage(np.zeros((1, 1, 3)))
     with pytest.raises(ValueError):
-        subtract_black_level(img.data, -1)
+        subtract_black_level(np.zeros((1, 1, 3)), -1)
 
 
 @settings(max_examples=50, deadline=None)
@@ -226,9 +250,8 @@ def test_subtract_rejects_negative_level():
     st.floats(0, 500, allow_nan=False),
 )
 def test_subtract_is_monotone_and_nonnegative(arr, level):
-    img = LinearImage(arr)
-    out = subtract_black_level(img.data, level)
-    assert np.all(out <= img.data)
+    out = subtract_black_level(arr, level)
+    assert np.all(out <= arr)
     assert np.all(out >= 0)
 
 
@@ -257,18 +280,18 @@ def test_normalize_returns_unit_vectors(v):
     assert abs(np.linalg.norm(normalize_estimate(v)) - 1.0) <= 1e-12
 
 
-def test_linear_image_invariants():
-    with pytest.raises(ValueError):
-        LinearImage(np.zeros((0, 1, 3)))
-    with pytest.raises(ValueError):
-        LinearImage(np.zeros((1, 1, 4)))
-    with pytest.raises(ValueError):
-        LinearImage(np.full((1, 1, 3), -1.0))
-    with pytest.raises(ValueError):
-        LinearImage(np.full((1, 1, 3), np.nan))
-    img = LinearImage(np.zeros((2, 2, 3)))
-    with pytest.raises(ValueError):
-        img.data[0, 0, 0] = 1.0  # stored array is read-only
+def test_save_rejects_a_frame_that_is_not_uint16_h_w_3(tmp_path):
+    # Negative and non-finite samples cannot reach the file: uint16 holds neither.
+    cases = [
+        (np.zeros((0, 1, 3), dtype=np.uint16), r"^image must be at least 1x1$"),
+        (np.zeros((1, 1, 4), dtype=np.uint16), r"^counts must be a uint16 \(H, W, 3\) array$"),
+        (np.zeros((2, 3), dtype=np.uint16), r"^counts must be a uint16 \(H, W, 3\) array$"),
+        (np.full((1, 1, 3), -1, dtype=np.int16), r"^counts must be a uint16 \(H, W, 3\) array$"),
+    ]
+    for data, message in cases:
+        with pytest.raises(ValueError, match=message):
+            save_image(data, CameraProfile("cam"), 12, tmp_path / "x.ppm")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_camera_profile_invariants():

@@ -20,7 +20,7 @@ from chromabench.chartgeom import (
 )
 from chromabench.estimators import PRESETS, estimate
 from chromabench.groundtruth import compute_ground_truth
-from chromabench.imagecore import CameraProfile, LinearImage, load_image
+from chromabench.imagecore import CameraProfile, load_counts
 from chromabench.metrics import recovery_error
 
 
@@ -35,7 +35,7 @@ def test_render_formula_readout_exact():
     )
     scene = synth.render(spec)
     # white patch (index 18) center in image coords: (50 + 20, 350 + 40)
-    region = scene.image.data[380:400, 60:80]
+    region = scene.counts[380:400, 60:80]
     expected = np.array([1.0, 0.5, 0.25]) * 0.5 * 4000.0
     assert np.all(region == expected)
 
@@ -43,14 +43,14 @@ def test_render_formula_readout_exact():
 def test_black_level_is_a_floor():
     spec = synth.SceneSpec(black_level=129.0, exposure=1500.0)
     scene = synth.render(spec)
-    assert scene.image.data.min() >= 129.0
+    assert scene.counts.min() >= 129
 
 
 def test_noise_free_scene_is_deterministic():
     spec = synth.SceneSpec(illuminant=(0.7, 0.6, 0.5), noise_sigma=3.0, rng_seed=7)
     a = synth.render(spec)
     b = synth.render(spec)
-    assert np.array_equal(a.image.data, b.image.data)
+    assert np.array_equal(a.counts, b.counts)
     assert a.chart_text == b.chart_text
 
 
@@ -58,15 +58,15 @@ def test_different_seeds_differ():
     base = dict(illuminant=(0.7, 0.6, 0.5), noise_sigma=3.0)
     a = synth.render(synth.SceneSpec(rng_seed=1, **base))
     b = synth.render(synth.SceneSpec(rng_seed=2, **base))
-    assert not np.array_equal(a.image.data, b.image.data)
+    assert not np.array_equal(a.counts, b.counts)
 
 
 def test_exposure_escalation_never_unclips():
     table = synthcases.exact_reflectance_table()
     low_spec = synth.SceneSpec(exposure=7000.0, reflectance_table=table)
     high_spec = synth.SceneSpec(exposure=9000.0, reflectance_table=table)
-    clipped_low = synth.render(low_spec).image.data >= low_spec.clip_level
-    clipped_high = synth.render(high_spec).image.data >= high_spec.clip_level
+    clipped_low = synth.render(low_spec).counts >= low_spec.clip_level
+    clipped_high = synth.render(high_spec).counts >= high_spec.clip_level
     assert clipped_low.sum() > 0
     assert np.all(clipped_high[clipped_low])
 
@@ -81,9 +81,9 @@ def test_saturating_exposure_moves_selection_to_second_gray(tmp_path):
     )
     scene = synth.render(spec)
     synth.write_scene(scene, tmp_path, "clip")
-    img = load_image(tmp_path / "clip.ppm")
+    counts, camera, _ = load_counts(tmp_path / "clip.ppm")
     layout = read_chart_file(tmp_path / "clip.chart")
-    record = compute_ground_truth(img.data, layout, img.camera, image_id="clip")
+    record = compute_ground_truth(counts, layout, camera, image_id="clip")
     assert record.patch_index == 19
     np.testing.assert_allclose(record.illuminant, 0.25 * 9000.0)
 
@@ -182,9 +182,10 @@ def _render_full_frame(spec: synth.SceneSpec) -> synth.RenderedScene:
         black_level=spec.black_level,
         saturation_level=spec.saturation_level,
     )
-    image = LinearImage(counts, bit_depth=spec.bit_depth, camera=camera)
     return synth.RenderedScene(
-        image=image,
+        counts=counts.astype(np.uint16),
+        camera=camera,
+        bit_depth=spec.bit_depth,
         true_illuminant=spec.illuminant,
         chart_text=format_chart(layout),
     )
@@ -247,9 +248,10 @@ def test_render_matches_the_full_frame_renderer_bit_for_bit(
                 _render_full_frame(spec)
             return
     expected = _render_full_frame(spec)
-    assert scene.image.data.tobytes() == expected.image.data.tobytes()
+    assert scene.counts.dtype == np.uint16 and scene.counts.flags.c_contiguous
+    assert scene.counts.tobytes() == expected.counts.tobytes()
     assert scene.chart_text == expected.chart_text
-    assert scene.image.camera == expected.image.camera
+    assert (scene.camera, scene.bit_depth) == (expected.camera, expected.bit_depth)
 
 
 def test_render_matches_the_full_frame_renderer_past_a_horizon_inside_the_chart():
@@ -259,7 +261,7 @@ def test_render_matches_the_full_frame_renderer_past_a_horizon_inside_the_chart(
     corners = [[20.0, 400.0], [780.0, 50.0], [780.0, 750.0], [20.0, 401.0]]
     spec = synth.SceneSpec(pose=synth.pose_from_corners(corners), width=800, height=800)
     scene = synth.render(spec)
-    assert scene.image.data.tobytes() == _render_full_frame(spec).image.data.tobytes()
+    assert scene.counts.tobytes() == _render_full_frame(spec).counts.tobytes()
 
 
 def test_render_peak_memory_stays_under_two_frames():
@@ -283,7 +285,7 @@ def test_render_peak_memory_stays_under_two_frames():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak < 2 * scene.image.data.nbytes
+    assert peak < 2 * height * width * 3 * 8  # two float64 frames
 
 
 def test_round_trip_recovers_parallel_illuminant(tmp_path):
@@ -297,9 +299,9 @@ def test_round_trip_recovers_parallel_illuminant(tmp_path):
         )
         scene = synth.render(spec)
         synth.write_scene(scene, tmp_path, f"rt{i}")
-        img = load_image(tmp_path / f"rt{i}.ppm")
+        counts, camera, _ = load_counts(tmp_path / f"rt{i}.ppm")
         layout = read_chart_file(tmp_path / f"rt{i}.chart")
-        record = compute_ground_truth(img.data, layout, img.camera, image_id=f"rt{i}")
+        record = compute_ground_truth(counts, layout, camera, image_id=f"rt{i}")
         assert recovery_error(record.illuminant, truth) < 1e-6
 
 
