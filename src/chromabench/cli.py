@@ -153,8 +153,6 @@ def cmd_estimate(args) -> int:
         (image_id, str(path), str(charts_dir / f"{image_id}.chart"), specs, args.mask_chart)
         for image_id, path in images
     ]
-    import scipy.ndimage  # noqa: F401 - once, before the pool forks, not once per worker
-
     rows, failures = _run_per_image(_estimate_one, tasks, jobs)
     estimators.write_estimates(rows, args.out)
     print(f"wrote {len(rows)} estimates to {args.out}")
@@ -358,7 +356,9 @@ def _scene_from_json(payload: dict) -> tuple[synth.SceneSpec, str]:
         spec = synth.SceneSpec(**kwargs)
     except (TypeError, ValueError) as exc:
         raise CliError(f"invalid scene spec: {exc}") from exc
-    return spec, str(payload.get("image_id", "scene"))
+    image_id = str(payload.get("image_id", "scene"))
+    synth.check_image_id(image_id)
+    return spec, image_id
 
 
 def cmd_synth(args) -> int:

@@ -12,11 +12,16 @@ length.  The familiar names are parameter presets:
     grey-edge-1          n=1, p,     sigma
     grey-edge-2          n=2, p,     sigma
 
-Derivatives use central differences on the smoothed image with reflect
-padding; the second-order magnitude is the Frobenius norm of the Hessian,
+Derivatives use central differences on the smoothed image; the
+second-order magnitude is the Frobenius norm of the Hessian,
 sqrt(fxx^2 + 2*fxy^2 + fyy^2).  Pooling is ((1/N) * sum v^p)^(1/p) so that
 p = 1 is exactly the mean; p = inf is the maximum.  Estimates are invariant
 to exposure scaling by construction.
+
+The blur and both difference stencils go through one numpy routine,
+`_correlate`: mirror-edged 1-D correlation along one axis, equal bit for bit
+to ``scipy.ndimage.correlate1d(mode="mirror")``, which the tests keep as its
+reference.  The module needs numpy only.
 
 `estimate_many` runs a list of specs on one (H, W, 3) array of raw counts
 (native uint16 from ``imagecore.load_counts``, or float) and shares their
@@ -71,6 +76,14 @@ CHART_MARGIN_PX = 5
 # temporary of one channel is 1.1 MB on a 2193-pixel-wide frame, against
 # 77 MB for the (H, W, 3) frame.
 _STRIPE_ROWS = 64
+
+# Rows per stripe of `_correlate`: 16 rows of a 2193-pixel-wide channel are
+# 0.28 MB, so a stripe and its temporaries stay in cache.
+_STENCIL_ROWS = 16
+
+# The central-difference stencils of the first and second derivative.
+_FIRST_DIFFERENCE = np.array([-0.5, 0.0, 0.5])
+_SECOND_DIFFERENCE = np.array([1.0, -2.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -161,16 +174,6 @@ def _gaussian_kernel(sigma: float) -> np.ndarray:
     return weights / weights.sum()
 
 
-def _correlate_axis(
-    data: np.ndarray, weights: np.ndarray, axis: int, output: np.ndarray | None = None
-) -> np.ndarray:
-    # scipy's "mirror" mode is reflect-about-edge-sample padding, matching
-    # np.pad(mode="reflect"); `_difference` pads the derivatives the same way.
-    from scipy import ndimage  # slower to import than the package; only estimation needs it
-
-    return ndimage.correlate1d(data, weights, axis=axis, output=output, mode="mirror")
-
-
 def _smoothing_kernel(shape: tuple[int, ...], sigma: float) -> np.ndarray | None:
     """The blur kernel for data of ``shape`` at ``sigma``; None for sigma = 0."""
     if sigma < 0:
@@ -189,29 +192,86 @@ def _smoothing_kernel(shape: tuple[int, ...], sigma: float) -> np.ndarray | None
 def gaussian_smooth(data: np.ndarray, sigma: float) -> np.ndarray:
     """Separable Gaussian blur of (H, W) or (H, W, 3) data over its first two axes.
 
-    sigma = 0 returns the input unchanged.
+    sigma = 0 returns the input unchanged; otherwise the result is a new
+    float64 array.
 
     Kernel radius is ceil(3*sigma); weights are the sampled Gaussian
     normalized to sum 1, so constants pass through exactly.  A radius past
     the longer image side is rejected before any kernel is built.
     """
-    kernel = _smoothing_kernel(data.shape, sigma)
-    if kernel is None:
+    if sigma == 0:
         return data
-    out = _correlate_axis(data, kernel, axis=1)
-    return _correlate_axis(out, kernel, axis=0)
+    smoothed = np.array(data, dtype=np.float64)
+    _smooth_in_place(smoothed, sigma)
+    return smoothed
 
 
 def _smooth_in_place(channel: np.ndarray, sigma: float) -> None:
-    """:func:`gaussian_smooth` of an (H, W) float64 array the engine owns, written back into it.
+    """:func:`gaussian_smooth` of a float64 array the engine owns, written back into it.
 
     The axis-1 pass goes into one temporary and the axis-0 pass from it into
-    ``channel``, so input and output are never the same array; the values
-    are gaussian_smooth's bit for bit.
+    ``channel``, so input and output are never the same array.
     """
     kernel = _smoothing_kernel(channel.shape, sigma)
     if kernel is not None:
-        _correlate_axis(_correlate_axis(channel, kernel, axis=1), kernel, axis=0, output=channel)
+        _correlate(_correlate(channel, kernel, axis=1), kernel, axis=0, out=channel)
+
+
+def _correlate(
+    a: np.ndarray, weights: np.ndarray, axis: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Correlate float64 (H, W) or (H, W, 3) data with an odd-length kernel along axis 0 or 1.
+
+    The kernel is symmetric, or antisymmetric like [-0.5, 0, 0.5].  The sums
+    run in the order ``scipy.ndimage.correlate1d`` runs them, a[i] * w[R]
+    and then, for j from R down to 1, + (a[i-j] + a[i+j]) * w[R-j] (a
+    difference for an antisymmetric kernel), with its "mirror" edges: index
+    k is read mod 2L - 2 and folded back into the axis, and a length-1 axis
+    reads itself.  So the values are correlate1d's bit for bit.
+
+    The work goes in stripes of ``_STENCIL_ROWS`` rows, so each stripe and
+    its temporaries stay in cache through the 3R + 1 passes.  Along axis 1 a
+    stripe is gathered transposed, with its mirror columns, so the kernel
+    slides down contiguous rows, and the result is written back transposed.
+    ``out`` must not overlap ``a``.
+    """
+    if out is None:
+        out = np.empty_like(a)
+    radius = len(weights) // 2
+    height, width = a.shape[:2]
+    columns = _mirror(-radius, width + radius, width) if axis == 1 else None
+    for r0 in range(0, height, _STENCIL_ROWS):
+        r1 = min(r0 + _STENCIL_ROWS, height)
+        if axis == 1:
+            window = np.moveaxis(a[r0:r1], 1, 0)[columns]
+            out[r0:r1] = np.moveaxis(_slide(window, weights), 0, 1)
+        elif radius <= r0 and r1 + radius <= height:
+            _slide(a[r0 - radius : r1 + radius], weights, out[r0:r1])
+        else:
+            _slide(a[_mirror(r0 - radius, r1 + radius, height)], weights, out[r0:r1])
+    return out
+
+
+def _mirror(start: int, stop: int, length: int) -> np.ndarray:
+    """Indices start..stop-1 of an axis of ``length``, mirrored into it as correlate1d does."""
+    period = max(2 * length - 2, 1)  # a length-1 axis reads index 0 throughout
+    k = np.arange(start, stop) % period
+    return np.where(k < length, k, period - k)
+
+
+def _slide(window: np.ndarray, weights: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The kernel applied down axis 0 of ``window``, which has R rows of context each side."""
+    radius = len(weights) // 2
+    rows = len(window) - 2 * radius
+    combine = np.add if weights[0] == weights[-1] else np.subtract
+    out = np.multiply(window[radius : radius + rows], weights[radius], out=out)
+    term = np.empty_like(out)
+    for j in range(radius, 0, -1):
+        lo, hi = radius - j, radius + j
+        combine(window[lo : lo + rows], window[hi : hi + rows], out=term)
+        term *= weights[radius - j]
+        out += term
+    return out
 
 
 def _derivative(a: np.ndarray, n: int) -> np.ndarray:
@@ -219,42 +279,13 @@ def _derivative(a: np.ndarray, n: int) -> np.ndarray:
     if n == 0:
         return a
     if n == 1:
-        fx = _difference(a, 1, axis=1)
-        fy = _difference(a, 1, axis=0)
+        fx = _correlate(a, _FIRST_DIFFERENCE, axis=1)
+        fy = _correlate(a, _FIRST_DIFFERENCE, axis=0)
         return np.sqrt(fx * fx + fy * fy)
-    fxx = _difference(a, 2, axis=1)
-    fyy = _difference(a, 2, axis=0)
-    fxy = _difference(_difference(a, 1, axis=1), 1, axis=0)
+    fxx = _correlate(a, _SECOND_DIFFERENCE, axis=1)
+    fyy = _correlate(a, _SECOND_DIFFERENCE, axis=0)
+    fxy = _correlate(_correlate(a, _FIRST_DIFFERENCE, axis=1), _FIRST_DIFFERENCE, axis=0)
     return np.sqrt(fxx * fxx + 2.0 * fxy * fxy + fyy * fyy)
-
-
-def _difference(a: np.ndarray, order: int, axis: int) -> np.ndarray:
-    """The first (order 1) or second (order 2) central difference along axis 0 or 1.
-
-    The 3-tap stencils [-0.5, 0, 0.5] and [1, -2, 1] in the order
-    ``scipy.ndimage.correlate1d`` accumulates them, (a[i-1] - a[i+1]) * -0.5
-    and (a[i-1] + a[i+1]) + a[i] * -2.0, with its "mirror" edges: index -1
-    reads index 1, index L reads L - 2, and a length-1 axis reads itself.
-    So the derivative magnitudes match correlate1d's bit for bit, on 2-D
-    and 3-D arrays alike.
-    """
-    a = np.moveaxis(a, axis, 0)
-    out = np.empty_like(a)
-    length = a.shape[0]
-    m = 1 if length > 1 else 0  # offset of each edge row's mirror neighbour
-    first, last = a[m : m + 1], a[length - 1 - m : length - m]
-    for dst, before, mid, after in (
-        (out[1:-1], a[:-2], a[1:-1], a[2:]),
-        (out[:1], first, a[:1], first),
-        (out[-1:], last, a[-1:], last),
-    ):
-        if order == 1:
-            np.subtract(before, after, out=dst)
-            dst *= -0.5
-        else:
-            np.add(before, after, out=dst)
-            dst += mid * -2.0
-    return np.moveaxis(out, 0, axis)
 
 
 def minkowski_pool(values, p: float) -> float:
@@ -437,13 +468,15 @@ def chart_region_mask(height: int, width: int, layout: ChartLayout) -> np.ndarra
         bx, by = corners[(i + 1) % 4]
         cross = (bx - ax) * (ys - ay) - (by - ay) * (xs - ax)
         inside &= orientation * cross >= 0
-    from scipy import ndimage
-
-    # A square dilation is separable; the frame edge counts as outside.
+    # A square dilation is separable: shifted ORs along each axis, with the
+    # frame edge counting as outside.
     for axis in (0, 1):
-        inside = ndimage.maximum_filter1d(
-            inside, 2 * margin + 1, axis=axis, mode="constant", cval=0
-        )
+        line = np.moveaxis(inside, axis, 0)
+        grown = line.copy()
+        for shift in range(1, margin + 1):
+            grown[shift:] |= line[:-shift]
+            grown[:-shift] |= line[shift:]
+        inside = np.moveaxis(grown, 0, axis)
     keep = np.ones((height, width), dtype=bool)
     keep[y0:y1, x0:x1] = ~inside
     return keep

@@ -118,7 +118,8 @@ def load_counts(path: str | Path) -> tuple[np.ndarray, CameraProfile, int]:
 
     Returns the samples as a C-contiguous native uint16 (H, W, 3) array,
     with the sidecar's camera profile and bit depth.  Raises if the header
-    is malformed, if the sidecar is missing or not a JSON object, if its
+    is malformed, if the sidecar is missing, not valid JSON or not a JSON
+    object, if its
     ``bit_depth`` is not an integer in 1..16 or a level is not a number, or
     if any sample exceeds that bit depth.
     """
@@ -126,7 +127,10 @@ def load_counts(path: str | Path) -> tuple[np.ndarray, CameraProfile, int]:
     meta_file = sidecar_path(path)
     if not meta_file.exists():
         raise FileNotFoundError(f"missing sidecar: {meta_file}")
-    meta = json.loads(meta_file.read_text(encoding="utf-8"))
+    try:
+        meta = json.loads(meta_file.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{meta_file}: sidecar is not valid JSON: {exc}") from None
     if not isinstance(meta, dict):
         raise ValueError(f"{meta_file}: sidecar must be a JSON object")
     bit_depth = meta.get("bit_depth", 12)

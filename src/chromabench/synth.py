@@ -43,6 +43,7 @@ __all__ = [
     "RenderedScene",
     "SceneSpec",
     "WHITE_REFLECTANCE",
+    "check_image_id",
     "default_pose",
     "pose_from_corners",
     "random_pose",
@@ -320,13 +321,22 @@ def render(spec: SceneSpec) -> RenderedScene:
     )
 
 
-def write_scene(scene: RenderedScene, out_dir: str | Path, image_id: str) -> Path:
-    """Write <id>.ppm, <id>.meta.json and <id>.chart; returns the image path.
+def check_image_id(image_id: str) -> None:
+    """Reject an ``image_id`` that is not a plain file name.
 
-    ``image_id`` must be a plain file name, so the files land in ``out_dir``.
+    A plain name keeps a scene's files in its output directory.  :func:`write_scene`
+    and the ``synth`` command check it, the command before it renders anything.
     """
     if image_id in ("", ".", "..") or "/" in image_id or "\\" in image_id:
         raise ValueError(f"image_id must be a plain file name, got {image_id!r}")
+
+
+def write_scene(scene: RenderedScene, out_dir: str | Path, image_id: str) -> Path:
+    """Write <id>.ppm, <id>.meta.json and <id>.chart; returns the image path.
+
+    ``image_id`` must pass :func:`check_image_id`.
+    """
+    check_image_id(image_id)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     image_path = out_dir / f"{image_id}.ppm"

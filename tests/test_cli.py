@@ -97,8 +97,15 @@ def test_synth_non_integer_or_out_of_range_size_exits_1(tmp_path, capsys, field,
 
 
 @pytest.mark.parametrize("image_id", ["../escaped", "", ".", "..", "a/b", "a\\b", "/abs"])
-def test_synth_image_id_that_is_not_a_plain_file_name_exits_1(tmp_path, capsys, image_id):
-    # "../escaped" used to write escaped.ppm, .meta.json and .chart beside --out.
+def test_synth_image_id_that_is_not_a_plain_file_name_exits_1(
+    tmp_path, capsys, monkeypatch, image_id
+):
+    # "../escaped" used to write escaped.ppm, .meta.json and .chart beside --out,
+    # and the id is checked before the frame is rendered.
+    def no_render(spec):
+        raise AssertionError("rendered before the image_id was checked")
+
+    monkeypatch.setattr(synth, "render", no_render)
     spec = write_scene_json(tmp_path / "scene.json", image_id=image_id)
     assert run(["synth", "--spec", spec, "--out", tmp_path / "run" / "o"]) == 1
     message = f"error: image_id must be a plain file name, got {image_id!r}\n"
@@ -443,8 +450,6 @@ def test_estimate_worker_peak_memory_stays_under_one_and_a_half_frames(tmp_path)
     path = synth.write_scene(synth.render(spec), tmp_path, "scene")
     task = ("scene", str(path), str(tmp_path / "scene.chart"), list(PRESETS.values()), True)
     frame_bytes = spec.height * spec.width * 3 * 8  # one float64 (H, W, 3) frame
-    import scipy.ndimage  # noqa: F401 - the import's own allocations are not the worker's
-
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -914,15 +919,21 @@ def test_missing_subcommand_exits_1(capsys):
     assert run([]) == 1
 
 
-def test_cli_import_leaves_scipy_ndimage_to_estimate():
-    # Every command runs in a fresh interpreter; scipy.ndimage would be most of
-    # the start-up time of evaluate, rank and diff-gt, which never use it.
+def test_cli_and_estimate_many_import_no_scipy():
+    # The library's runtime is numpy alone; scipy is only the tests' reference.
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, chromabench.cli; print('scipy.ndimage' in sys.modules)"],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
+    script = (
+        "import sys, numpy as np, chromabench.cli\n"
+        "from chromabench import estimators\n"
+        "from chromabench.chartgeom import ChartLayout\n"
+        "mask = estimators.chart_region_mask(40, 48, ChartLayout([(10, 10), (30, 10), (30, 25), (10, 25)]))\n"
+        "counts = np.random.default_rng(1).integers(1, 4000, (40, 48, 3)).astype(np.uint16)\n"
+        "spec = estimators.spec_from_string('n=2,p=6,sigma=2')\n"
+        "(result,) = estimators.estimate_many(counts, [spec], mask)\n"
+        "assert isinstance(result, estimators.IlluminantEstimate), result\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
     )
-    assert proc.stdout.strip() == "False", proc.stderr
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.stdout.strip() == "[]", proc.stderr

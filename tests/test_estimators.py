@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy import ndimage
 
 from chromabench import estimators
 from chromabench.chartgeom import ChartLayout
@@ -110,7 +111,6 @@ def test_bad_order_rejected():
 
 def reference_derivative(a, n):
     """The order-n magnitude through scipy's correlate1d with "mirror" edges."""
-    from scipy import ndimage
 
     def correlate(x, weights, axis):
         return ndimage.correlate1d(x, np.array(weights), axis=axis, mode="mirror")
@@ -145,6 +145,40 @@ stencil_inputs = st.tuples(st.integers(1, 9), st.integers(1, 9), st.booleans()).
 def test_sliced_stencils_match_correlate1d_bit_for_bit(a):
     for n in (1, 2):
         assert estimators._derivative(a, n).tobytes() == reference_derivative(a, n).tobytes()
+
+
+correlate_inputs = st.tuples(st.integers(1, 24), st.integers(1, 24), st.booleans()).flatmap(
+    lambda hwc: hnp.arrays(
+        np.float64,
+        hwc[:2] + ((3,) if hwc[2] else ()),
+        elements=st.floats(-1e9, 1e9, width=64) | st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    )
+)
+
+
+@given(correlate_inputs, st.floats(0.3, 8.0), st.sampled_from([1, 2, 3, 5, 16, 40]))
+@example(np.array([[-0.0]]), 0.5, 1)  # 1x1: every index reads itself
+@example(np.array([[3.0, -0.0, -2.5, 0.0, 7.0]]), 2.0, 1)  # 1xk, a radius past the width
+@example(np.array([[1.0], [-0.0], [0.0], [-4.0]]), 8.0, 2)  # kx1, a radius past the height
+@example(-np.arange(60.0).reshape(4, 5, 3), 1.2, 3)  # (H, W, 3)
+@settings(max_examples=300, deadline=None)
+def test_correlate_and_gaussian_smooth_match_correlate1d_bit_for_bit(a, sigma, stencil_rows):
+    """`_correlate` and the blur through it are correlate1d's "mirror" correlation, to the bit."""
+    kernel = estimators._gaussian_kernel(sigma)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(estimators, "_STENCIL_ROWS", stencil_rows)
+        for weights in (estimators._FIRST_DIFFERENCE, estimators._SECOND_DIFFERENCE, kernel):
+            for axis in (0, 1):
+                expected = ndimage.correlate1d(a, weights, axis=axis, mode="mirror")
+                assert estimators._correlate(a, weights, axis).tobytes() == expected.tobytes()
+        if 3.0 * sigma > max(a.shape[:2]):
+            with pytest.raises(ValueError, match="too large"):
+                gaussian_smooth(a, sigma)
+        else:
+            expected = ndimage.correlate1d(
+                ndimage.correlate1d(a, kernel, axis=1, mode="mirror"), kernel, axis=0, mode="mirror"
+            )
+            assert gaussian_smooth(a, sigma).tobytes() == expected.tobytes()
 
 
 # --- pooling -----------------------------------------------------------------
@@ -384,8 +418,6 @@ def test_estimate_many_peak_memory_stays_under_one_frame():
     rng = np.random.default_rng(5)
     img = random_image(rng, h=1024, w=96)
     mask = rng.random((1024, 96)) < 0.9
-    import scipy.ndimage  # noqa: F401 - the import's own allocations are not the engine's
-
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -460,14 +492,6 @@ def test_estimate_many_checks_the_mask_before_smoothing(monkeypatch):
     for shape in ((4, 4), (4, 4, 4), (4, 4, 3, 1)):
         with pytest.raises(ValueError, match=r"image data must have shape \(H, W, 3\)"):
             estimate_many(np.ones(shape), list(PRESETS.values()))
-
-
-def test_smooth_in_place_matches_gaussian_smooth_bit_for_bit():
-    channel = random_image(RNG, h=23, w=17)[:, :, 1].copy()
-    for sigma in (0.0, 0.5, 2.0):
-        owned = channel.copy()
-        estimators._smooth_in_place(owned, sigma)
-        assert owned.tobytes() == gaussian_smooth(channel, sigma).tobytes()
 
 
 @given(
@@ -640,8 +664,6 @@ def test_chart_mask_rejects_a_chart_outside_the_frame():
 
 def reference_chart_mask(height, width, corners):
     """The chart mask over the whole frame: half-plane tests, then an 11x11 dilation."""
-    from scipy import ndimage
-
     (ax, ay), (bx, by), (cx, cy) = corners[:3]
     orientation = 1.0 if (bx - ax) * (cy - by) - (by - ay) * (cx - bx) > 0 else -1.0
     ys, xs = np.mgrid[0:height, 0:width]

@@ -92,8 +92,12 @@ def test_load_rejects_bit_depth_outside_1_to_16(tmp_path, bit_depth):
         ('{"saturation_level": false}', r"^saturation_level must be a number, got False$"),
         ('{"saturation_level": null}', r"^saturation_level must be a number, got None$"),
         ('{"black_level": 1%s}' % ("0" * 400), r"^black_level must be finite$"),
+        ('{"bit_depth": 12,\n', r"/meta\.meta\.json: sidecar is not valid JSON: Expecting "),
     ],
-    ids=["list", "text", "bool-depth", "bool-black", "text-black", "bool-sat", "null-sat", "huge"],
+    ids=[
+        "list", "text", "bool-depth", "bool-black", "text-black", "bool-sat", "null-sat", "huge",
+        "truncated",
+    ],
 )
 def test_load_rejects_a_malformed_sidecar(tmp_path, sidecar, message):
     p = tmp_path / "meta.ppm"
