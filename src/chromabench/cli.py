@@ -12,22 +12,18 @@ Subcommands cover the full benchmark workflow:
 Exit codes: 0 success, 1 usage/config error, 2 partial data failure (some
 images failed; successes were still written).  Output files are written
 atomically and are byte-stable for fixed inputs regardless of --jobs.
+
+Each command imports only the library modules it runs, so a process loads
+(and, with no cached bytecode, compiles) those and no others.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
-import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
-from . import audit, chartgeom, estimators, groundtruth, imagecore, metrics, synth
 from ._util import fmt9, write_csv
 
 EXIT_OK = 0
@@ -69,6 +65,8 @@ def _run_per_image(worker, tasks: list, jobs: int) -> tuple[list, int]:
     if workers <= 1:
         outcomes = [worker(t) for t in tasks]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(worker, tasks))
     results, failures = [], 0
@@ -85,6 +83,8 @@ def _run_per_image(worker, tasks: list, jobs: int) -> tuple[list, int]:
 
 
 def _extract_one(task):
+    from . import chartgeom, groundtruth, imagecore
+
     image_id, image_path, chart_path, subtract_black = task
     try:
         counts, camera, _ = imagecore.load_counts(image_path)
@@ -98,6 +98,10 @@ def _extract_one(task):
 
 
 def cmd_extract_gt(args) -> int:
+    # The workers' modules too: imported before the pool forks, so no worker
+    # imports them again.
+    from . import chartgeom, groundtruth, imagecore  # noqa: F401
+
     jobs = _resolve_jobs(args.jobs)
     images = _discover_images(args.images)
     charts_dir = Path(args.charts or args.images)
@@ -116,6 +120,8 @@ def cmd_extract_gt(args) -> int:
 
 
 def _estimate_one(task):
+    from . import chartgeom, estimators, imagecore
+
     image_id, image_path, chart_path, specs, mask_chart = task
     try:
         counts, camera, _ = imagecore.load_counts(image_path)
@@ -141,6 +147,9 @@ def _estimate_one(task):
 
 
 def cmd_estimate(args) -> int:
+    # The workers' modules too, as in cmd_extract_gt.
+    from . import chartgeom, estimators, imagecore  # noqa: F401
+
     jobs = _resolve_jobs(args.jobs)
     specs = [estimators.spec_from_string(text) for text in args.algo]
     names = [spec.name for spec in specs]
@@ -164,6 +173,10 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    import numpy as np
+
+    from . import estimators, groundtruth, metrics
+
     gt_map = groundtruth.records_by_id(groundtruth.read_gt(args.gt))
     ests = estimators.read_estimates(args.est)
     if not ests:
@@ -228,6 +241,8 @@ def _common(sets: list[set[str]], what: str, across: str) -> set[str]:
 
 
 def cmd_rank(args) -> int:
+    from . import metrics
+
     labels = _labels_for(args.errors)
     per_file = {label: metrics.read_errors(path) for label, path in zip(labels, args.errors)}
     algorithms = _common([set(by_algo) for by_algo in per_file.values()], "algorithm", "inputs")
@@ -285,11 +300,16 @@ def cmd_rank(args) -> int:
 
 
 def cmd_diff_gt(args) -> int:
+    import math
+
+    from . import audit, groundtruth
+
     if args.offset is not None and not math.isfinite(args.offset):
         raise CliError(f"--offset must be finite, got {args.offset!r}")
     set_a = groundtruth.records_by_id(groundtruth.read_gt(args.a))
     set_b = groundtruth.records_by_id(groundtruth.read_gt(args.b))
-    report = audit.diff_ground_truths(set_a, set_b, args.threshold)
+    threshold = audit.DEFAULT_OUTLIER_THRESHOLD_DEG if args.threshold is None else args.threshold
+    report = audit.diff_ground_truths(set_a, set_b, threshold)
 
     outliers = set(report.outliers)
     rows = (
@@ -333,6 +353,12 @@ _JSON_ONLY_KEYS = {"image_id", "corners", "achromatic_reflectances"}
 
 
 def _scene_from_json(payload: dict) -> tuple[synth.SceneSpec, str]:
+    import dataclasses
+
+    import numpy as np
+
+    from . import synth
+
     spec_fields = {f.name for f in dataclasses.fields(synth.SceneSpec)}
     unknown = set(payload) - spec_fields - _JSON_ONLY_KEYS
     if unknown:
@@ -362,6 +388,10 @@ def _scene_from_json(payload: dict) -> tuple[synth.SceneSpec, str]:
 
 
 def cmd_synth(args) -> int:
+    import json
+
+    from . import synth
+
     try:
         payload = json.loads(Path(args.spec).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
@@ -387,6 +417,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from . import metrics
+
     parser = _Parser(prog="chromabench", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -450,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--threshold",
         type=float,
-        default=audit.DEFAULT_OUTLIER_THRESHOLD_DEG,
+        default=None,  # audit.DEFAULT_OUTLIER_THRESHOLD_DEG; audit loads only for diff-gt
         help="outlier threshold in degrees",
     )
     p.add_argument(

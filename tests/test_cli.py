@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import hashlib
 import json
@@ -281,7 +282,8 @@ def test_worker_pool_is_capped_at_the_image_count(tmp_path, monkeypatch):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     synthcases.write_corpus(corpus, np.random.default_rng(32), count=2)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    # cli imports the pool class only when it starts more than one worker.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     gt = tmp_path / "gt.csv"
     assert run(["extract-gt", "--images", corpus, "--charts", corpus, "--out", gt, "--jobs", "6"]) == 0
     assert RecordingPool.sizes == [2]
@@ -937,3 +939,58 @@ def test_cli_and_estimate_many_import_no_scipy():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.stdout.strip() == "[]", proc.stderr
+
+
+# A fresh interpreter runs cli.main(argv) (or only imports cli, for no argv)
+# and writes its exit code and every module name then loaded to argv[1].
+_MODULES_PROBE = (
+    "import sys\n"
+    "from chromabench import cli\n"
+    "code = cli.main(sys.argv[2:]) if sys.argv[2:] else 0\n"
+    "with open(sys.argv[1], 'w') as fh:\n"
+    "    fh.write('\\n'.join([str(code), *sorted(sys.modules)]))\n"
+)
+
+
+def test_each_command_imports_only_the_modules_it_runs(tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    synthcases.write_corpus(corpus, np.random.default_rng(33), count=2)
+    spec = write_scene_json(tmp_path / "scene.json")
+    gt, est, err = tmp_path / "gt.csv", tmp_path / "est.csv", tmp_path / "err.csv"
+    commands = {
+        "import": [],
+        "synth": ["synth", "--spec", spec, "--out", tmp_path / "scene"],
+        "extract-gt": ["extract-gt", "--images", corpus, "--out", gt, "--jobs", "1"],
+        "extract-gt --jobs 2": ["extract-gt", "--images", corpus, "--out", gt, "--jobs", "2"],
+        "estimate": ["estimate", "--images", corpus, "--algo", "grey-edge-1", "--mask-chart",
+                     "--out", est, "--jobs", "1"],
+        "estimate --jobs 2": ["estimate", "--images", corpus, "--algo", "grey-edge-1",
+                              "--mask-chart", "--out", est, "--jobs", "2"],
+        "evaluate": ["evaluate", "--gt", gt, "--est", est, "--out", err],
+        "rank": ["rank", "--errors", err, "--out", tmp_path / "rank.csv"],
+        "diff-gt": ["diff-gt", "--a", gt, "--b", gt, "--scan-offset", "--out", tmp_path / "d.csv"],
+    }
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    listing = tmp_path / "modules.txt"
+    loaded = {}
+    for name, argv in commands.items():
+        proc = subprocess.run(
+            [sys.executable, "-c", _MODULES_PROBE, listing, *map(str, argv)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, *modules = listing.read_text().splitlines()
+        assert code == "0", (name, proc.stderr)
+        loaded[name] = set(modules)
+
+    def loading(module):
+        return {name for name, modules in loaded.items() if module in modules}
+
+    assert not {m for m in loaded["import"] if m.split(".")[0] == "numpy"}
+    assert {m for m in loaded["rank"] if m.split(".")[0] == "chromabench"} == {
+        "chromabench", "chromabench.cli", "chromabench._util", "chromabench.metrics"
+    }
+    assert loading("chromabench.synth") == {"synth"}
+    assert loading("chromabench.audit") == {"diff-gt"}
+    assert loading("concurrent.futures.process") == {"extract-gt --jobs 2", "estimate --jobs 2"}

@@ -24,7 +24,7 @@ from chromabench.estimators import (
     spec_from_string,
     write_estimates,
 )
-from chromabench.imagecore import normalize_estimate, subtract_black_level
+from chromabench.imagecore import clipped, normalize_estimate, subtract_black_level
 from chromabench.metrics import recovery_error
 
 RNG = np.random.default_rng(99)
@@ -638,6 +638,25 @@ def test_saturation_mask_on_uint16_counts_is_the_float_masks(counts, seed):
         got = saturation_mask(counts, level)
         assert got.tobytes() == saturation_mask(data, level).tobytes()
     assert saturation_mask(counts, sample)[np.all(counts <= sample, axis=2)].all()
+
+
+@given(
+    st.integers(1, 16),
+    st.tuples(st.integers(1, 7), st.integers(1, 7)),
+    st.integers(0, 2**32 - 1),
+)
+def test_saturation_mask_is_the_any_channel_rule(bit_depth, shape, seed):
+    # The per-channel ANDs give the booleans of one reduction over all three
+    # channels, on counts at, just below and just above the level, at 0 and
+    # at the bit depth's maximum.
+    top = 2**bit_depth - 1
+    rng = np.random.default_rng(seed)
+    level = int(rng.integers(0, top + 1))
+    values = np.clip([0, level - 1, level, level + 1, top], 0, top)
+    counts = rng.choice(values, size=(*shape, 3)).astype(np.uint16)
+    for data in (counts, counts.astype(np.float64)):
+        expected = ~np.any(clipped(data, float(level)), axis=2)
+        assert saturation_mask(data, float(level)).tobytes() == expected.tobytes()
 
 
 def test_chart_mask_excludes_dilated_quad():
