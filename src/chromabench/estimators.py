@@ -23,19 +23,18 @@ The blur and both difference stencils go through one numpy routine,
 to ``scipy.ndimage.correlate1d(mode="mirror")``, which the tests keep as its
 reference.  The module needs numpy only.
 
-`estimate_many` runs a list of specs on one (H, W, 3) array of raw counts
-(native uint16 from ``imagecore.load_counts``, or float) and shares their
-work: one blur per (sigma, channel), one derivative per (n, sigma, channel),
-and one masked gather per channel of each response, pooled for every p that
-asks for it.  It works one channel at a time in buffers it owns: it
+`estimate_many` is the one way in: it runs a list of specs on one native
+uint16 (H, W, 3) array of raw counts, as ``imagecore.load_counts`` returns
+it, and shares their work: one blur per (sigma, channel), one derivative per
+(n, sigma, channel), and one masked gather per channel of each response,
+pooled for every p that asks for it.  It works one channel at a time in buffers it owns: it
 linearises the channel into a fresh float64 array with
 ``imagecore.subtract_black_level``, blurs that array in place through one
 axis temporary, takes every order, n = 0 too, in row stripes of it, and lets
 the last finite p > 1 of a gather scale the gather in place.  So beside the
 counts the engine holds under one float64 frame at its peak (a channel and
 its blur temporary, or a channel, its gather and stripe temporaries, each a
-third of a frame or less) whatever the frame size.  `estimate` is its
-one-spec case.
+third of a frame or less) whatever the frame size.
 `chart_region_mask` tests and dilates only the chart's bounding box plus
 its margin; the rest of the frame is kept.
 """
@@ -51,7 +50,7 @@ import numpy as np
 
 from ._util import fmt9, read_csv, write_csv
 from .chartgeom import ChartLayout
-from .imagecore import check_counts, clipped, normalize_estimate, subtract_black_level
+from .imagecore import clipped, normalize_estimate, subtract_black_level
 
 __all__ = [
     "CHART_MARGIN_PX",
@@ -59,10 +58,7 @@ __all__ = [
     "IlluminantEstimate",
     "PRESETS",
     "chart_region_mask",
-    "estimate",
     "estimate_many",
-    "gaussian_smooth",
-    "minkowski_pool",
     "read_estimates",
     "saturation_mask",
     "spec_from_string",
@@ -163,7 +159,7 @@ def spec_from_string(text: str) -> EstimatorSpec:
             sigma = float(value)
         else:
             raise ValueError(f"unknown estimator parameter: {key!r}")
-    name = f"{_FAMILY_BY_ORDER[n]}(p={p:g},s={sigma:g})" if n in _FAMILY_BY_ORDER else ""
+    name = f"{_FAMILY_BY_ORDER[n]}(p={fmt9(p)},s={fmt9(sigma)})" if n in _FAMILY_BY_ORDER else ""
     return EstimatorSpec(name, n, p, sigma)
 
 
@@ -174,47 +170,26 @@ def _gaussian_kernel(sigma: float) -> np.ndarray:
     return weights / weights.sum()
 
 
-def _smoothing_kernel(shape: tuple[int, ...], sigma: float) -> np.ndarray | None:
-    """The blur kernel for data of ``shape`` at ``sigma``; None for sigma = 0."""
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
+def _smooth_in_place(channel: np.ndarray, sigma: float) -> None:
+    """Separable Gaussian blur of a float64 channel the engine owns, written back into it.
+
+    sigma = 0 leaves the channel as it is.  The kernel radius is
+    ceil(3*sigma) and its weights are the sampled Gaussian normalized to sum
+    1, so constants pass through exactly; a radius past the longer side is
+    rejected before any kernel is built.  The axis-1 pass goes into one
+    temporary and the axis-0 pass from it into ``channel``, so input and
+    output are never the same array.
+    """
     if sigma == 0:
-        return None
-    height, width = shape[:2]
+        return
+    height, width = channel.shape[:2]
     if 3.0 * sigma > max(height, width):
         raise ValueError(
             f"sigma={sigma:g} is too large for a {width}x{height} image "
             "(3*sigma must not exceed the longer side)"
         )
-    return _gaussian_kernel(sigma)
-
-
-def gaussian_smooth(data: np.ndarray, sigma: float) -> np.ndarray:
-    """Separable Gaussian blur of (H, W) or (H, W, 3) data over its first two axes.
-
-    sigma = 0 returns the input unchanged; otherwise the result is a new
-    float64 array.
-
-    Kernel radius is ceil(3*sigma); weights are the sampled Gaussian
-    normalized to sum 1, so constants pass through exactly.  A radius past
-    the longer image side is rejected before any kernel is built.
-    """
-    if sigma == 0:
-        return data
-    smoothed = np.array(data, dtype=np.float64)
-    _smooth_in_place(smoothed, sigma)
-    return smoothed
-
-
-def _smooth_in_place(channel: np.ndarray, sigma: float) -> None:
-    """:func:`gaussian_smooth` of a float64 array the engine owns, written back into it.
-
-    The axis-1 pass goes into one temporary and the axis-0 pass from it into
-    ``channel``, so input and output are never the same array.
-    """
-    kernel = _smoothing_kernel(channel.shape, sigma)
-    if kernel is not None:
-        _correlate(_correlate(channel, kernel, axis=1), kernel, axis=0, out=channel)
+    kernel = _gaussian_kernel(sigma)
+    _correlate(_correlate(channel, kernel, axis=1), kernel, axis=0, out=channel)
 
 
 def _correlate(
@@ -288,26 +263,18 @@ def _derivative(a: np.ndarray, n: int) -> np.ndarray:
     return np.sqrt(fxx * fxx + 2.0 * fxy * fxy + fyy * fyy)
 
 
-def minkowski_pool(values, p: float) -> float:
-    """((1/N) * sum v^p)^(1/p) over all values; p = inf is the max.
+def _pool(v: np.ndarray, p: float, scale_in_place: bool) -> float:
+    """((1/N) * sum v^p)^(1/p) of a flat nonnegative float64 array; p = inf is the max.
 
     Large p is computed on values scaled by their maximum so arbitrary count
     magnitudes cannot overflow; p = 1 is the exact arithmetic mean.
+    ``scale_in_place`` lets a finite p > 1 scale and raise ``v`` itself
+    rather than a copy of it.
     """
-    return _pool(np.asarray(values, dtype=np.float64).ravel(), p, scale_in_place=False)
-
-
-def _pool(v: np.ndarray, p: float, scale_in_place: bool) -> float:
-    """:func:`minkowski_pool` of a flat float64 array; ``scale_in_place`` lets
-    a finite p > 1 scale and raise ``v`` itself rather than a copy of it."""
     if v.size == 0:
         raise ValueError("empty mask: no values to pool")
-    if np.any(v < 0):
-        raise ValueError("minkowski_pool requires nonnegative values")
     if math.isinf(p):
         return float(v.max())
-    if p < 1.0:
-        raise ValueError("Minkowski norm p must be >= 1")
     if p == 1.0:
         return float(v.mean())
     vmax = float(v.max())
@@ -318,19 +285,6 @@ def _pool(v: np.ndarray, p: float, scale_in_place: bool) -> float:
     return vmax * float(np.mean(scaled) ** (1.0 / p))
 
 
-def estimate(
-    data: np.ndarray,
-    spec: EstimatorSpec,
-    mask: np.ndarray | None = None,
-    image_id: str = "",
-) -> IlluminantEstimate:
-    """Run one estimator on (H, W, 3) counts; optional boolean mask selects pixels."""
-    (result,) = estimate_many(data, [spec], mask, image_id)
-    if isinstance(result, ValueError):
-        raise result
-    return result
-
-
 def estimate_many(
     counts: np.ndarray,
     specs: Sequence[EstimatorSpec],
@@ -338,7 +292,7 @@ def estimate_many(
     image_id: str = "",
     black_level: float = 0.0,
 ) -> list[IlluminantEstimate | ValueError]:
-    """Run several estimators on (H, W, 3) raw counts, sharing the work they have in common.
+    """Run several estimators on uint16 (H, W, 3) raw counts, sharing their common work.
 
     The work goes one channel at a time: each channel is linearised once per
     sigma (``counts - black_level``, clamped at zero, by
@@ -346,18 +300,14 @@ def estimate_many(
     order is taken once per (n, sigma) from that, and the response is
     gathered under the mask once and pooled for every p that asks for it.
     The result holds, in spec order, each spec's estimate or the ValueError
-    that :func:`estimate` would raise for it alone (the first channel's, if
-    several fail), so one spec's failure (a sigma too large for the frame,
-    say) leaves the others standing.  Counts or a mask of the wrong shape,
-    and float counts with a negative or non-finite sample, raise before any
-    work is done.  Neither the counts nor the mask is written to.
+    that running it alone would give (the first channel's, if several
+    fail), so one spec's failure (a sigma too large for the frame, say)
+    leaves the others standing.  Counts of another dtype or shape, and a
+    mask of the wrong shape, raise before any work is done.  Neither the
+    counts nor the mask is written to.
     """
-    counts = np.asarray(counts)
-    if counts.ndim != 3 or counts.shape[2] != 3:
-        raise ValueError("image data must have shape (H, W, 3)")
-    if counts.dtype.kind != "u":  # unsigned counts cannot be negative
-        counts = np.asarray(counts, dtype=np.float64)
-        check_counts(counts)
+    if counts.dtype != np.uint16 or counts.ndim != 3 or counts.shape[2] != 3:
+        raise ValueError("counts must be a uint16 (H, W, 3) array")
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != counts.shape[:2]:

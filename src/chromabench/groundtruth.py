@@ -140,9 +140,16 @@ def records_by_id(records: Iterable[GroundTruthRecord]) -> dict[str, GroundTruth
     return out
 
 
+# A file holds one ground-truth convention: rows with and without the black
+# level subtracted would be scored as one population.
+_MIXED_CONVENTIONS = "black_level_subtracted mixes true and false; one file holds one convention"
+
+
 def write_gt(records: Iterable[GroundTruthRecord], path: str | Path) -> None:
-    """Write the ground-truth CSV, rows sorted by image_id."""
+    """Write the ground-truth CSV, rows sorted by image_id; one convention per file."""
     by_id = records_by_id(records)
+    if len({rec.black_level_subtracted for rec in by_id.values()}) > 1:
+        raise ValueError(f"{path}: {_MIXED_CONVENTIONS}")
     write_csv(path, GT_FIELDS, (_gt_row(by_id[image_id]) for image_id in sorted(by_id)))
 
 
@@ -176,8 +183,18 @@ def _gt_record(row: dict[str, str]) -> GroundTruthRecord:
 
 
 def read_gt(path: str | Path) -> list[GroundTruthRecord]:
-    """Read a ground-truth CSV; extra columns are ignored, repeated ids rejected."""
-    records = read_csv(path, GT_FIELDS, _gt_record)
+    """Read a ground-truth CSV; extra columns are ignored, repeated ids and a
+    row whose ``black_level_subtracted`` differs from the first row's rejected."""
+    conventions: set[bool] = set()
+
+    def parse(row: dict[str, str]) -> GroundTruthRecord:
+        rec = _gt_record(row)
+        conventions.add(rec.black_level_subtracted)
+        if len(conventions) > 1:
+            raise ValueError(_MIXED_CONVENTIONS)
+        return rec
+
+    records = read_csv(path, GT_FIELDS, parse)
     try:
         records_by_id(records)
     except ValueError as exc:

@@ -7,8 +7,8 @@ depth beside it.  ``synth.render`` makes one, ``save_image`` writes it and
 through a float frame on their way to disk.  The clipping test, patch
 sampling and the estimators read the counts as they are; a channel becomes
 float64 only where ``subtract_black_level`` linearises it (widening 16-bit
-integers to float64 is exact).  ``check_counts`` is the rule for float
-frames that come in from outside.
+integers to float64 is exact).  ``save_image`` and
+``estimators.estimate_many`` refuse any other array with one message.
 
 On-disk format: binary PPM ("P6", maxval 65535, big-endian 16-bit samples,
 linear values) plus a JSON sidecar ``<basename>.meta.json`` carrying
@@ -29,7 +29,6 @@ from ._util import atomic_write_bytes, atomic_write_text
 
 __all__ = [
     "CameraProfile",
-    "check_counts",
     "clipped",
     "load_counts",
     "normalize_estimate",
@@ -60,14 +59,6 @@ class CameraProfile:
             raise ValueError("black_level must be >= 0")
         if not self.saturation_level > self.black_level:
             raise ValueError("saturation_level must exceed black_level")
-
-
-def check_counts(data: np.ndarray) -> None:
-    """Raise unless every sample of ``data`` is a finite, nonnegative count."""
-    if not np.all(np.isfinite(data)):
-        raise ValueError("image contains non-finite values")
-    if np.any(data < 0):
-        raise ValueError("image contains negative digital counts")
 
 
 def sidecar_path(image_path: str | Path) -> Path:

@@ -235,9 +235,10 @@ def rank(
 def read_errors(path: str | Path) -> dict[str, dict[str, float]]:
     """Error table as algorithm -> image_id -> degrees, both levels in file order.
 
-    A repeated (image_id, algorithm) pair, a second metric value or a
-    non-finite angle is an error naming the file and line, since such rows
-    would otherwise be summarized as one population.
+    A repeated (image_id, algorithm) pair, a second metric value or an
+    angle that is not a number of degrees in [0, 180] is an error naming the
+    file and line, since such rows would otherwise be summarized as one
+    population.
     """
     by_algo: dict[str, dict[str, float]] = {}
     metric = None
@@ -249,8 +250,8 @@ def read_errors(path: str | Path) -> dict[str, dict[str, float]]:
         elif row["metric"] != metric:
             raise ValueError(f"metric {row['metric']!r} mixed with {metric!r}")
         degrees = float(row["degrees"])
-        if not math.isfinite(degrees):
-            raise ValueError(f"degrees must be finite, got {row['degrees']!r}")
+        if not 0.0 <= degrees <= 180.0:  # also rejects NaN
+            raise ValueError(f"degrees must be finite and within [0, 180], got {row['degrees']!r}")
         per_image = by_algo.setdefault(row["algorithm"], {})
         if row["image_id"] in per_image:
             raise ValueError(

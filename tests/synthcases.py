@@ -38,19 +38,27 @@ def grayworld_image(
     rng_seed: int = 0,
     exposure: float = 1000.0,
 ) -> np.ndarray:
-    """Chartless image whose spatial mean reflectance is exactly neutral.
+    """Chartless uint16 counts whose channel means are exactly parallel to the illuminant.
 
     Reflectances are drawn i.i.d. then shifted per channel so the mean is
-    equal across channels, which makes the image mean parallel to the
-    illuminant; the grey-world estimator must recover it almost exactly.
-    Values are left unquantized: an in-memory oracle, not a corpus file.
+    0.5 in every channel.  Their product with the illuminant and the
+    exposure is rounded to counts so that each channel sums to
+    ``round(0.5 * exposure * illuminant * pixels)``: floors first, then one
+    count more for the pixels with the largest remainders.  The grey-world
+    estimator must recover the illuminant almost exactly.  An in-memory
+    oracle, not a corpus file.
     """
     illum = np.asarray(illuminant, dtype=np.float64)
     width, height = size
     rng = np.random.default_rng(rng_seed)
     reflectance = rng.uniform(0.2, 0.8, size=(height, width, 3))
     reflectance += 0.5 - reflectance.mean(axis=(0, 1))
-    return illum[None, None, :] * reflectance * exposure
+    exact = (illum[None, None, :] * reflectance * exposure).reshape(-1, 3)
+    counts = np.floor(exact)
+    short = np.round(0.5 * exposure * illum * len(exact)) - counts.sum(axis=0)
+    for c in range(3):
+        counts[np.argsort(counts[:, c] - exact[:, c])[: int(short[c])], c] += 1
+    return counts.astype(np.uint16).reshape(height, width, 3)
 
 
 def scene_for_target(

@@ -7,6 +7,7 @@ freshly rendered synthetic scenes.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from chromabench.estimators import (
     EstimatorSpec,
     IlluminantEstimate,
     PRESETS,
-    estimate,
+    estimate_many,
     read_estimates,
     write_estimates,
 )
@@ -193,9 +194,13 @@ def test_metric_identities():
 def test_estimator_properties():
     rng = np.random.default_rng(123)
 
+    def estimate(counts, spec):
+        (result,) = estimate_many(counts, [spec])
+        return result
+
     worst_gw = 0.0
     for _ in range(100):
-        img = rng.uniform(0.5, 4000.0, size=(16, 16, 3))
+        img = rng.integers(1, 4001, size=(16, 16, 3), dtype=np.uint16)
         est = estimate(img, PRESETS["grey-world"])
         means = img.mean(axis=(0, 1))
         worst_gw = max(
@@ -205,7 +210,7 @@ def test_estimator_properties():
 
     worst_sog = 0.0
     for _ in range(100):
-        img = rng.uniform(1.0, 4000.0, size=(32, 32, 3))
+        img = rng.integers(1, 4001, size=(32, 32, 3), dtype=np.uint16)
         sog = estimate(img, EstimatorSpec("sog100", 0, 100.0, 0.0))
         wp = estimate(img, PRESETS["white-patch"])
         worst_sog = max(worst_sog, recovery_error(sog.rgb, wp.rgb))
@@ -213,9 +218,9 @@ def test_estimator_properties():
 
     worst_expo = 0.0
     for _ in range(10):
-        img = rng.uniform(1.0, 50.0, size=(16, 16, 3))
-        for alpha in (0.1, 3.0, 77.0):
-            scaled = img * alpha
+        # Factors 0.1, 3 and 77 on multiples of 10 up to 840: every scaled count is exact.
+        img = rng.integers(1, 85, size=(16, 16, 3), dtype=np.uint16) * 10
+        for scaled in (img // 10, img * 3, img * 77):
             for spec in PRESETS.values():
                 worst_expo = max(
                     worst_expo,
@@ -297,24 +302,25 @@ def test_format_round_trips(tmp_path):
         assert np.array_equal(back, counts)
         assert back_camera == camera
 
-    # Ground-truth CSV: exact round trip and byte-stable rewrite
-    records = [
+    # Ground-truth CSV, one convention per file: exact round trip and byte-stable rewrite
+    subtracted = [
         GroundTruthRecord(
             f"im{i:03d}",
             tuple(float(fmt9(v)) for v in rng.uniform(1.0, 4000.0, size=3)),
             int(rng.integers(18, 24)),
             "cam",
-            bool(rng.integers(0, 2)),
+            True,
         )
         for i in range(50)
     ]
-    gt_path = tmp_path / "gt.csv"
-    write_gt(records, gt_path)
-    parsed = read_gt(gt_path)
-    assert records_by_id(parsed) == records_by_id(records)
-    rewritten = tmp_path / "gt2.csv"
-    write_gt(parsed, rewritten)
-    assert rewritten.read_bytes() == gt_path.read_bytes()
+    for records in (subtracted, [replace(r, black_level_subtracted=False) for r in subtracted]):
+        gt_path = tmp_path / "gt.csv"
+        write_gt(records, gt_path)
+        parsed = read_gt(gt_path)
+        assert records_by_id(parsed) == records_by_id(records)
+        rewritten = tmp_path / "gt2.csv"
+        write_gt(parsed, rewritten)
+        assert rewritten.read_bytes() == gt_path.read_bytes()
 
     # Estimates CSV: 9-significant-digit agreement, direction preserved
     rows = []

@@ -206,6 +206,14 @@ def test_patch_centers_rejects_overlapping_squares():
     corners = [(0, 0), (50, 0), (50, 30), (0, 30)]  # 10 px spacing
     with pytest.raises(ValueError, match="overlap"):
         patch_centers(corners, half_size=15)
+    # A sheared grid: column neighbours 24 px apart along x and along y are
+    # 34 px apart, yet 31 px squares there share a 7 px corner.  23 px
+    # squares leave a one-pixel gap; 25 px ones touch.
+    sheared = [(50, 20), (170, 140), (470, 140), (350, 20)]
+    for half_size in (15, 12):
+        with pytest.raises(ValueError, match="^sample squares overlap adjacent patches$"):
+            patch_centers(sheared, half_size)
+    patch_centers(sheared, half_size=11)
 
 
 def test_sample_patch_half_zero_is_center_pixel():

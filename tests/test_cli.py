@@ -1,4 +1,5 @@
 import concurrent.futures
+import csv
 import dataclasses
 import hashlib
 import json
@@ -358,6 +359,16 @@ def test_estimate_repeated_algo_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_estimate_specs_that_differ_past_six_digits_are_not_repeats(tmp_path):
+    corpus = constant_color_corpus(tmp_path, [(500, 400, 300)])
+    out = tmp_path / "e.csv"
+    argv = ["estimate", "--images", corpus, "--algo", "n=0,p=5,sigma=2",
+            "--algo", "n=0,p=5.0000001,sigma=2", "--out", out, "--jobs", "1"]
+    assert run(argv) == 0
+    rows = [row[1:4] for row in csv.reader(out.read_text().splitlines()[1:])]
+    assert rows == [["grey-world(p=5,s=2)", "0", "5"], ["grey-world(p=5.0000001,s=2)", "0", "5.0000001"]]
+
+
 def test_estimate_repeated_spec_parameter_exits_1(tmp_path, capsys):
     corpus = constant_color_corpus(tmp_path, [(500, 400, 300)])
     out = tmp_path / "e.csv"
@@ -391,6 +402,9 @@ GRID_LINES = {
     "negative-half-size": "half_size: -1",
     "overlapping-squares": "half_size: 60",
     "square-off-the-view": "corner_patch_centers: 5 5 595 5 595 395 5 395",
+    # Column neighbours 24 px apart along x and y: 34 px apart, but their
+    # 31 px squares overlap by 7 px.
+    "sheared-overlap": "half_size: 15\ncorner_patch_centers: 50 20 170 140 470 140 350 20",
 }
 
 
@@ -427,6 +441,8 @@ def test_both_pixel_commands_reject_the_same_chart_file(tmp_path, capsys, case):
     estimate_err = capsys.readouterr().err
     assert extract_err.startswith("error: img001: ") and extract_err.count("\n") == 1
     assert estimate_err == extract_err
+    if case in ("overlapping-squares", "sheared-overlap"):
+        assert extract_err == "error: img001: sample squares overlap adjacent patches\n"
     assert [e.image_id for e in read_estimates(est)] == ["img000"]
 
 
@@ -706,8 +722,10 @@ def test_rank_without_a_shared_image_exits_1(tmp_path, capsys):
         ("a,A,recovery,1\nb,A,reproduction,2\n", "line 3: metric 'reproduction' mixed"),
         ("a,A,recovery,abc\n", "line 2: could not convert string to float"),
         ("a,A,recovery,nan\n", "line 2: degrees must be finite"),
+        ("a,A,recovery,1\nb,A,recovery,-5\n", "line 3: degrees must be finite and within [0, 180]"),
+        ("a,A,recovery,400\n", "line 2: degrees must be finite and within [0, 180]"),
     ],
-    ids=["duplicate", "mixed-metric", "not-a-number", "nan"],
+    ids=["duplicate", "mixed-metric", "not-a-number", "nan", "negative", "past-180"],
 )
 def test_rank_rejects_malformed_errors(tmp_path, capsys, rows, message):
     err = tmp_path / "err.csv"
@@ -798,6 +816,20 @@ def test_diff_gt_flags_perturbed_rows(tmp_path, capsys):
         if line.endswith("true")
     ]
     assert flagged == ["im1", "im3", "im4"]
+
+
+def test_evaluate_and_diff_gt_reject_a_gt_file_that_mixes_conventions(tmp_path, capsys):
+    gt, est = tmp_path / "gt.csv", tmp_path / "est.csv"
+    gt.write_text(GT_HEADER + "\na,1000,800,600,18,cam,true\nb,1129,929,729,18,cam,false\n")
+    u = 1 / math.sqrt(3)
+    est.write_text(EST_HEADER + "\n" + "".join(f"{i},alg,0,1,0,{u!r},{u!r},{u!r}\n" for i in "ab"))
+    out = tmp_path / "out.csv"
+    message = f"{gt}: line 3: black_level_subtracted mixes true and false"
+    assert run(["evaluate", "--gt", gt, "--est", est, "--out", out]) == 1
+    assert message in capsys.readouterr().err
+    assert run(["diff-gt", "--a", gt, "--b", gt, "--scan-offset", "--out", out]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_diff_gt_no_overlap_exits_1(tmp_path, capsys):

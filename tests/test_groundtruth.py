@@ -1,3 +1,5 @@
+import re
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -223,7 +225,7 @@ def test_record_rejects_non_achromatic_patch():
 def sample_records():
     return [
         GroundTruthRecord("b", (1800.0, 1350.5, 900.25), 18, "cam", True),
-        GroundTruthRecord("a", (2000.0, 1500.0, 1000.0), 19, "cam", False),
+        GroundTruthRecord("a", (2000.0, 1500.0, 1000.0), 19, "cam", True),
     ]
 
 
@@ -250,6 +252,22 @@ def test_read_rejects_duplicate_ids(tmp_path):
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines + [lines[-1]]) + "\n")
     with pytest.raises(ValueError, match="duplicate"):
+        read_gt(path)
+
+
+def test_one_convention_per_gt_file(tmp_path):
+    path = tmp_path / "gt.csv"
+    mixed = sample_records() + [GroundTruthRecord("c", (2129.0, 1629.0, 1129.0), 18, "cam", False)]
+    with pytest.raises(ValueError, match="black_level_subtracted mixes true and false"):
+        write_gt(mixed, path)
+    assert not path.exists()
+    for flag in (True, False):
+        write_gt([replace(rec, black_level_subtracted=flag) for rec in mixed], path)
+        assert {rec.black_level_subtracted for rec in read_gt(path)} == {flag}
+    with open(path, "a") as fh:  # a fourth row, subtracted, after three that are not
+        fh.write("d,2000,1500,1000,18,cam,true\n")
+    message = f"{path}: line 5: black_level_subtracted mixes true and false"
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
         read_gt(path)
 
 

@@ -18,7 +18,7 @@ from chromabench.chartgeom import (
     format_chart,
     read_chart_file,
 )
-from chromabench.estimators import PRESETS, estimate
+from chromabench.estimators import PRESETS, estimate_many
 from chromabench.groundtruth import compute_ground_truth
 from chromabench.imagecore import CameraProfile, load_counts
 from chromabench.metrics import recovery_error
@@ -321,7 +321,7 @@ def test_grayworld_scene_neutral_illuminant_gives_neutral_mean():
 
 def test_grey_world_estimator_nails_grayworld_scene():
     illum = (0.9, 0.6, 0.35)
-    est = estimate(synthcases.grayworld_image(illum, rng_seed=11), PRESETS["grey-world"])
+    (est,) = estimate_many(synthcases.grayworld_image(illum, rng_seed=11), [PRESETS["grey-world"]])
     assert recovery_error(est.rgb, illum) < 1e-6
 
 
