@@ -42,18 +42,27 @@ def write_csv(path: str | os.PathLike, header: Sequence[str], rows: Iterable[Seq
     atomic_write_text(path, buf.getvalue())
 
 
+class MissingColumns(ValueError):
+    """A CSV table lacks required columns; ``missing`` names them."""
+
+    def __init__(self, path: str | os.PathLike, missing: set[str]) -> None:
+        super().__init__(f"{path}: missing columns {sorted(missing)}")
+        self.missing = missing
+
+
 def read_csv(path: str | os.PathLike, required: Iterable[str], parse: Callable) -> list:
     """``parse`` applied to every row (a column -> text dict) of a CSV table.
 
-    Extra columns are ignored.  A missing ``required`` column, or a
-    TypeError/ValueError raised by ``parse``, becomes a ValueError that names
-    the file (and the line on which the row ends).
+    Extra columns are ignored.  A missing ``required`` column raises
+    MissingColumns; a TypeError/ValueError raised by ``parse`` becomes a
+    ValueError.  Both name the file (the latter also the line on which the
+    row ends).
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         missing = set(required) - set(reader.fieldnames or ())
         if missing:
-            raise ValueError(f"{path}: missing columns {sorted(missing)}")
+            raise MissingColumns(path, missing)
         parsed = []
         for row in reader:
             try:

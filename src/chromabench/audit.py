@@ -10,25 +10,22 @@ hypothesis directly, and checks legacy files for same-patch violations.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
-from ._util import fmt9, write_csv
+from ._util import MissingColumns, fmt9, read_csv, write_csv
 from .groundtruth import GroundTruthRecord, records_by_id
 from .metrics import error_angles, recovery_error
 
 __all__ = [
-    "Chromaticity",
     "DivergenceReport",
     "OffsetFit",
     "check_same_patch",
-    "chromaticity",
     "diff_ground_truths",
     "emit_chromaticity_scatter",
     "explain_offset",
@@ -37,36 +34,14 @@ __all__ = [
 
 DEFAULT_OUTLIER_THRESHOLD_DEG = 0.25
 
-
-class Chromaticity(NamedTuple):
-    r: float
-    g: float
-
-
-def chromaticity(v) -> Chromaticity:
-    """Intensity-normalized coordinates (R/(R+G+B), G/(R+G+B))."""
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.shape != (3,):
-        raise ValueError("expected an RGB triple")
-    total = float(arr.sum())
-    if total <= 0.0:
-        raise ValueError("zero-sum vector has no chromaticity")
-    return Chromaticity(float(arr[0] / total), float(arr[1] / total))
-
-
-GTSet = Mapping[str, GroundTruthRecord] | Iterable[GroundTruthRecord]
-
-
-def _as_map(records: GTSet) -> dict[str, GroundTruthRecord]:
-    if isinstance(records, Mapping):
-        return dict(records)
-    return records_by_id(records)
+# A ground-truth set: records as ``read_gt`` returns them, image ids unique.
+GTSet = Iterable[GroundTruthRecord]
 
 
 def _aligned(a: GTSet, b: GTSet) -> tuple[dict, dict, list[str]]:
     """Both sets as id -> record maps, plus their sorted common ids (nonempty)."""
-    map_a = _as_map(a)
-    map_b = _as_map(b)
+    map_a = records_by_id(a)
+    map_b = records_by_id(b)
     common = sorted(set(map_a) & set(map_b))
     if not common:
         raise ValueError("no common images between the two sets")
@@ -126,7 +101,6 @@ class OffsetFit:
     """How well "b = a + offset per channel" explains the divergence."""
 
     offset: float
-    compared: int
     fraction_within: float  # fraction of images within 0.1 degrees
     median_residual_deg: float
 
@@ -149,7 +123,6 @@ def _offset_fit(illum_a: np.ndarray, illum_b: np.ndarray, offset: float) -> Offs
         raise ValueError(problems[min(problems)])
     return OffsetFit(
         offset=float(offset),
-        compared=len(residuals),
         fraction_within=float(np.mean(residuals <= _WITHIN_DEG)),
         median_residual_deg=float(np.median(residuals)),
     )
@@ -162,15 +135,12 @@ def explain_offset(a: GTSet, b: GTSet, offset: float) -> OffsetFit:
     return _offset_fit(*_stacked(a, b), offset)
 
 
-def scan_offset(a: GTSet, b: GTSet, lo: int = 0, hi: int = 512) -> OffsetFit:
-    """Sweep integer offsets and return the fit with the smallest median residual.
-
-    Ties go to the smaller offset.
+def scan_offset(a: GTSet, b: GTSet) -> OffsetFit:
+    """Sweep the integer offsets 0..512 and return the fit with the smallest
+    median residual.  Ties go to the smaller offset.
     """
-    if lo > hi:
-        raise ValueError(f"empty offset range {lo}..{hi}")
     stacked = _stacked(a, b)
-    fits = (_offset_fit(*stacked, float(offset)) for offset in range(lo, hi + 1))
+    fits = (_offset_fit(*stacked, float(offset)) for offset in range(513))
     # min keeps the first of equal keys, i.e. the smallest offset.
     return min(fits, key=lambda fit: fit.median_residual_deg)
 
@@ -184,38 +154,35 @@ def check_same_patch(path: str | Path) -> list[str]:
     Requires the extended CSV columns patch_index_R/G/B; files without the
     annotations are skipped with a warning (legacy sets predate them).
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        names = set(reader.fieldnames or ())
-        if not set(_PER_CHANNEL_COLS) <= names:
-            warnings.warn(
-                f"{path}: no per-channel patch annotations; same-patch check skipped",
-                stacklevel=2,
-            )
-            return []
-        if "image_id" not in names:
-            raise ValueError(f"{path}: missing image_id column")
-        violations = []
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                indices = {int(row[c]) for c in _PER_CHANNEL_COLS}
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-            if len(indices) > 1:
-                violations.append(row["image_id"])
-    return sorted(violations)
+
+    def parse(row: dict[str, str]) -> tuple[str, set[int]]:
+        return row["image_id"], {int(row[c]) for c in _PER_CHANNEL_COLS}
+
+    try:
+        rows = read_csv(path, ("image_id", *_PER_CHANNEL_COLS), parse)
+    except MissingColumns as exc:
+        if exc.missing == {"image_id"}:
+            raise
+        warnings.warn(
+            f"{path}: no per-channel patch annotations; same-patch check skipped",
+            stacklevel=2,
+        )
+        return []
+    return sorted(image_id for image_id, indices in rows if len(indices) > 1)
 
 
-def emit_chromaticity_scatter(sets: Mapping[str, GTSet], path: str | Path) -> None:
-    """Write "set_name,image_id,r,g" rows for external plotting.
+def emit_chromaticity_scatter(sets: dict[str, GTSet], path: str | Path) -> None:
+    """Write "set_name,image_id,r,g" rows for external plotting, where
+    (r, g) = (R, G) / (R + G + B).
 
     Sets are emitted in name order, each sorted by image_id.
     """
     if not sets:
         raise ValueError("no ground-truth sets given")
-    rows = (
-        [set_name, image_id, *(fmt9(c) for c in chromaticity(rec.illuminant))]
-        for set_name in sorted(sets)
-        for image_id, rec in sorted(_as_map(sets[set_name]).items())
-    )
+    rows = []
+    for set_name in sorted(sets):
+        for image_id, rec in sorted(records_by_id(sets[set_name]).items()):
+            r, g, b = rec.illuminant
+            total = r + g + b
+            rows.append([set_name, image_id, fmt9(r / total), fmt9(g / total)])
     write_csv(path, ["set_name", "image_id", "r", "g"], rows)

@@ -306,10 +306,13 @@ def cmd_diff_gt(args) -> int:
 
     if args.offset is not None and not math.isfinite(args.offset):
         raise CliError(f"--offset must be finite, got {args.offset!r}")
-    set_a = groundtruth.records_by_id(groundtruth.read_gt(args.a))
-    set_b = groundtruth.records_by_id(groundtruth.read_gt(args.b))
+    set_a = groundtruth.read_gt(args.a)
+    set_b = groundtruth.read_gt(args.b)
     threshold = audit.DEFAULT_OUTLIER_THRESHOLD_DEG if args.threshold is None else args.threshold
     report = audit.diff_ground_truths(set_a, set_b, threshold)
+    # Every fit that can fail runs before anything is written or printed.
+    fit = None if args.offset is None else audit.explain_offset(set_a, set_b, args.offset)
+    best = audit.scan_offset(set_a, set_b) if args.scan_offset else None
 
     outliers = set(report.outliers)
     rows = (
@@ -327,14 +330,12 @@ def cmd_diff_gt(args) -> int:
         f"outliers (> {report.threshold_deg:g} deg): {len(report.outliers)}"
         + (f" -> {', '.join(report.outliers)}" if report.outliers else "")
     )
-    if args.offset is not None:
-        fit = audit.explain_offset(set_a, set_b, args.offset)
+    if fit is not None:
         print(
             f"offset {fit.offset:g}: {100.0 * fit.fraction_within:.1f}% within 0.1 deg, "
             f"median residual {fit.median_residual_deg:.6f} deg"
         )
-    if args.scan_offset:
-        best = audit.scan_offset(set_a, set_b)
+    if best is not None:
         print(
             f"best offset: {best.offset:g} "
             f"(median residual {best.median_residual_deg:.6f} deg, "

@@ -185,18 +185,17 @@ def _gt_record(row: dict[str, str]) -> GroundTruthRecord:
 def read_gt(path: str | Path) -> list[GroundTruthRecord]:
     """Read a ground-truth CSV; extra columns are ignored, repeated ids and a
     row whose ``black_level_subtracted`` differs from the first row's rejected."""
+    seen: set[str] = set()
     conventions: set[bool] = set()
 
     def parse(row: dict[str, str]) -> GroundTruthRecord:
         rec = _gt_record(row)
+        if rec.image_id in seen:
+            raise ValueError(f"duplicate image_id: {rec.image_id}")
+        seen.add(rec.image_id)
         conventions.add(rec.black_level_subtracted)
         if len(conventions) > 1:
             raise ValueError(_MIXED_CONVENTIONS)
         return rec
 
-    records = read_csv(path, GT_FIELDS, parse)
-    try:
-        records_by_id(records)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    return records
+    return read_csv(path, GT_FIELDS, parse)

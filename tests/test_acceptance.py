@@ -374,12 +374,12 @@ def test_audit_fixtures(tmp_path):
     assert audit.check_same_patch(path) == ["viol1", "viol2", "viol3"]
 
     rng = np.random.default_rng(66)
-    records = records_by_id(
+    records = [
         GroundTruthRecord(
             f"im{i}", tuple(rng.uniform(500.0, 3000.0, size=3)), 18, "cam", True
         )
         for i in range(12)
-    )
+    ]
     report = audit.diff_ground_truths(records, records)
     assert all(v == 0.0 for v in report.angles_deg.values())
     assert report.outliers == ()

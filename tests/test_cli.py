@@ -784,6 +784,33 @@ def test_diff_gt_rejects_a_non_finite_offset_before_writing(tmp_path, capsys, of
     assert not out.exists()
 
 
+def test_diff_gt_failed_offset_fit_leaves_no_output(tmp_path, capsys):
+    # An offset of -10 zeroes the first illuminant: the fit fails before any report.
+    gt = tmp_path / "gt.csv"
+    gt.write_text(GT_HEADER + "\na,10,10,10,18,cam,true\nb,20,20,20,18,cam,true\n")
+    out = tmp_path / "report.csv"
+    assert run(["diff-gt", "--a", gt, "--b", gt, "--offset", "-10", "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: zero vector has no direction" in captured.err
+    assert not out.exists()
+
+
+def test_diff_gt_stdout_matches_golden(tmp_path, capsys):
+    # The demo's two ground truths; the committed stdout has the temp
+    # directory replaced by "<tmp>".
+    inputs = [tmp_path / f"gt_{c}.csv" for c in ("subtracted", "unsubtracted")]
+    for path in inputs:
+        path.write_bytes((GOLDEN / path.name).read_bytes())
+    out = tmp_path / "gt_divergence.csv"
+    argv = ["diff-gt", "--a", inputs[0], "--b", inputs[1], "--offset", "129", "--scan-offset",
+            "--out", out]
+    assert run(argv) == 0
+    printed = capsys.readouterr().out.replace(str(tmp_path), "<tmp>")
+    assert printed == (GOLDEN / "diff_gt.stdout").read_text()
+    assert out.read_bytes() == (GOLDEN / "gt_divergence.csv").read_bytes()
+
+
 @pytest.mark.parametrize("threshold", ["nan", "inf", "-1", "-0.5"])
 def test_diff_gt_rejects_a_bad_threshold_before_writing(tmp_path, capsys, threshold):
     gt = tmp_path / "gt.csv"

@@ -251,7 +251,7 @@ def test_read_rejects_duplicate_ids(tmp_path):
     write_gt(sample_records(), path)
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines + [lines[-1]]) + "\n")
-    with pytest.raises(ValueError, match="duplicate"):
+    with pytest.raises(ValueError, match=r"gt\.csv: line 4: duplicate image_id: b"):
         read_gt(path)
 
 

@@ -1,10 +1,14 @@
 """The package's one CSV dialect: ``write_csv`` and ``read_csv``."""
 
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chromabench._util import read_csv, write_csv
+import chromabench
+from chromabench._util import MissingColumns, read_csv, write_csv
 
 HEADER = ("image_id", "algorithm", "note")
 
@@ -40,5 +44,30 @@ def test_read_csv_errors_name_file_and_line(tmp_path):
     write_csv(path, ["x"], [["1"], ["oops"]])
     with pytest.raises(ValueError, match=r"t\.csv: line 3: could not convert"):
         read_csv(path, ["x"], lambda row: float(row["x"]))
-    with pytest.raises(ValueError, match=r"t\.csv: missing columns \['y'\]"):
+    with pytest.raises(MissingColumns, match=r"t\.csv: missing columns \['y'\]") as info:
         read_csv(path, ["x", "y"], dict)
+    assert info.value.missing == {"y"}
+
+
+def test_only_util_constructs_a_csv_reader():
+    # read_csv is the package's one reader: no other module builds a
+    # csv.reader or csv.DictReader of its own.
+    readers = {"reader", "DictReader"}
+    offenders = []
+    for path in sorted(Path(chromabench.__file__).parent.glob("*.py")):
+        if path.name == "_util.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            named = (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "csv"
+                and node.attr in readers
+            ) or (
+                isinstance(node, ast.ImportFrom)
+                and node.module == "csv"
+                and any(alias.name in readers for alias in node.names)
+            )
+            if named:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
