@@ -42,6 +42,7 @@ its margin; the rest of the frame is kept.
 from __future__ import annotations
 
 import math
+import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -50,7 +51,8 @@ import numpy as np
 
 from ._util import fmt9, read_csv, write_csv
 from .chartgeom import ChartLayout
-from .imagecore import clipped, normalize_estimate, subtract_black_level
+from .imagecore import clipped, subtract_black_level
+from .metrics import normalize_rows
 
 __all__ = [
     "CHART_MARGIN_PX",
@@ -100,7 +102,7 @@ class EstimatorSpec:
             raise ValueError("sigma must be finite and >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IlluminantEstimate:
     """Unit-norm illuminant direction estimated for one image."""
 
@@ -109,10 +111,10 @@ class IlluminantEstimate:
     rgb: tuple[float, float, float]
 
     def __post_init__(self) -> None:
-        rgb = tuple(float(v) for v in self.rgb)
-        if len(rgb) != 3 or any(not np.isfinite(v) or v < 0 for v in rgb):
+        rgb = tuple(map(float, self.rgb))
+        if len(rgb) != 3 or not all(0.0 <= v < math.inf for v in rgb):  # also rejects NaN
             raise ValueError("estimate must be a finite nonnegative RGB triple")
-        if abs(math.sqrt(sum(v * v for v in rgb)) - 1.0) > 1e-12:
+        if abs(math.hypot(*rgb) - 1.0) > 1e-12:
             raise ValueError("estimate must have unit Euclidean norm")
         object.__setattr__(self, "rgb", rgb)
 
@@ -382,7 +384,7 @@ def _finish(
     try:
         if 0.0 in channels:
             raise ValueError("degenerate estimate: zero channel under mask")
-        rgb = normalize_estimate(channels)
+        (rgb,) = normalize_rows(np.array([channels])).tolist()
         return IlluminantEstimate(image_id=image_id, algorithm=spec.name, rgb=tuple(rgb))
     except ValueError as exc:
         return exc
@@ -441,6 +443,11 @@ def chart_region_mask(height: int, width: int, layout: ChartLayout) -> np.ndarra
 
 EST_FIELDS = ("image_id", "algorithm", "n", "p", "sigma", "R", "G", "B")
 
+# One estimate row's R, G, B as native float64, the layout np.frombuffer reads.
+# numpy already loads struct; the array module would add about 0.27 MB of
+# resident memory to every process that imports this one.
+_RGB_FLOAT64 = struct.Struct("3d")
+
 
 def write_estimates(
     rows: list[tuple[IlluminantEstimate, EstimatorSpec | None]], path: str | Path
@@ -463,18 +470,32 @@ def read_estimates(path: str | Path) -> list[IlluminantEstimate]:
 
     Nine-digit serialization perturbs the norm in the tenth digit; the stored
     quantity is a direction, so normalization restores the invariant without
-    changing any angle.  A repeated (image_id, algorithm) pair is an error.
+    changing any angle.  Each row is checked as it is parsed (finite, >= 0,
+    not all zero; a repeated (image_id, algorithm) pair is an error), and the
+    whole table is then normalized in one ``metrics.normalize_rows`` call, so
+    a row of any finite magnitude keeps its direction.
     """
     seen: set[tuple[str, str]] = set()
+    components = bytearray()  # R, G, B of every row as float64, in file order
 
-    def parse(row: dict[str, str]) -> IlluminantEstimate:
+    def parse(row: dict[str, str]) -> tuple[str, str]:
         key = (row["image_id"], row["algorithm"])
         if key in seen:
             raise ValueError(
                 f"duplicate estimate for image {key[0]!r}, algorithm {key[1]!r}"
             )
         seen.add(key)
-        rgb = normalize_estimate((float(row["R"]), float(row["G"]), float(row["B"])))
-        return IlluminantEstimate(image_id=key[0], algorithm=key[1], rgb=tuple(rgb))
+        rgb = (float(row["R"]), float(row["G"]), float(row["B"]))
+        if not all(0.0 <= v < math.inf for v in rgb):  # also rejects NaN
+            raise ValueError("components must be finite and >= 0")
+        if not any(rgb):
+            raise ValueError("degenerate illuminant: zero vector")
+        components.extend(_RGB_FLOAT64.pack(*rgb))
+        return key
 
-    return read_csv(path, EST_FIELDS, parse)
+    keys = read_csv(path, EST_FIELDS, parse)
+    unit = iter(normalize_rows(np.frombuffer(components).reshape(-1, 3)).ravel().tolist())
+    return [
+        IlluminantEstimate(image_id, algorithm, rgb)
+        for (image_id, algorithm), rgb in zip(keys, zip(unit, unit, unit))
+    ]

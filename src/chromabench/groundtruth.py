@@ -19,6 +19,7 @@ in any channel exceeds the threshold.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -52,7 +53,7 @@ GT_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroundTruthRecord:
     """Reference illuminant for one image, in unnormalized digital counts."""
 
@@ -67,10 +68,10 @@ class GroundTruthRecord:
             raise ValueError(
                 f"patch_index {self.patch_index} outside achromatic row 18..23"
             )
-        illum = tuple(float(v) for v in self.illuminant)
+        illum = tuple(map(float, self.illuminant))
         if len(illum) != 3:
             raise ValueError("illuminant must be an RGB triple")
-        if not all(np.isfinite(v) and v > 0 for v in illum):
+        if not all(0.0 < v < math.inf for v in illum):  # also rejects NaN
             raise ValueError("illuminant components must be finite and > 0")
         object.__setattr__(self, "illuminant", illum)
 

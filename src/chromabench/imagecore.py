@@ -31,7 +31,6 @@ __all__ = [
     "CameraProfile",
     "clipped",
     "load_counts",
-    "normalize_estimate",
     "save_image",
     "sidecar_path",
     "subtract_black_level",
@@ -205,15 +204,3 @@ def clipped(counts, level: float):
     """
     return counts > level
 
-
-def normalize_estimate(v) -> np.ndarray:
-    """Scale an RGB vector to unit Euclidean norm, preserving direction."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (3,):
-        raise ValueError("expected an RGB triple")
-    if not np.all(np.isfinite(v)) or np.any(v < 0):
-        raise ValueError("components must be finite and >= 0")
-    n = float(np.linalg.norm(v))
-    if n == 0.0:
-        raise ValueError("degenerate illuminant: zero vector")
-    return v / n

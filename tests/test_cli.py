@@ -18,10 +18,10 @@ import synthcases
 from chromabench import cli, synth
 from chromabench._util import fmt9
 from chromabench.chartgeom import ChartLayout, format_chart, read_chart_file
-from chromabench.estimators import PRESETS, read_estimates
-from chromabench.groundtruth import read_gt, records_by_id
+from chromabench.estimators import PRESETS, IlluminantEstimate, read_estimates, write_estimates
+from chromabench.groundtruth import GroundTruthRecord, read_gt, records_by_id, write_gt
 from chromabench.imagecore import CameraProfile, save_image
-from chromabench.metrics import recovery_error
+from chromabench.metrics import recovery_error, reproduction_error
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "demo_seed7"
 
@@ -612,6 +612,95 @@ def test_evaluate_rejects_duplicate_estimates(tmp_path, capsys):
     assert run(["evaluate", "--gt", gt, "--est", est, "--out", out]) == 1
     assert f"{est}: line 3: duplicate estimate" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "bad_row, message",
+    [
+        pytest.param("a,alg,0,1,0,nan,0.6,0.8", "components must be finite and >= 0", id="nan"),
+        pytest.param("a,alg,0,1,0,0.6,inf,0.8", "components must be finite and >= 0", id="inf"),
+        pytest.param("a,alg,0,1,0,0.6,0.8,-1", "components must be finite and >= 0", id="negative"),
+        pytest.param("a,alg,0,1,0,0,0,-0.0", "degenerate illuminant: zero vector", id="zero"),
+        pytest.param(
+            "a,alg,0,1,0,0.6,0.8",
+            "float() argument must be a string or a real number, not 'NoneType'",
+            id="short",
+        ),
+        pytest.param(
+            "b,alg,0,1,0,0.6,0,0.8", "duplicate estimate for image 'b', algorithm 'alg'", id="repeat"
+        ),
+    ],
+)
+def test_evaluate_names_the_file_line_and_reason_of_a_bad_estimate_row(
+    tmp_path, capsys, bad_row, message
+):
+    gt, est, out = tmp_path / "gt.csv", tmp_path / "est.csv", tmp_path / "err.csv"
+    gt.write_text(GT_HEADER + "\na,1000,800,600,18,cam,true\nb,900,900,900,18,cam,true\n")
+    # The blank line counts: the bad row is on line 4 of the file.
+    est.write_text(EST_HEADER + "\nb,alg,0,1,0,0.6,0.8,0\n\n" + bad_row + "\n")
+    assert run(["evaluate", "--gt", gt, "--est", est, "--out", out]) == 1
+    assert capsys.readouterr() == ("", f"error: {est}: line 4: {message}\n")
+    assert not out.exists()
+
+
+def test_evaluate_scores_estimate_rows_of_any_finite_magnitude(tmp_path, capsys):
+    # These rows were refused: a norm that underflowed ("estimate must have unit
+    # Euclidean norm"), a vector whose norm read as zero, and a squared norm
+    # that overflowed with a RuntimeWarning.
+    gt, est, out = tmp_path / "gt.csv", tmp_path / "est.csv", tmp_path / "err.csv"
+    gt.write_text(GT_HEADER + "\na,1000,800,600,18,cam,true\n")
+    tiny, huge = (f"{0.6 * 2.0**k!r},{0.8 * 2.0**k!r},0" for k in (-1000, 1000))
+    est.write_text(
+        EST_HEADER + "\na,x,,,,1e-160,1e-160,0\na,y,,,,3e-170,0,0\na,z,,,,1e200,1e200,1e200\n"
+        f"a,tiny,,,,{tiny}\na,huge,,,,{huge}\n"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["evaluate", "--gt", gt, "--est", est, "--out", out]) == 0
+    assert capsys.readouterr().err == ""
+    assert out.read_text().splitlines()[1:] == [
+        f"a,{algo},recovery,{fmt9(recovery_error(direction, (1000, 800, 600)))}"
+        for algo, direction in (
+            ("x", (1, 1, 0)), ("y", (1, 0, 0)), ("z", (1, 1, 1)), ("tiny", (3, 4, 0)), ("huge", (3, 4, 0))
+        )
+    ]
+
+
+def test_evaluate_at_corpus_scale_matches_a_per_row_reference(tmp_path, capsys):
+    # 568 images x 12 algorithms, the size of the ColorChecker set: the batched
+    # reader's error CSV equals, byte for byte, one built a row at a time.
+    rng = np.random.default_rng(71)
+    ids = [f"im{i:03d}" for i in range(568)]
+    gt, est, out = tmp_path / "gt.csv", tmp_path / "est.csv", tmp_path / "err.csv"
+    write_gt(
+        [GroundTruthRecord(i, tuple(rng.uniform(50.0, 3000.0, 3)), 18, "cam", True) for i in ids],
+        gt,
+    )
+    rows = []
+    for algo in range(12):
+        for image_id in ids:
+            v = rng.uniform(0.0, 1.0, 3)
+            if rng.random() < 0.01:
+                v[rng.integers(3)] = 0.0  # no reproduction error for a zero channel
+            estimate = IlluminantEstimate(image_id, f"algo{algo:02d}", tuple(v / np.linalg.norm(v)))
+            rows.append((estimate, None))
+    write_estimates(rows, est)
+    references = {rec.image_id: rec.illuminant for rec in read_gt(gt)}
+    for metric, error in (("recovery", recovery_error), ("reproduction", reproduction_error)):
+        expected = ["image_id,algorithm,metric,degrees"]
+        for line in est.read_text().splitlines()[1:]:
+            image_id, algorithm, *_, r, g, b = line.split(",")
+            v = np.array([float(r), float(g), float(b)])
+            try:
+                degrees = error(v / np.linalg.norm(v), references[image_id])
+            except ValueError:
+                continue
+            expected.append(f"{image_id},{algorithm},{metric},{fmt9(degrees)}")
+        code = run(["evaluate", "--gt", gt, "--est", est, "--metric", metric, "--out", out])
+        capsys.readouterr()
+        assert code == (0 if len(expected) == len(rows) + 1 else 2)
+        assert out.read_text() == "\n".join(expected) + "\n"
+    assert len(expected) < len(rows) + 1  # the zero channels failed reproduction
 
 
 # --- rank --------------------------------------------------------------------

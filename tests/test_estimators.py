@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -21,7 +23,7 @@ from chromabench.estimators import (
     spec_from_string,
     write_estimates,
 )
-from chromabench.imagecore import clipped, normalize_estimate
+from chromabench.imagecore import clipped
 from chromabench.metrics import recovery_error
 
 RNG = np.random.default_rng(99)
@@ -133,7 +135,9 @@ def reference_blur(a, sigma):
     Radius ceil(3*sigma), the sampled Gaussian normalized to sum 1.
     """
     radius = math.ceil(3 * sigma)
-    k = np.exp(-np.arange(-radius, radius + 1) ** 2 / (2 * sigma**2))
+    # sigma * sigma, not sigma**2: libm's pow is not correctly rounded for
+    # every sigma (3.1305814935315714 squares 1 ulp high through it).
+    k = np.exp(-np.arange(-radius, radius + 1) ** 2 / (2 * (sigma * sigma)))
     k /= k.sum()
     return ndimage.correlate1d(ndimage.correlate1d(a, k, axis=1, mode="mirror"), k, axis=0, mode="mirror")
 
@@ -190,6 +194,7 @@ correlate_inputs = st.tuples(st.integers(1, 24), st.integers(1, 24), st.booleans
 @example(np.array([[3.0, -0.0, -2.5, 0.0, 7.0]]), 2.0, 1)  # 1xk, a radius past the width
 @example(np.array([[1.0], [-0.0], [0.0], [-4.0]]), 8.0, 2)  # kx1, a radius past the height
 @example(-np.arange(60.0).reshape(4, 5, 3), 1.2, 3)  # (H, W, 3)
+@example(np.array([[0.0] + [1.0] * 9]), 3.1305814935315714, 1)  # sigma**2 != sigma * sigma
 @settings(max_examples=300, deadline=None)
 def test_correlate_and_gaussian_smooth_match_correlate1d_bit_for_bit(a, sigma, stencil_rows):
     """`_correlate` and the blur through it are correlate1d's "mirror" correlation, to the bit."""
@@ -395,7 +400,7 @@ def whole_frame_estimate(counts, spec, mask, black_level=0.0):
     pooled = [reference_pool(channel, spec.p) for channel in channels]
     if 0.0 in pooled:
         return "degenerate estimate: zero channel under mask"
-    return tuple(float(v) for v in normalize_estimate(pooled))
+    return tuple((np.array(pooled) / np.linalg.norm(pooled)).tolist())
 
 
 def outcome(result):
@@ -825,3 +830,13 @@ def test_estimates_csv_serializes_inf(tmp_path):
     path = tmp_path / "est.csv"
     write_estimates([(est, PRESETS["white-patch"])], path)
     assert ",inf," in path.read_text().splitlines()[1]
+
+
+def test_an_estimate_survives_a_pickle_round_trip_and_stays_frozen():
+    # ``estimate --jobs 2`` returns estimates from its pool workers by pickle.
+    est = IlluminantEstimate("im", "alg", (0.6, 0.8, 0.0))
+    back = pickle.loads(pickle.dumps(est))
+    assert back == est and back.rgb == (0.6, 0.8, 0.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        back.rgb = (1.0, 0.0, 0.0)
+    assert not hasattr(est, "__dict__")  # slots: no per-record dict

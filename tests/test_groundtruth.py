@@ -1,5 +1,6 @@
+import pickle
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from unittest import mock
 
 import numpy as np
@@ -220,6 +221,15 @@ def test_record_rejects_non_achromatic_patch():
         GroundTruthRecord("x", (1, 1, 1), 7, "cam", True)
     with pytest.raises(ValueError, match="> 0"):
         GroundTruthRecord("x", (0, 1, 1), 18, "cam", True)
+
+
+def test_a_record_survives_a_pickle_round_trip_and_stays_frozen():
+    rec = GroundTruthRecord("x", (1800.0, 1350.5, 900.25), 19, "cam", False)
+    back = pickle.loads(pickle.dumps(rec))
+    assert back == rec and back.illuminant == (1800.0, 1350.5, 900.25)
+    with pytest.raises(FrozenInstanceError):
+        back.patch_index = 18
+    assert not hasattr(rec, "__dict__")  # slots: no per-record dict
 
 
 def sample_records():

@@ -10,7 +10,6 @@ from hypothesis.extra import numpy as hnp
 from chromabench.imagecore import (
     CameraProfile,
     load_counts,
-    normalize_estimate,
     save_image,
     sidecar_path,
     subtract_black_level,
@@ -257,31 +256,6 @@ def test_subtract_is_monotone_and_nonnegative(arr, level):
     out = subtract_black_level(arr, level)
     assert np.all(out <= arr)
     assert np.all(out >= 0)
-
-
-def test_normalize_fixtures():
-    np.testing.assert_allclose(
-        normalize_estimate((1, 1, 1)), np.full(3, 1 / np.sqrt(3)), rtol=0, atol=1e-15
-    )
-    assert normalize_estimate((2, 0, 0)).tolist() == [1.0, 0.0, 0.0]
-    # |(1, 2, 2)| = 3, so the result is exactly the division by 3
-    assert np.array_equal(normalize_estimate((1, 2, 2)), np.array([1, 2, 2]) / 3.0)
-
-
-def test_normalize_rejects_zero_vector():
-    with pytest.raises(ValueError, match="degenerate illuminant"):
-        normalize_estimate((0, 0, 0))
-
-
-@given(
-    st.tuples(
-        st.floats(0, 1e6, allow_nan=False),
-        st.floats(0, 1e6, allow_nan=False),
-        st.floats(0, 1e6, allow_nan=False),
-    ).filter(lambda v: any(x > 1e-9 for x in v))
-)
-def test_normalize_returns_unit_vectors(v):
-    assert abs(np.linalg.norm(normalize_estimate(v)) - 1.0) <= 1e-12
 
 
 def test_save_rejects_a_frame_that_is_not_uint16_h_w_3(tmp_path):

@@ -12,6 +12,7 @@ from chromabench.metrics import (
     angles_deg,
     error_angles,
     format_ranking_text,
+    normalize_rows,
     rank,
     recovery_error,
     reproduction_error,
@@ -130,6 +131,46 @@ def test_angles_deg_is_blind_to_power_of_two_scaling(rows):
 def test_one_pair_errors_on_rows_past_the_squared_range():
     assert recovery_error((1e160, 1, 1), (1, 1, 1)) == pytest.approx(54.7356103172, abs=1e-9)
     assert reproduction_error((1e-160, 1, 1), (1, 1, 1)) == pytest.approx(54.7356103172, abs=1e-9)
+
+
+# --- the unit normaliser -----------------------------------------------------
+
+
+def test_normalize_rows_fixtures():
+    got = normalize_rows(np.array([[1, 1, 1], [2, 0, 0], [1, 2, 2]]))
+    np.testing.assert_allclose(got[0], np.full(3, 1 / np.sqrt(3)), rtol=0, atol=1e-15)
+    assert got[1].tolist() == [1.0, 0.0, 0.0]
+    # |(1, 2, 2)| = 3, so the result is exactly the division by 3
+    assert np.array_equal(got[2], np.array([1, 2, 2]) / 3.0)
+
+
+@given(
+    st.tuples(st.floats(0, 1e308), st.floats(0, 1e308), st.floats(0, 1e308)).filter(any)
+)
+@example((5e-324, 0.0, 0.0))
+@example((1e-160, 1e-160, 0.0))
+@example((1e200, 1e200, 1e200))
+def test_normalize_rows_returns_unit_vectors(v):
+    # Subnormal and huge rows too: the power-of-two scaling keeps the norm finite.
+    assert abs(np.linalg.norm(normalize_rows(np.array([v]))[0]) - 1.0) <= 1e-12
+
+
+# Components whose squares, and their ratios' squares, stay normal floats;
+# rescaling by up to 2**+-800 keeps them normal too.
+normal_component = st.one_of(st.just(0.0), st.floats(1e-50, 1e50))
+normal_vec = st.tuples(normal_component, normal_component, normal_component).filter(any)
+
+
+@given(st.lists(st.tuples(normal_vec, st.integers(-800, 800)), min_size=1, max_size=8))
+def test_normalize_rows_is_each_row_over_its_norm_bit_for_bit(rows):
+    a = np.array([v for v, _ in rows])
+    got = normalize_rows(a)
+    want = np.array([v / np.linalg.norm(v) for v in a])
+    assert got.tobytes() == want.tobytes()
+    for row, v in zip(got, a):  # alone, not in this batch
+        assert normalize_rows(v[None]).tobytes() == row.tobytes()
+    k = np.array([[k] for _, k in rows])
+    assert normalize_rows(np.ldexp(a, k)).tobytes() == got.tobytes()
 
 
 # Magnitudes stay between 1e-150 and 1e3 where finite, so no product overflows.
@@ -281,6 +322,7 @@ def brute_force_summary(errors):
 
 @settings(max_examples=200)
 @given(st.lists(st.floats(0, 180, allow_nan=False), min_size=1, max_size=60))
+@example([1.0] * 4 + [0.76] * 5)  # the three lowest 0.76s sum to a mean above 0.76
 def test_summarize_matches_brute_force(errors):
     s = summarize(errors)
     oracle = brute_force_summary(errors)
