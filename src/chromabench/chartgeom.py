@@ -114,13 +114,13 @@ def apply_homography(H, pts) -> np.ndarray:
 
 
 def _bilinear_sample(data: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Sample (H, W, 3) data at float positions; outside [0, W-1]x[0, H-1] -> 0.
+    """Sample (H, W, 3) data at float positions, clamped into [0, W-1]x[0, H-1].
 
-    The float64 weights widen integer counts exactly, so uint16 counts give
-    the samples their float64 copy would.
+    A point that rounding put an ulp past an edge reads the edge pixel.  The
+    float64 weights widen integer counts exactly, so uint16 counts give the
+    samples their float64 copy would.
     """
     h, w = data.shape[:2]
-    inside = (xs >= 0) & (xs <= w - 1) & (ys >= 0) & (ys <= h - 1)
     xc = np.clip(xs, 0, w - 1)
     yc = np.clip(ys, 0, h - 1)
     x0 = np.floor(xc).astype(np.intp)
@@ -129,14 +129,12 @@ def _bilinear_sample(data: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.nda
     y1 = np.minimum(y0 + 1, h - 1)
     fx = (xc - x0)[..., None]
     fy = (yc - y0)[..., None]
-    out = (
+    return (
         data[y0, x0] * (1.0 - fx) * (1.0 - fy)
         + data[y0, x1] * fx * (1.0 - fy)
         + data[y1, x0] * (1.0 - fx) * fy
         + data[y1, x1] * fx * fy
     )
-    out[~inside] = 0.0
-    return out
 
 
 def default_corner_patch_centers() -> np.ndarray:
@@ -247,9 +245,9 @@ def sample_patches(data: np.ndarray, layout: ChartLayout) -> np.ndarray:
     (``DEFAULT_RECT_SIZE``) around the layout's patch centers, snapped to the
     nearest rectified pixel.  Only their own pixels are mapped through the
     rectified-view -> corners homography and sampled bilinearly from the
-    (H, W, 3) source (zero outside it), so each square holds the values a
-    full warp of the chart would hold there, in row-major order.  ``data``
-    may be raw uint16 counts or float; the samples are float64.
+    (H, W, 3) source, so each square holds the values a full warp of the
+    chart would hold there, in row-major order.  ``data`` may be raw uint16
+    counts or float; the samples are float64.
     """
     layout.check_in_frame(*data.shape[:2])
     centers, half = layout.sample_grid()

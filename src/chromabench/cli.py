@@ -177,30 +177,30 @@ def cmd_evaluate(args) -> int:
 
     from . import estimators, groundtruth, metrics
 
-    gt_map = groundtruth.records_by_id(groundtruth.read_gt(args.gt))
-    ests = estimators.read_estimates(args.est)
-    if not ests:
+    # read_gt rejects a repeated image id, so each id names one illuminant.
+    references = {rec.image_id: rec.illuminant for rec in groundtruth.read_gt(args.gt)}
+    keys, rgb = estimators.read_estimates(args.est)
+    if not keys:
         raise CliError(f"no estimates in {args.est}")
-    matched = [est for est in ests if est.image_id in gt_map]
+    matched = [i for i, (image_id, _) in enumerate(keys) if image_id in references]
     degrees, problems = metrics.error_angles(
         args.metric,
-        np.reshape([est.rgb for est in matched], (len(matched), 3)),
-        np.reshape([gt_map[est.image_id].illuminant for est in matched], (len(matched), 3)),
+        rgb[matched],
+        np.fromiter((references[keys[i][0]] for i in matched), (np.float64, 3), len(matched)),
     )
-    scores = iter(enumerate(degrees))  # one per matched estimate, in order
-    rows = []
-    failures = 0
-    for est in ests:
-        if est.image_id not in gt_map:
+    # Each matched row's angle and problem, by its position in the file.
+    angle_at = dict(zip(matched, degrees.tolist()))
+    problem_at = {matched[j]: message for j, message in problems.items()}
+    rows, failures = [], 0
+    for i, (image_id, algorithm) in enumerate(keys):
+        if image_id not in references:
             failures += 1
-            _log_error(est.image_id, "missing from ground truth; skipped")
-            continue
-        i, angle = next(scores)
-        if i in problems:
+            _log_error(image_id, "missing from ground truth; skipped")
+        elif i in problem_at:
             failures += 1
-            _log_error(est.image_id, f"{est.algorithm}: {problems[i]}")
-            continue
-        rows.append((est.image_id, est.algorithm, args.metric, fmt9(angle)))
+            _log_error(image_id, f"{algorithm}: {problem_at[i]}")
+        else:
+            rows.append((image_id, algorithm, args.metric, fmt9(angle_at[i])))
     if not rows:
         raise CliError("no estimate could be scored against this ground truth")
     write_csv(args.out, metrics.ERROR_FIELDS, rows)

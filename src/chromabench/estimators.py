@@ -465,8 +465,9 @@ def _estimate_row(est: IlluminantEstimate, spec: EstimatorSpec | None) -> list[s
     return [est.image_id, est.algorithm, *params, *(fmt9(v) for v in est.rgb)]
 
 
-def read_estimates(path: str | Path) -> list[IlluminantEstimate]:
-    """Read an estimates CSV, re-normalizing each vector to unit length.
+def read_estimates(path: str | Path) -> tuple[list[tuple[str, str]], np.ndarray]:
+    """Read an estimates CSV as its (image_id, algorithm) keys, in file order,
+    and an (N, 3) float64 array whose row i is key i's RGB at unit length.
 
     Nine-digit serialization perturbs the norm in the tenth digit; the stored
     quantity is a direction, so normalization restores the invariant without
@@ -494,8 +495,4 @@ def read_estimates(path: str | Path) -> list[IlluminantEstimate]:
         return key
 
     keys = read_csv(path, EST_FIELDS, parse)
-    unit = iter(normalize_rows(np.frombuffer(components).reshape(-1, 3)).ravel().tolist())
-    return [
-        IlluminantEstimate(image_id, algorithm, rgb)
-        for (image_id, algorithm), rgb in zip(keys, zip(unit, unit, unit))
-    ]
+    return keys, normalize_rows(np.frombuffer(components).reshape(-1, 3))

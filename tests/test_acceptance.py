@@ -332,11 +332,13 @@ def test_format_round_trips(tmp_path):
         )
     est_path = tmp_path / "est.csv"
     write_estimates(rows, est_path)
-    for (orig, _), parsed_est in zip(rows, read_estimates(est_path)):
+    keys, rgb = read_estimates(est_path)
+    assert keys == [(orig.image_id, orig.algorithm) for orig, _ in rows]
+    for (orig, _), parsed_rgb in zip(rows, rgb):
         # quantization is half a unit in the 9th digit; the read-side
         # renormalization adds a common factor of the same order
-        np.testing.assert_allclose(parsed_est.rgb, orig.rgb, rtol=5e-9, atol=1e-12)
-        assert recovery_error(parsed_est.rgb, orig.rgb) < 1e-6
+        np.testing.assert_allclose(parsed_rgb, orig.rgb, rtol=5e-9, atol=1e-12)
+        assert recovery_error(parsed_rgb, orig.rgb) < 1e-6
 
     # Golden stability: same corpus, repeated runs and different --jobs
     corpus = tmp_path / "corpus"

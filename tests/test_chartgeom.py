@@ -147,6 +147,21 @@ def test_rectify_constant_image_is_constant():
     np.testing.assert_allclose(samples, 7.0, atol=1e-9)
 
 
+def test_a_square_on_the_frame_edge_reads_the_edge_pixels(tmp_path):
+    # Corners on the last row and squares reaching the view's edge: rounding
+    # maps some edge points an ulp below the frame, and those read the edge
+    # row, not zero.
+    path = tmp_path / "edge.chart"
+    path.write_text(
+        "corners: 25 14 640 30 622 459 36 459\n"
+        "corner_patch_centers: 15 15 584 15 584 384 15 384\n"
+        "half_size: 15\n"
+    )
+    samples = sample_patches(np.full((460, 660, 3), 1000, dtype=np.uint16), read_chart_file(path))
+    assert samples.shape == (24, 961, 3)
+    np.testing.assert_allclose(samples, 1000.0, atol=1e-9)
+
+
 def test_rectify_rejects_corners_outside_image():
     corners = [(0, 0), (VIEW_W, 0), (VIEW_W, VIEW_H - 1), (0, VIEW_H - 1)]
     with pytest.raises(ValueError, match="inside the image"):

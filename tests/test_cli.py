@@ -321,12 +321,10 @@ def test_estimate_grey_world_on_constant_scenes(tmp_path):
     corpus = constant_color_corpus(tmp_path, colors)
     est_csv = tmp_path / "est.csv"
     assert run(["estimate", "--images", corpus, "--algo", "grey-world", "--out", est_csv, "--jobs", "1"]) == 0
-    from chromabench.estimators import PRESETS, read_estimates
-
-    rows = read_estimates(est_csv)
-    assert len(rows) == 2
-    for row, color in zip(rows, colors):
-        assert recovery_error(row.rgb, color) < 1e-6
+    keys, rgb = read_estimates(est_csv)
+    assert keys == [("flat0", "grey-world"), ("flat1", "grey-world")]
+    for row, color in zip(rgb, colors):
+        assert recovery_error(row, color) < 1e-6
 
 
 def test_estimate_custom_spec_label(tmp_path):
@@ -391,11 +389,9 @@ def test_estimate_mask_chart_ignores_chart_pixels(tmp_path):
     assert run(["estimate", "--images", corpus, "--algo", "grey-world", "--out", est_m,
                 "--mask-chart", "--jobs", "1"]) == 0
     assert run(["estimate", "--images", corpus, "--algo", "grey-world", "--out", est_u, "--jobs", "1"]) == 0
-    from chromabench.estimators import PRESETS, read_estimates
-
-    masked = read_estimates(est_m)[0]
-    unmasked = read_estimates(est_u)[0]
-    assert recovery_error(masked.rgb, truth) < recovery_error(unmasked.rgb, truth)
+    _, (masked,) = read_estimates(est_m)
+    _, (unmasked,) = read_estimates(est_u)
+    assert recovery_error(masked, truth) < recovery_error(unmasked, truth)
 
 
 GRID_LINES = {
@@ -443,7 +439,8 @@ def test_both_pixel_commands_reject_the_same_chart_file(tmp_path, capsys, case):
     assert estimate_err == extract_err
     if case in ("overlapping-squares", "sheared-overlap"):
         assert extract_err == "error: img001: sample squares overlap adjacent patches\n"
-    assert [e.image_id for e in read_estimates(est)] == ["img000"]
+    keys, _ = read_estimates(est)
+    assert [image_id for image_id, _ in keys] == ["img000"]
 
 
 def test_estimate_all_presets_matches_golden(tmp_path):
@@ -664,6 +661,18 @@ def test_evaluate_scores_estimate_rows_of_any_finite_magnitude(tmp_path, capsys)
             ("x", (1, 1, 0)), ("y", (1, 0, 0)), ("z", (1, 1, 1)), ("tiny", (3, 4, 0)), ("huge", (3, 4, 0))
         )
     ]
+
+
+def test_evaluate_scores_the_table_without_making_an_estimate_record(tmp_path, monkeypatch):
+    def refuse(self):
+        raise AssertionError("evaluate made an IlluminantEstimate")
+
+    monkeypatch.setattr(IlluminantEstimate, "__post_init__", refuse)
+    out = tmp_path / "errors_recovery_sub.csv"
+    argv = ["evaluate", "--gt", GOLDEN / "gt_subtracted.csv", "--est", GOLDEN / "estimates.csv",
+            "--metric", "recovery", "--out", out]
+    assert run(argv) == 0
+    assert out.read_bytes() == (GOLDEN / out.name).read_bytes()
 
 
 def test_evaluate_at_corpus_scale_matches_a_per_row_reference(tmp_path, capsys):

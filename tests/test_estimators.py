@@ -817,12 +817,15 @@ def test_estimates_csv_round_trip(tmp_path):
     write_estimates(rows, path)
     header = path.read_text().splitlines()[0]
     assert header == "image_id,algorithm,n,p,sigma,R,G,B"
-    back = read_estimates(path)
-    assert [e.image_id for e in back] == [r[0].image_id for r in rows]
-    for (orig, _), parsed in zip(rows, back):
+    keys, rgb = read_estimates(path)
+    assert keys == [(r[0].image_id, r[0].algorithm) for r in rows]  # file order
+    assert rgb.dtype == np.float64 and rgb.shape == (len(rows), 3)
+    for (orig, _), line, parsed in zip(rows, path.read_text().splitlines()[1:], rgb):
         # 9-significant-digit serialization; read re-normalizes the direction
-        np.testing.assert_allclose(parsed.rgb, orig.rgb, rtol=5e-9, atol=1e-12)
-        assert recovery_error(parsed.rgb, orig.rgb) < 1e-6
+        np.testing.assert_allclose(parsed, orig.rgb, rtol=5e-9, atol=1e-12)
+        assert recovery_error(parsed, orig.rgb) < 1e-6
+        v = np.array([float(c) for c in line.split(",")[5:]])
+        assert parsed.tobytes() == (v / np.linalg.norm(v)).tobytes()
 
 
 def test_estimates_csv_serializes_inf(tmp_path):
