@@ -36,7 +36,13 @@ class CliError(Exception):
 
 
 def _resolve_jobs(arg_jobs: int | None) -> int:
-    jobs = arg_jobs if arg_jobs is not None else (os.cpu_count() or 1)
+    """--jobs, or by default the CPUs this process may run on, not every CPU of the machine."""
+    if arg_jobs is not None:
+        jobs = arg_jobs
+    elif hasattr(os, "sched_getaffinity"):
+        jobs = len(os.sched_getaffinity(0))
+    else:
+        jobs = os.cpu_count() or 1
     if jobs < 1:
         raise CliError("--jobs must be >= 1")
     return jobs

@@ -18,10 +18,12 @@ sqrt(fxx^2 + 2*fxy^2 + fyy^2).  Pooling is ((1/N) * sum v^p)^(1/p) so that
 p = 1 is exactly the mean; p = inf is the maximum.  Estimates are invariant
 to exposure scaling by construction.
 
-The blur and both difference stencils go through one numpy routine,
-`_correlate`: mirror-edged 1-D correlation along one axis, equal bit for bit
-to ``scipy.ndimage.correlate1d(mode="mirror")``, which the tests keep as its
-reference.  The module needs numpy only.
+The blur goes through `_correlate`: mirror-edged 1-D correlation along one
+axis, equal bit for bit to ``scipy.ndimage.correlate1d(mode="mirror")``,
+which the tests keep as its reference.  The two 3-tap difference stencils
+are direct differences of slices along their axis, with the same mirror
+edges, and give correlate1d's magnitudes bit for bit.  The module needs
+numpy only.
 
 `estimate_many` is the one way in: it runs a list of specs on one native
 uint16 (H, W, 3) array of raw counts, as ``imagecore.load_counts`` returns
@@ -75,13 +77,10 @@ CHART_MARGIN_PX = 5
 # 77 MB for the (H, W, 3) frame.
 _STRIPE_ROWS = 64
 
-# Rows per stripe of `_correlate`: 16 rows of a 2193-pixel-wide channel are
-# 0.28 MB, so a stripe and its temporaries stay in cache.
+# Rows per stripe of `_correlate`, the blur's correlation: 16 rows of a
+# 2193-pixel-wide channel are 0.28 MB, so a stripe and its temporaries stay
+# in cache.
 _STENCIL_ROWS = 16
-
-# The central-difference stencils of the first and second derivative.
-_FIRST_DIFFERENCE = np.array([-0.5, 0.0, 0.5])
-_SECOND_DIFFERENCE = np.array([1.0, -2.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -199,7 +198,9 @@ def _correlate(
 ) -> np.ndarray:
     """Correlate float64 (H, W) or (H, W, 3) data with an odd-length kernel along axis 0 or 1.
 
-    The kernel is symmetric, or antisymmetric like [-0.5, 0, 0.5].  The sums
+    The blur's Gaussian goes through it.  The kernel is symmetric, or
+    antisymmetric like [-0.5, 0, 0.5] (the derivatives do not use it: see
+    `_first_difference`).  The sums
     run in the order ``scipy.ndimage.correlate1d`` runs them, a[i] * w[R]
     and then, for j from R down to 1, + (a[i-j] + a[i+j]) * w[R-j] (a
     difference for an antisymmetric kernel), with its "mirror" edges: index
@@ -252,17 +253,78 @@ def _slide(window: np.ndarray, weights: np.ndarray, out: np.ndarray | None = Non
 
 
 def _derivative(a: np.ndarray, n: int) -> np.ndarray:
-    """The order-n magnitude of smoothed data: a itself, |gradient| or |Hessian|."""
+    """The order-n magnitude of smoothed data: a itself, |gradient| or |Hessian|.
+
+    The magnitude is taken in the derivatives' own buffers, in the order
+    sqrt(fx*fx + fy*fy) and sqrt(fxx*fxx + (2.0*fxy)*fxy + fyy*fyy).
+    """
     if n == 0:
         return a
     if n == 1:
-        fx = _correlate(a, _FIRST_DIFFERENCE, axis=1)
-        fy = _correlate(a, _FIRST_DIFFERENCE, axis=0)
-        return np.sqrt(fx * fx + fy * fy)
-    fxx = _correlate(a, _SECOND_DIFFERENCE, axis=1)
-    fyy = _correlate(a, _SECOND_DIFFERENCE, axis=0)
-    fxy = _correlate(_correlate(a, _FIRST_DIFFERENCE, axis=1), _FIRST_DIFFERENCE, axis=0)
-    return np.sqrt(fxx * fxx + 2.0 * fxy * fxy + fyy * fyy)
+        fx = _first_difference(a, axis=1)
+        fy = _first_difference(a, axis=0)
+        fx *= fx
+        fy *= fy
+        fx += fy
+        return np.sqrt(fx, out=fx)
+    centre = np.multiply(a, -2.0)
+    fxx = _second_difference(a, centre, axis=1)
+    fyy = _second_difference(a, centre, axis=0)
+    fx = _first_difference(a, axis=1, out=centre)  # centre is spent once fyy is taken
+    fxy = _first_difference(fx, axis=0)
+    fxx *= fxx
+    np.multiply(fxy, 2.0, out=fx)
+    fx *= fxy
+    fxx += fx
+    fyy *= fyy
+    fxx += fyy
+    return np.sqrt(fxx, out=fxx)
+
+
+def _first_difference(a: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+    """(a[i-1] - a[i+1]) * -0.5 along axis 0 or 1, with correlate1d's mirror edges.
+
+    ``correlate1d`` with [-0.5, 0, 0.5] also adds the centre tap a[i] * 0.0.
+    On finite input that tap can only change the sign of a zero result, and
+    every caller squares this difference (fxy, a difference of differences,
+    is squared too), so it is left out: the magnitudes are the same bits.
+    """
+    out = _neighbours(np.subtract, a, axis, out)
+    out *= -0.5
+    return out
+
+
+def _second_difference(a: np.ndarray, centre: np.ndarray, axis: int) -> np.ndarray:
+    """(a[i-1] + a[i+1]) + a[i] * -2.0 along axis 0 or 1, with correlate1d's mirror edges.
+
+    ``centre`` is a * -2.0, shared by both axes.  This is correlate1d's sum
+    with [1, -2, 1], a[i] * -2.0 + (a[i-1] + a[i+1]) * 1.0, without its
+    exact ``* 1.0`` and with the (commutative) addition's operands swapped,
+    so the same bits.
+    """
+    out = _neighbours(np.add, a, axis)
+    out += centre
+    return out
+
+
+def _neighbours(
+    combine: np.ufunc, a: np.ndarray, axis: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """combine(a[i-1], a[i+1]) along axis 0 or 1, straight from slices of ``a``.
+
+    The edges are correlate1d's "mirror" ones: index -1 reads 1, index L
+    reads L - 2, and a length-1 axis reads itself.  ``out`` must not overlap ``a``.
+    """
+    if out is None:
+        out = np.empty_like(a)
+    src, dst = np.moveaxis(a, axis, 0), np.moveaxis(out, axis, 0)
+    if len(src) == 1:
+        combine(src, src, out=dst)
+    else:
+        combine(src[:-2], src[2:], out=dst[1:-1])
+        combine(src[1], src[1], out=dst[0])
+        combine(src[-2], src[-2], out=dst[-1])
+    return out
 
 
 def _pool(v: np.ndarray, p: float, scale_in_place: bool) -> float:

@@ -291,6 +291,12 @@ def test_worker_pool_is_capped_at_the_image_count(tmp_path, monkeypatch):
     assert len(read_gt(gt)) == 2
 
 
+def test_jobs_default_counts_the_cpus_this_process_may_run_on(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert cli._resolve_jobs(None) == 1
+
+
 def test_jobs_below_one_exits_1(small_corpus, tmp_path, capsys):
     corpus, _ = small_corpus
     out = tmp_path / "gt.csv"
@@ -443,8 +449,8 @@ def test_both_pixel_commands_reject_the_same_chart_file(tmp_path, capsys, case):
     assert [image_id for image_id, _ in keys] == ["img000"]
 
 
-def test_estimate_all_presets_matches_golden(tmp_path):
-    # The seed-7 demo's four scenes, rendered as the demo script renders them.
+def seed7_scenes(tmp_path):
+    """The seed-7 demo's four scenes, rendered as the demo script renders them."""
     scenes = tmp_path / "scenes"
     scenes.mkdir()
     synth.write_reversal_corpus(scenes, np.random.default_rng(7), count=4)
@@ -452,8 +458,24 @@ def test_estimate_all_presets_matches_golden(tmp_path):
         reversed(line.split("  ")) for line in (GOLDEN / "scenes.sha256").read_text().splitlines()
     )
     assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in scenes.iterdir()} == pinned
+    return scenes
+
+
+def test_estimate_all_presets_matches_golden(tmp_path):
+    scenes = seed7_scenes(tmp_path)
     algos = [a for name in (*PRESETS, "n=2,p=4,sigma=3") for a in ("--algo", name)]
     out = tmp_path / "estimates_all_presets.csv"
+    argv = ["estimate", "--images", scenes, *algos, "--mask-chart", "--out", out, "--jobs", "1"]
+    assert run(argv) == 0
+    assert out.read_bytes() == (GOLDEN / out.name).read_bytes()
+
+
+def test_estimate_unblurred_derivatives_match_golden(tmp_path):
+    # On raw counts (sigma = 0) neighbour differences are exact and often zero.
+    scenes = seed7_scenes(tmp_path)
+    specs = ("n=1,p=2,sigma=0", "n=2,p=1,sigma=0", "n=1,p=inf,sigma=0", "n=2,p=6,sigma=0.5")
+    algos = [a for spec in specs for a in ("--algo", spec)]
+    out = tmp_path / "estimates_sigma0_derivatives.csv"
     argv = ["estimate", "--images", scenes, *algos, "--mask-chart", "--out", out, "--jobs", "1"]
     assert run(argv) == 0
     assert out.read_bytes() == (GOLDEN / out.name).read_bytes()
