@@ -54,17 +54,24 @@ def read_csv(path: str | os.PathLike, required: Iterable[str], parse: Callable) 
     """``parse`` applied to every row (a column -> text dict) of a CSV table.
 
     Extra columns are ignored.  A missing ``required`` column raises
-    MissingColumns; a TypeError/ValueError raised by ``parse`` becomes a
-    ValueError.  Both name the file (the latter also the line on which the
-    row ends).
+    MissingColumns; a row with more or fewer fields than the header, or a
+    TypeError/ValueError raised by ``parse``, becomes a ValueError.  Both
+    name the file (the latter also the line on which the row ends).
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        missing = set(required) - set(reader.fieldnames or ())
+        header = reader.fieldnames or ()
+        missing = set(required) - set(header)
         if missing:
             raise MissingColumns(path, missing)
         parsed = []
         for row in reader:
+            # DictReader files a long row's extra fields under None and fills
+            # a short row's missing ones with None.
+            if None in row or row[header[-1]] is None:
+                width = len(header) + len(row.get(None, ())) - list(row.values()).count(None)
+                reason = f"row has {width} fields, header has {len(header)}"
+                raise ValueError(f"{path}: line {reader.line_num}: {reason}")
             try:
                 parsed.append(parse(row))
             except (TypeError, ValueError) as exc:

@@ -93,7 +93,7 @@ def _extract_one(task):
 
     image_id, image_path, chart_path, subtract_black = task
     try:
-        counts, camera, _ = imagecore.load_counts(image_path)
+        counts, camera = imagecore.load_counts(image_path)
         layout = chartgeom.read_chart_file(chart_path)
         record = groundtruth.compute_ground_truth(
             counts, layout, camera, image_id=image_id, subtract_black=subtract_black
@@ -130,7 +130,7 @@ def _estimate_one(task):
 
     image_id, image_path, chart_path, specs, mask_chart = task
     try:
-        counts, camera, _ = imagecore.load_counts(image_path)
+        counts, camera = imagecore.load_counts(image_path)
         # Clipping is judged on raw counts, before the dark offset is removed.
         mask = estimators.saturation_mask(counts, camera.saturation_level)
         if mask_chart:
@@ -366,7 +366,7 @@ def _scene_from_json(payload: dict) -> tuple[synth.SceneSpec, str]:
 
     from . import synth
 
-    spec_fields = {f.name for f in dataclasses.fields(synth.SceneSpec)}
+    spec_fields = {f.name for f in dataclasses.fields(synth.SceneSpec) if f.init}
     unknown = set(payload) - spec_fields - _JSON_ONLY_KEYS
     if unknown:
         raise CliError(f"unknown scene spec fields: {sorted(unknown)}")

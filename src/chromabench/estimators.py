@@ -196,16 +196,14 @@ def _smooth_in_place(channel: np.ndarray, sigma: float) -> None:
 def _correlate(
     a: np.ndarray, weights: np.ndarray, axis: int, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Correlate float64 (H, W) or (H, W, 3) data with an odd-length kernel along axis 0 or 1.
+    """Correlate float64 (H, W) or (H, W, 3) data with an odd symmetric kernel along axis 0 or 1.
 
-    The blur's Gaussian goes through it.  The kernel is symmetric, or
-    antisymmetric like [-0.5, 0, 0.5] (the derivatives do not use it: see
-    `_first_difference`).  The sums
-    run in the order ``scipy.ndimage.correlate1d`` runs them, a[i] * w[R]
-    and then, for j from R down to 1, + (a[i-j] + a[i+j]) * w[R-j] (a
-    difference for an antisymmetric kernel), with its "mirror" edges: index
-    k is read mod 2L - 2 and folded back into the axis, and a length-1 axis
-    reads itself.  So the values are correlate1d's bit for bit.
+    The blur's Gaussian goes through it.  The sums run in the order
+    ``scipy.ndimage.correlate1d`` runs them for a symmetric kernel, a[i] *
+    w[R] and then, for j from R down to 1, + (a[i-j] + a[i+j]) * w[R-j],
+    with its "mirror" edges: index k is read mod 2L - 2 and folded back into
+    the axis, and a length-1 axis reads itself.  So the values are
+    correlate1d's bit for bit.
 
     The work goes in stripes of ``_STENCIL_ROWS`` rows, so each stripe and
     its temporaries stay in cache through the 3R + 1 passes.  Along axis 1 a
@@ -241,12 +239,11 @@ def _slide(window: np.ndarray, weights: np.ndarray, out: np.ndarray | None = Non
     """The kernel applied down axis 0 of ``window``, which has R rows of context each side."""
     radius = len(weights) // 2
     rows = len(window) - 2 * radius
-    combine = np.add if weights[0] == weights[-1] else np.subtract
     out = np.multiply(window[radius : radius + rows], weights[radius], out=out)
     term = np.empty_like(out)
     for j in range(radius, 0, -1):
         lo, hi = radius - j, radius + j
-        combine(window[lo : lo + rows], window[hi : hi + rows], out=term)
+        np.add(window[lo : lo + rows], window[hi : hi + rows], out=term)
         term *= weights[radius - j]
         out += term
     return out

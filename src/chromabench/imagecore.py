@@ -1,8 +1,8 @@
 """Raw sensor counts: 16-bit binary PPM I/O, black-level and clipping rules.
 
 A frame is a C-contiguous native uint16 (H, W, 3) array of digital counts in
-R, G, B order, with the camera's ``CameraProfile`` and the sensor's bit
-depth beside it.  ``synth.render`` makes one, ``save_image`` writes it and
+R, G, B order, with its camera's ``CameraProfile``, which carries the
+sensor's bit depth.  ``synth.render`` makes one, ``save_image`` writes it and
 ``load_counts`` reads it back bit for bit, so integer counts never pass
 through a float frame on their way to disk.  The clipping test, patch
 sampling and the estimators read the counts as they are; a channel becomes
@@ -39,7 +39,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CameraProfile:
-    """Per-camera metadata: dark offset and linear-range ceiling, in counts.
+    """Per-camera metadata: dark offset and linear-range ceiling in counts, and bit depth.
 
     The black level is a single scalar applied to all three channels.
     """
@@ -47,8 +47,17 @@ class CameraProfile:
     camera_id: str
     black_level: float = 0.0
     saturation_level: float = 3300.0
+    bit_depth: int = 12
 
     def __post_init__(self) -> None:
+        if not isinstance(self.camera_id, str):
+            raise ValueError(f"camera_id must be a string, got {self.camera_id!r}")
+        # The PPM stores 16-bit samples.
+        depth = self.bit_depth
+        integral = isinstance(depth, (int, np.integer)) and not isinstance(depth, bool)
+        if not (integral and 1 <= depth <= 16):
+            raise ValueError("bit_depth must be an integer in 1..16")
+        object.__setattr__(self, "bit_depth", int(depth))
         # An infinite saturation level would switch clipping off unnoticed.
         if not math.isfinite(self.black_level):
             raise ValueError("black_level must be finite")
@@ -93,25 +102,23 @@ def _parse_ppm_header(raw: bytes) -> tuple[int, int, int, int]:
 
 
 def _check_bit_depth(counts: np.ndarray, bit_depth: int) -> None:
-    """Raise unless ``bit_depth`` is in 1..16 and no count exceeds it."""
-    # The PPM stores 16-bit samples.
-    if not 1 <= bit_depth <= 16:
-        raise ValueError("bit_depth must be an integer in 1..16")
+    """Raise if a count exceeds ``2**bit_depth - 1``."""
     limit = 2 ** bit_depth - 1
     peak = int(counts.max(initial=0))
     if peak > limit:
         raise ValueError(f"value exceeds bit depth: {peak} > {limit} ({bit_depth}-bit)")
 
 
-def load_counts(path: str | Path) -> tuple[np.ndarray, CameraProfile, int]:
+def load_counts(path: str | Path) -> tuple[np.ndarray, CameraProfile]:
     """Read a 16-bit binary PPM and its metadata sidecar as raw counts.
 
     Returns the samples as a C-contiguous native uint16 (H, W, 3) array,
-    with the sidecar's camera profile and bit depth.  Raises if the header
-    is malformed, if the sidecar is missing, not valid JSON or not a JSON
-    object, if its
-    ``bit_depth`` is not an integer in 1..16 or a level is not a number, or
-    if any sample exceeds that bit depth.
+    with the sidecar's camera profile (``CameraProfile``'s defaults for the
+    fields it leaves out).  Raises if the header is malformed, if the
+    sidecar is missing, not valid JSON or not a JSON object, if its
+    ``bit_depth`` is not a whole number or a level is not a number, if
+    ``CameraProfile`` refuses the fields, or if any sample exceeds the bit
+    depth.
     """
     path = Path(path)
     meta_file = sidecar_path(path)
@@ -123,22 +130,25 @@ def load_counts(path: str | Path) -> tuple[np.ndarray, CameraProfile, int]:
         raise ValueError(f"{meta_file}: sidecar is not valid JSON: {exc}") from None
     if not isinstance(meta, dict):
         raise ValueError(f"{meta_file}: sidecar must be a JSON object")
-    bit_depth = meta.get("bit_depth", 12)
-    # JSON true and false arrive as Python bools, which are ints.
-    whole = isinstance(bit_depth, int) or (isinstance(bit_depth, float) and bit_depth.is_integer())
-    if isinstance(bit_depth, bool) or not whole:
-        raise ValueError(f"bit_depth must be a whole number, got {bit_depth!r}")
-    bit_depth = int(bit_depth)
-    levels = {}
-    for name, default in (("black_level", 0.0), ("saturation_level", 3300.0)):
-        value = meta.get(name, default)
+    fields = {}
+    if "bit_depth" in meta:
+        depth = meta["bit_depth"]
+        # JSON true and false arrive as Python bools, which are ints.
+        whole = isinstance(depth, int) or (isinstance(depth, float) and depth.is_integer())
+        if isinstance(depth, bool) or not whole:
+            raise ValueError(f"bit_depth must be a whole number, got {depth!r}")
+        fields["bit_depth"] = int(depth)
+    for name in ("black_level", "saturation_level"):
+        if name not in meta:
+            continue
+        value = meta[name]
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"{name} must be a number, got {value!r}")
         try:
-            levels[name] = float(value)
+            fields[name] = float(value)
         except OverflowError:  # an integer past the float range
             raise ValueError(f"{name} must be finite") from None
-    camera = CameraProfile(str(meta.get("camera_id", "unknown")), **levels)
+    camera = CameraProfile(meta.get("camera_id", "unknown"), **fields)
 
     raw = path.read_bytes()
     width, height, maxval, offset = _parse_ppm_header(raw)
@@ -151,33 +161,29 @@ def load_counts(path: str | Path) -> tuple[np.ndarray, CameraProfile, int]:
         raise ValueError("malformed file: truncated sample data")
     samples = np.frombuffer(raw, dtype=">u2", count=count, offset=offset)
     counts = samples.astype(np.uint16).reshape(height, width, 3)
-    _check_bit_depth(counts, bit_depth)
-    return counts, camera, bit_depth
+    _check_bit_depth(counts, camera.bit_depth)
+    return counts, camera
 
 
-def save_image(
-    counts: np.ndarray, camera: CameraProfile, bit_depth: int, path: str | Path
-) -> None:
-    """Write uint16 (H, W, 3) counts as a PPM and ``camera`` and ``bit_depth`` as its sidecar.
+def save_image(counts: np.ndarray, camera: CameraProfile, path: str | Path) -> None:
+    """Write uint16 (H, W, 3) counts as a PPM and ``camera`` as its sidecar.
 
-    Raises, with :func:`load_counts`'s messages, on what it would reject:
-    a ``bit_depth`` outside 1..16 or a count above ``2**bit_depth - 1``.
+    Raises, with :func:`load_counts`'s message, on a count above
+    ``2**camera.bit_depth - 1``, which it would reject.
     """
     if counts.dtype != np.uint16 or counts.ndim != 3 or counts.shape[2] != 3:
         raise ValueError("counts must be a uint16 (H, W, 3) array")
     height, width = counts.shape[:2]
     if height < 1 or width < 1:
         raise ValueError("image must be at least 1x1")
-    if not isinstance(bit_depth, (int, np.integer)) or isinstance(bit_depth, bool):
-        raise ValueError("bit_depth must be an integer in 1..16")
-    _check_bit_depth(counts, bit_depth)
+    _check_bit_depth(counts, camera.bit_depth)
     path = Path(path)
     header = f"P6\n{width} {height}\n65535\n".encode("ascii")
     atomic_write_bytes(path, header + counts.astype(">u2").tobytes())
     meta = {
         "camera_id": camera.camera_id,
         "black_level": camera.black_level,
-        "bit_depth": int(bit_depth),
+        "bit_depth": camera.bit_depth,
         "saturation_level": camera.saturation_level,
     }
     atomic_write_text(sidecar_path(path), json.dumps(meta, indent=2) + "\n")

@@ -165,6 +165,7 @@ class SceneSpec:
     rng_seed: int = 0
     camera_id: str = "synthcam"
     saturation_level: float = 3300.0
+    camera: CameraProfile = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         illum = tuple(float(v) for v in self.illuminant)
@@ -173,18 +174,17 @@ class SceneSpec:
         object.__setattr__(self, "illuminant", illum)
         if not (_is_int(self.width) and _is_int(self.height) and min(self.width, self.height) >= 8):
             raise ValueError("width and height must be integers >= 8")
-        # The PPM stores 16-bit samples.
-        if not (_is_int(self.bit_depth) and 1 <= self.bit_depth <= 16):
-            raise ValueError("bit_depth must be an integer in 1..16")
-        for name in ("exposure", "black_level", "noise_sigma", "saturation_level"):
+        profile = (self.camera_id, self.black_level, self.saturation_level, self.bit_depth)
+        object.__setattr__(self, "camera", CameraProfile(*profile))
+        for name in ("exposure", "noise_sigma"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.exposure <= 0:
             raise ValueError("exposure must be > 0")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
-        if self.black_level < 0:
-            raise ValueError("black_level must be >= 0")
+        if not (_is_int(self.rng_seed) and self.rng_seed >= 0):
+            raise ValueError("rng_seed must be a non-negative integer")
         table = np.asarray(self.reflectance_table, dtype=np.float64)
         if table.shape != (CHART_ROWS * CHART_COLS, 3):
             raise ValueError("reflectance_table must be 24 RGB triples")
@@ -214,8 +214,8 @@ class SceneSpec:
         object.__setattr__(self, "background", bg)
         clip = self.clip_level
         if clip is None:
-            clip = float(2 ** self.bit_depth - 1)
-        if not 0 < clip <= 2 ** self.bit_depth - 1:
+            clip = float(2 ** self.camera.bit_depth - 1)
+        if not 0 < clip <= 2 ** self.camera.bit_depth - 1:
             raise ValueError("clip_level must be in (0, 2**bit_depth - 1]")
         object.__setattr__(self, "clip_level", float(clip))
 
@@ -226,7 +226,6 @@ class RenderedScene:
 
     counts: np.ndarray
     camera: CameraProfile
-    bit_depth: int
     true_illuminant: tuple[float, float, float]
     chart_text: str
 
@@ -279,11 +278,6 @@ def render(spec: SceneSpec) -> RenderedScene:
         DEFAULT_HALF_SIZE,
     )
     layout.check_in_frame(spec.height, spec.width)
-    camera = CameraProfile(
-        camera_id=spec.camera_id,
-        black_level=spec.black_level,
-        saturation_level=spec.saturation_level,
-    )
 
     counts = np.empty((spec.height, spec.width, 3))
     counts[...] = spec.background
@@ -314,8 +308,7 @@ def render(spec: SceneSpec) -> RenderedScene:
 
     return RenderedScene(
         counts=counts.astype(np.uint16),
-        camera=camera,
-        bit_depth=spec.bit_depth,
+        camera=spec.camera,
         true_illuminant=spec.illuminant,
         chart_text=format_chart(layout),
     )
@@ -340,7 +333,7 @@ def write_scene(scene: RenderedScene, out_dir: str | Path, image_id: str) -> Pat
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     image_path = out_dir / f"{image_id}.ppm"
-    save_image(scene.counts, scene.camera, scene.bit_depth, image_path)
+    save_image(scene.counts, scene.camera, image_path)
     atomic_write_text(out_dir / f"{image_id}.chart", scene.chart_text)
     return image_path
 

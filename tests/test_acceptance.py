@@ -96,7 +96,7 @@ def test_saturation_rule_boundary(tmp_path):
         reflectance_table=synthcases.exact_reflectance_table(),
     )
     synth.write_scene(synth.render(spec), tmp_path, "boundary")
-    counts, _, _ = load_counts(tmp_path / "boundary.ppm")
+    counts, _ = load_counts(tmp_path / "boundary.ppm")
     layout = read_chart_file(tmp_path / "boundary.chart")
     at_3300 = compute_ground_truth(counts, layout, CameraProfile("cam", 0.0, 3300.0))
     at_3301 = compute_ground_truth(counts, layout, CameraProfile("cam", 0.0, 3301.0))
@@ -297,8 +297,8 @@ def test_format_round_trips(tmp_path):
         shape = (int(rng.integers(1, 12)), int(rng.integers(1, 12)), 3)
         counts = rng.integers(0, 4096, size=shape).astype(np.uint16)
         camera = CameraProfile("cam", float(rng.integers(0, 200)))
-        save_image(counts, camera, 12, tmp_path / f"rt{i}.ppm")
-        back, back_camera, _ = load_counts(tmp_path / f"rt{i}.ppm")
+        save_image(counts, camera, tmp_path / f"rt{i}.ppm")
+        back, back_camera = load_counts(tmp_path / f"rt{i}.ppm")
         assert np.array_equal(back, counts)
         assert back_camera == camera
 

@@ -73,6 +73,10 @@ def test_synth_unknown_field_exits_1(tmp_path, capsys):
     spec = write_scene_json(tmp_path / "scene.json", exposur=5.0)
     assert run(["synth", "--spec", spec, "--out", tmp_path / "o"]) == 1
     assert "unknown scene spec fields" in capsys.readouterr().err
+    # "camera" is the profile SceneSpec builds from its flat fields, not a spec field.
+    spec = write_scene_json(tmp_path / "scene.json", camera=5.0)
+    assert run(["synth", "--spec", spec, "--out", tmp_path / "o"]) == 1
+    assert capsys.readouterr().err == "error: unknown scene spec fields: ['camera']\n"
 
 
 def test_synth_nan_noise_sigma_exits_1(tmp_path, capsys):
@@ -89,12 +93,41 @@ def test_synth_nan_noise_sigma_exits_1(tmp_path, capsys):
     [
         ("width", 640.5, "width and height must be integers >= 8"),
         ("bit_depth", 2000, "bit_depth must be an integer in 1..16"),
+        ("camera_id", None, "camera_id must be a string, got None"),
     ],
 )
 def test_synth_non_integer_or_out_of_range_size_exits_1(tmp_path, capsys, field, value, message):
     spec = write_scene_json(tmp_path / "scene.json", **{field: value})
     assert run(["synth", "--spec", spec, "--out", tmp_path / "o"]) == 1
     assert capsys.readouterr().err == f"error: invalid scene spec: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("noise_sigma", [0.0, 1.0])
+@pytest.mark.parametrize("rng_seed", ["a", 1.5, -1, True])
+def test_synth_rng_seed_that_is_not_a_non_negative_integer_exits_1(
+    tmp_path, capsys, noise_sigma, rng_seed
+):
+    # With noise it used to end in numpy's TypeError; without, the seed went unchecked.
+    spec = write_scene_json(tmp_path / "scene.json", noise_sigma=noise_sigma, rng_seed=rng_seed)
+    assert run(["synth", "--spec", spec, "--out", tmp_path / "o"]) == 1
+    message = "error: invalid scene spec: rng_seed must be a non-negative integer\n"
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "o").exists()
+
+
+def test_synth_black_level_at_or_above_saturation_is_refused_as_a_spec(
+    tmp_path, capsys, monkeypatch
+):
+    # The camera's rule is checked where the spec is made, before any render.
+    def no_render(spec):
+        raise AssertionError("rendered an invalid camera")
+
+    monkeypatch.setattr(synth, "render", no_render)
+    spec = write_scene_json(tmp_path / "scene.json", black_level=4000, saturation_level=3300)
+    assert run(["synth", "--spec", spec, "--out", tmp_path / "o"]) == 1
+    message = "error: invalid scene spec: saturation_level must exceed black_level\n"
+    assert capsys.readouterr().err == message
     assert not (tmp_path / "o").exists()
 
 
@@ -147,7 +180,7 @@ def test_synth_json_sets_every_scene_field(tmp_path):
         camera_id="cam-x",
         saturation_level=3500.0,
     )
-    assert set(fields) == {f.name for f in dataclasses.fields(synth.SceneSpec)}
+    assert set(fields) == {f.name for f in dataclasses.fields(synth.SceneSpec) if f.init}
     payload = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in fields.items()}
     spec = write_scene_json(
         tmp_path / "scene.json", image_id="full", achromatic_reflectances=ramp, **payload
@@ -318,7 +351,7 @@ def constant_color_corpus(tmp_path, colors):
     corpus.mkdir()
     for i, color in enumerate(colors):
         counts = np.tile(np.asarray(color, dtype=np.uint16), (16, 16, 1))
-        save_image(counts, CameraProfile(f"cam{i}", 0.0), 12, corpus / f"flat{i}.ppm")
+        save_image(counts, CameraProfile(f"cam{i}", 0.0), corpus / f"flat{i}.ppm")
     return corpus
 
 
@@ -640,10 +673,10 @@ def test_evaluate_rejects_duplicate_estimates(tmp_path, capsys):
         pytest.param("a,alg,0,1,0,0.6,inf,0.8", "components must be finite and >= 0", id="inf"),
         pytest.param("a,alg,0,1,0,0.6,0.8,-1", "components must be finite and >= 0", id="negative"),
         pytest.param("a,alg,0,1,0,0,0,-0.0", "degenerate illuminant: zero vector", id="zero"),
+        pytest.param("a,alg,0,1,0,0.6,0.8", "row has 7 fields, header has 8", id="short"),
+        # An unquoted explicit-spec label used to be read with its columns shifted.
         pytest.param(
-            "a,alg,0,1,0,0.6,0.8",
-            "float() argument must be a string or a real number, not 'NoneType'",
-            id="short",
+            "a,grey-edge-1(p=5,s=2),1,5,2,0.5,0.6,0.7", "row has 9 fields, header has 8", id="long"
         ),
         pytest.param(
             "b,alg,0,1,0,0.6,0,0.8", "duplicate estimate for image 'b', algorithm 'alg'", id="repeat"

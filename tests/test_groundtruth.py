@@ -173,7 +173,7 @@ def test_compute_ground_truth_matches_per_patch_reference(row, level, black, sub
 
 def render_and_load(tmp_path, spec, image_id):
     synth.write_scene(synth.render(spec), tmp_path, image_id)
-    counts, camera, _ = load_counts(tmp_path / f"{image_id}.ppm")
+    counts, camera = load_counts(tmp_path / f"{image_id}.ppm")
     layout = read_chart_file(tmp_path / f"{image_id}.chart")
     return counts, camera, layout
 

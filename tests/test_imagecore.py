@@ -28,9 +28,9 @@ def write_ppm(path, samples, width, height, meta=None):
 def test_load_reads_samples_exactly(tmp_path):
     p = tmp_path / "one.ppm"
     write_ppm(p, [100, 200, 300], 1, 1)
-    counts, camera, bit_depth = load_counts(p)
+    counts, camera = load_counts(p)
     assert counts.shape == (1, 1, 3)
-    assert bit_depth == 12
+    assert camera.bit_depth == 12
     assert counts.tolist() == [[[100, 200, 300]]]
     assert camera.camera_id == "cam"
 
@@ -47,11 +47,11 @@ def test_load_counts_keeps_native_uint16(tmp_path):
     samples = rng.integers(0, 4096, size=5 * 7 * 3)
     p = tmp_path / "c.ppm"
     write_ppm(p, samples.tolist(), 7, 5, meta={"black_level": 129, "bit_depth": 12})
-    counts, camera, bit_depth = load_counts(p)
+    counts, camera = load_counts(p)
     assert counts.dtype == np.uint16 and counts.dtype.isnative
     assert counts.flags.c_contiguous and counts.shape == (5, 7, 3)
     assert counts.ravel().tolist() == samples.tolist()
-    assert (camera, bit_depth) == (CameraProfile("cam", 129.0, 3300.0), 12)
+    assert camera == CameraProfile("cam", 129.0, 3300.0, 12)
 
 
 def test_load_rejects_infinite_saturation_level(tmp_path):
@@ -92,10 +92,14 @@ def test_load_rejects_bit_depth_outside_1_to_16(tmp_path, bit_depth):
         ('{"saturation_level": null}', r"^saturation_level must be a number, got None$"),
         ('{"black_level": 1%s}' % ("0" * 400), r"^black_level must be finite$"),
         ('{"bit_depth": 12,\n', r"/meta\.meta\.json: sidecar is not valid JSON: Expecting "),
+        # A camera_id of null once became the camera "None", 5 the camera "5".
+        ('{"camera_id": null}', r"^camera_id must be a string, got None$"),
+        ('{"camera_id": 5}', r"^camera_id must be a string, got 5$"),
+        ('{"camera_id": [1, 2]}', r"^camera_id must be a string, got \[1, 2\]$"),
     ],
     ids=[
         "list", "text", "bool-depth", "bool-black", "text-black", "bool-sat", "null-sat", "huge",
-        "truncated",
+        "truncated", "null-camera", "number-camera", "list-camera",
     ],
 )
 def test_load_rejects_a_malformed_sidecar(tmp_path, sidecar, message):
@@ -109,23 +113,24 @@ def test_load_rejects_a_malformed_sidecar(tmp_path, sidecar, message):
 @pytest.mark.parametrize("bit_depth", [0, 17, 12.0, True])
 def test_save_rejects_bit_depth_that_is_not_an_integer_in_1_to_16(tmp_path, bit_depth):
     with pytest.raises(ValueError, match=r"^bit_depth must be an integer in 1\.\.16$"):
-        save_image(np.ones((1, 1, 3), np.uint16), CameraProfile("c"), bit_depth, tmp_path / "x.ppm")
+        camera = CameraProfile("c", bit_depth=bit_depth)
+        save_image(np.ones((1, 1, 3), np.uint16), camera, tmp_path / "x.ppm")
     assert list(tmp_path.iterdir()) == []
 
 
 def test_save_rejects_counts_that_load_counts_would_reject_as_over_bit_depth(tmp_path):
     cam = CameraProfile("cam")
     with pytest.raises(ValueError, match=r"^value exceeds bit depth: 5000 > 4095 \(12-bit\)$"):
-        save_image(np.full((2, 2, 3), 5000, dtype=np.uint16), cam, 12, tmp_path / "hot.ppm")
+        save_image(np.full((2, 2, 3), 5000, dtype=np.uint16), cam, tmp_path / "hot.ppm")
     assert list(tmp_path.iterdir()) == []
-    save_image(np.full((2, 2, 3), 4095, dtype=np.uint16), cam, 12, tmp_path / "top.ppm")
+    save_image(np.full((2, 2, 3), 4095, dtype=np.uint16), cam, tmp_path / "top.ppm")
     assert load_counts(tmp_path / "top.ppm")[0].max() == 4095
 
 
 def test_load_accepts_integral_float_bit_depth(tmp_path):
     p = tmp_path / "twelve.ppm"
     write_ppm(p, [1, 2, 3], 1, 1, meta={"bit_depth": 12.0})
-    assert load_counts(p)[2] == 12
+    assert load_counts(p)[1].bit_depth == 12
 
 
 def test_load_requires_sidecar(tmp_path):
@@ -158,7 +163,7 @@ def test_header_comments_are_skipped(tmp_path):
     raw = b"P6\n# a comment\n2 1\n# another\n65535\n" + struct.pack(">6H", 1, 2, 3, 4, 5, 6)
     p.write_bytes(raw)
     sidecar_path(p).write_text("{}")
-    counts, _, _ = load_counts(p)
+    counts, _ = load_counts(p)
     assert counts.tolist() == [[[1, 2, 3], [4, 5, 6]]]
 
 
@@ -171,7 +176,7 @@ def test_a_comment_that_moves_the_samples_to_an_odd_offset_reads_the_same(tmp_pa
         p = tmp_path / f"c{len(reads)}.ppm"
         p.write_bytes(header + samples)
         sidecar_path(p).write_text("{}")
-        counts, _, _ = load_counts(p)
+        counts, _ = load_counts(p)
         assert counts.dtype == np.uint16 and counts.flags.aligned
         reads.append(counts.tobytes())
     assert offsets == {0, 1}
@@ -189,17 +194,17 @@ def test_a_comment_that_moves_the_samples_to_an_odd_offset_reads_the_same(tmp_pa
 def test_save_load_round_trip_bit_exact(tmp_path_factory, arr):
     tmp = tmp_path_factory.mktemp("rt")
     camera = CameraProfile("cam", 129.0)
-    save_image(arr, camera, 12, tmp / "img.ppm")
-    back, back_camera, back_bit_depth = load_counts(tmp / "img.ppm")
+    save_image(arr, camera, tmp / "img.ppm")
+    back, back_camera = load_counts(tmp / "img.ppm")
     assert back.tobytes() == arr.tobytes()
-    assert (back_camera, back_bit_depth) == (camera, 12)
+    assert back_camera == camera and back_camera.bit_depth == 12
 
 
 def test_save_rejects_non_integer_samples(tmp_path):
     # Counts are uint16 by type, so a float frame is rejected whatever its values.
     for data in (np.full((1, 1, 3), 1.5), np.full((1, 1, 3), 1.0)):
         with pytest.raises(ValueError, match=r"^counts must be a uint16 \(H, W, 3\) array$"):
-            save_image(data, CameraProfile("cam"), 12, tmp_path / "x.ppm")
+            save_image(data, CameraProfile("cam"), tmp_path / "x.ppm")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -268,7 +273,7 @@ def test_save_rejects_a_frame_that_is_not_uint16_h_w_3(tmp_path):
     ]
     for data, message in cases:
         with pytest.raises(ValueError, match=message):
-            save_image(data, CameraProfile("cam"), 12, tmp_path / "x.ppm")
+            save_image(data, CameraProfile("cam"), tmp_path / "x.ppm")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -282,3 +287,7 @@ def test_camera_profile_invariants():
             with pytest.raises(ValueError, match=f"{field} must be finite"):
                 CameraProfile("c", **{field: bad})
     assert CameraProfile("c").saturation_level == 3300.0
+    # numpy integers pass and are stored as int, which the sidecar's JSON writes as a number.
+    camera = CameraProfile("c", bit_depth=np.int64(16))
+    assert camera.bit_depth == 16 and type(camera.bit_depth) is int
+    assert CameraProfile("c", 0.0, 3300.0).bit_depth == 12

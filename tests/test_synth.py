@@ -81,7 +81,7 @@ def test_saturating_exposure_moves_selection_to_second_gray(tmp_path):
     )
     scene = synth.render(spec)
     synth.write_scene(scene, tmp_path, "clip")
-    counts, camera, _ = load_counts(tmp_path / "clip.ppm")
+    counts, camera = load_counts(tmp_path / "clip.ppm")
     layout = read_chart_file(tmp_path / "clip.chart")
     record = compute_ground_truth(counts, layout, camera, image_id="clip")
     assert record.patch_index == 19
@@ -134,6 +134,24 @@ def test_spec_validation():
         with pytest.raises(ValueError, match="bit_depth must be an integer in 1..16"):
             synth.SceneSpec(bit_depth=bad)
     assert synth.SceneSpec(width=np.int64(8), height=8, bit_depth=16).bit_depth == 16
+    # The camera's rules hold where the spec is made, not first in render.
+    with pytest.raises(ValueError, match="^saturation_level must exceed black_level$"):
+        synth.SceneSpec(black_level=4000, saturation_level=3300)
+    for bad in (None, 5):
+        with pytest.raises(ValueError, match="^camera_id must be a string, got "):
+            synth.SceneSpec(camera_id=bad)
+    for bad in ("a", 1.5, -1, True):
+        with pytest.raises(ValueError, match="^rng_seed must be a non-negative integer$"):
+            synth.SceneSpec(rng_seed=bad)
+    assert synth.SceneSpec(rng_seed=np.int64(0)).rng_seed == 0
+
+
+def test_spec_builds_the_camera_its_scene_carries():
+    spec = synth.SceneSpec(
+        black_level=129, saturation_level=3500.0, bit_depth=np.int64(14), camera_id="c"
+    )
+    assert spec.camera == CameraProfile("c", 129, 3500.0, 14)
+    assert synth.render(spec).camera is spec.camera
 
 
 def _render_full_frame(spec: synth.SceneSpec) -> synth.RenderedScene:
@@ -181,11 +199,11 @@ def _render_full_frame(spec: synth.SceneSpec) -> synth.RenderedScene:
         camera_id=spec.camera_id,
         black_level=spec.black_level,
         saturation_level=spec.saturation_level,
+        bit_depth=spec.bit_depth,
     )
     return synth.RenderedScene(
         counts=counts.astype(np.uint16),
         camera=camera,
-        bit_depth=spec.bit_depth,
         true_illuminant=spec.illuminant,
         chart_text=format_chart(layout),
     )
@@ -251,7 +269,7 @@ def test_render_matches_the_full_frame_renderer_bit_for_bit(
     assert scene.counts.dtype == np.uint16 and scene.counts.flags.c_contiguous
     assert scene.counts.tobytes() == expected.counts.tobytes()
     assert scene.chart_text == expected.chart_text
-    assert (scene.camera, scene.bit_depth) == (expected.camera, expected.bit_depth)
+    assert scene.camera == expected.camera
 
 
 def test_render_matches_the_full_frame_renderer_past_a_horizon_inside_the_chart():
@@ -299,7 +317,7 @@ def test_round_trip_recovers_parallel_illuminant(tmp_path):
         )
         scene = synth.render(spec)
         synth.write_scene(scene, tmp_path, f"rt{i}")
-        counts, camera, _ = load_counts(tmp_path / f"rt{i}.ppm")
+        counts, camera = load_counts(tmp_path / f"rt{i}.ppm")
         layout = read_chart_file(tmp_path / f"rt{i}.chart")
         record = compute_ground_truth(counts, layout, camera, image_id=f"rt{i}")
         assert recovery_error(record.illuminant, truth) < 1e-6

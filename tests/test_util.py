@@ -49,6 +49,18 @@ def test_read_csv_errors_name_file_and_line(tmp_path):
     assert info.value.missing == {"y"}
 
 
+@pytest.mark.parametrize("row, fields", [("1,2,3", 3), ("1,2,,", 4), ("1", 1)])
+def test_read_csv_refuses_a_row_whose_field_count_differs_from_the_header(tmp_path, row, fields):
+    path = tmp_path / "t.csv"
+    path.write_text("x,y\n1,2\n" + row + "\n")
+    message = rf"t\.csv: line 3: row has {fields} fields, header has 2$"
+    with pytest.raises(ValueError, match=message):
+        read_csv(path, ["x"], dict)
+    # Empty cells are fields: a row of the header's width reads as it is.
+    path.write_text("x,y\n,\n")
+    assert read_csv(path, ["x"], dict) == [{"x": "", "y": ""}]
+
+
 def test_only_util_constructs_a_csv_reader():
     # read_csv is the package's one reader: no other module builds a
     # csv.reader or csv.DictReader of its own.
