@@ -62,10 +62,14 @@ def _log_error(image_id: str, message: str) -> None:
     print(f"error: {image_id}: {message}", file=sys.stderr)
 
 
-def _run_per_image(worker, tasks: list, jobs: int) -> tuple[list, int]:
+def _run_per_image(
+    worker, tasks: list, jobs: int, finish=lambda image_id, result: result
+) -> tuple[list, int]:
     """Results of ``worker`` over ``tasks`` in task order, and the failure count.
 
-    A worker returns (image_id, results, error messages); each message is logged.
+    A worker returns (image_id, results, error messages).  ``finish(image_id,
+    result)`` maps each result in this process.  Each message, and each
+    ValueError ``finish`` raises, is logged in task order.
     """
     workers = min(jobs, len(tasks))
     if workers <= 1:
@@ -77,7 +81,10 @@ def _run_per_image(worker, tasks: list, jobs: int) -> tuple[list, int]:
             outcomes = list(pool.map(worker, tasks))
     results, failures = [], 0
     for image_id, image_results, errors in outcomes:
-        results.extend(image_results)
+        try:
+            results.extend([finish(image_id, result) for result in image_results])
+        except ValueError as exc:
+            errors = [*errors, str(exc)]
         for message in errors:
             _log_error(image_id, message)
         failures += len(errors)
@@ -91,14 +98,11 @@ def _run_per_image(worker, tasks: list, jobs: int) -> tuple[list, int]:
 def _extract_one(task):
     from . import chartgeom, groundtruth, imagecore
 
-    image_id, image_path, chart_path, subtract_black = task
+    image_id, image_path, chart_path = task
     try:
         counts, camera = imagecore.load_counts(image_path)
         layout = chartgeom.read_chart_file(chart_path)
-        record = groundtruth.compute_ground_truth(
-            counts, layout, camera, image_id=image_id, subtract_black=subtract_black
-        )
-        return image_id, [record], []
+        return image_id, [(groundtruth.measure(counts, layout), camera)], []
     except Exception as exc:  # noqa: BLE001 - per-image failures must not kill the run
         return image_id, [], [str(exc)]
 
@@ -112,10 +116,14 @@ def cmd_extract_gt(args) -> int:
     images = _discover_images(args.images)
     charts_dir = Path(args.charts or args.images)
     tasks = [
-        (image_id, str(path), str(charts_dir / f"{image_id}.chart"), not args.no_black_subtract)
-        for image_id, path in images
+        (image_id, str(path), str(charts_dir / f"{image_id}.chart")) for image_id, path in images
     ]
-    records, failures = _run_per_image(_extract_one, tasks, jobs)
+    subtract_black = not args.no_black_subtract
+
+    def decide(image_id, measured):  # in this process, in image order
+        return groundtruth.decide(*measured, subtract_black, image_id)
+
+    records, failures = _run_per_image(_extract_one, tasks, jobs, decide)
     groundtruth.write_gt(records, args.out)
     print(f"wrote {len(records)} ground-truth records to {args.out}")
     return EXIT_PARTIAL if failures else EXIT_OK
@@ -389,7 +397,9 @@ def _scene_from_json(payload: dict) -> tuple[synth.SceneSpec, str]:
         spec = synth.SceneSpec(**kwargs)
     except (TypeError, ValueError) as exc:
         raise CliError(f"invalid scene spec: {exc}") from exc
-    image_id = str(payload.get("image_id", "scene"))
+    image_id = payload.get("image_id", "scene")
+    if not isinstance(image_id, str):
+        raise CliError(f"invalid scene spec: image_id must be a string, got {image_id!r}")
     synth.check_image_id(image_id)
     return spec, image_id
 

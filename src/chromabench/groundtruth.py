@@ -2,15 +2,19 @@
 
 Per image, in two steps:
 
-* **Measure.**  Sample a square inside every patch straight from the frame
-  (laid out on the canonical rectified view of the chart) and reduce the six
-  achromatic squares, in one call, to three arrays: per-channel medians, the
-  largest single count and the mean brightness of each patch.
-* **Decide.**  Without pixels: the winner is the brightest patch whose
+* :func:`measure`, on pixels.  Sample a square inside every patch straight
+  from the frame (laid out on the canonical rectified view of the chart) and
+  reduce the six achromatic squares, in one call, to three arrays:
+  per-channel medians, the largest single count and the mean brightness of
+  each patch.
+* :func:`decide`, without pixels.  The winner is the brightest patch whose
   largest count is not clipped; its channel medians, less the camera black
-  level (``subtract_black_level``, estimation's rule), are the illuminant.
-  Keeping a single winning patch guarantees that R, G and B always come from
-  the same patch.
+  level (``subtract_black_level``, estimation's rule) when the caller's
+  convention subtracts it, are the illuminant.  Keeping a single winning
+  patch guarantees that R, G and B always come from the same patch.  Every
+  parameter is required, so no caller inherits a convention unstated.
+
+``extract-gt`` measures in its workers and decides in the parent process.
 
 Saturation is judged on raw (pre-subtraction) counts: the threshold is stated
 against 12-bit digital counts.  A patch is disqualified if ANY single sample
@@ -34,11 +38,10 @@ from .imagecore import CameraProfile, clipped, subtract_black_level
 __all__ = [
     "GT_FIELDS",
     "GroundTruthRecord",
-    "compute_ground_truth",
-    "patch_stats",
+    "decide",
+    "measure",
     "read_gt",
     "records_by_id",
-    "select_achromatic_patch",
     "write_gt",
 ]
 
@@ -76,50 +79,30 @@ class GroundTruthRecord:
         object.__setattr__(self, "illuminant", illum)
 
 
-def patch_stats(samples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Channel medians (K, 3), largest count (K,) and brightness (K,) of K sample squares.
+def measure(data: np.ndarray, layout: ChartLayout) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Channel medians (6, 3), largest count (6,) and brightness (6,) of the achromatic row.
 
-    ``samples`` is (K, N, 3).  Brightness is the mean over all N x 3 counts;
-    even sample counts take the mean of the two middle order statistics.
+    ``data`` is an (H, W, 3) frame of raw counts.  Brightness is the mean of
+    a sample square's counts; an even sample count takes the mean of the two
+    middle order statistics as the median.
     """
-    arr = np.asarray(samples, dtype=np.float64)
-    if arr.ndim != 3 or arr.shape[2] != 3 or 0 in arr.shape:
-        raise ValueError("samples must be a nonempty (K, N, 3) array")
-    flat = arr.reshape(arr.shape[0], -1)
-    return np.median(arr, axis=1), flat.max(axis=1), flat.mean(axis=1)
+    row = chartgeom.sample_patches(data, layout)[list(ACHROMATIC_INDICES)]
+    flat = row.reshape(len(row), -1)
+    return np.median(row, axis=1), flat.max(axis=1), flat.mean(axis=1)
 
 
-def select_achromatic_patch(peaks, brightness, saturation_level: float) -> int:
-    """Position of the brightest patch whose largest count is not clipped.
+def decide(stats, camera: CameraProfile, subtract_black: bool, image_id: str) -> GroundTruthRecord:
+    """The record of one image from :func:`measure`'s arrays, without pixels.
 
-    Ties in brightness go to the lower position (the whiter patch).
+    The brightest patch whose largest count is not clipped wins, ties going to
+    the whiter patch; its channel medians, less the camera black level when
+    ``subtract_black``, are the illuminant.
     """
-    peaks = np.asarray(peaks, dtype=np.float64)
-    brightness = np.asarray(brightness, dtype=np.float64)
-    if peaks.ndim != 1 or peaks.shape != brightness.shape or peaks.size == 0:
-        raise ValueError("peaks and brightness must be two nonempty (K,) arrays")
-    usable = ~clipped(peaks, saturation_level)
+    medians, peaks, brightness = stats
+    usable = ~clipped(peaks, camera.saturation_level)
     if not usable.any():
         raise ValueError("no valid achromatic patch: all saturated")
-    return int(np.argmax(np.where(usable, brightness, -np.inf)))
-
-
-def compute_ground_truth(
-    data: np.ndarray,
-    layout: ChartLayout,
-    camera: CameraProfile,
-    image_id: str = "",
-    subtract_black: bool = True,
-) -> GroundTruthRecord:
-    """Full extraction pipeline for one (H, W, 3) frame of raw counts.
-
-    sample the 24 patch squares -> stats of the six achromatic ones -> pick
-    the brightest unsaturated one on raw counts -> take its channel medians
-    -> subtract the camera black level (clamped at zero).
-    """
-    samples = chartgeom.sample_patches(data, layout)
-    medians, peaks, brightness = patch_stats(samples[list(ACHROMATIC_INDICES)])
-    k = select_achromatic_patch(peaks, brightness, camera.saturation_level)
+    k = int(np.argmax(np.where(usable, brightness, -np.inf)))
     illum = subtract_black_level(medians[k], camera.black_level if subtract_black else 0.0)
     if np.any(illum <= 0):
         raise ValueError("degenerate ground truth: zero channel after subtraction")

@@ -58,6 +58,10 @@ class CameraProfile:
         if not (integral and 1 <= depth <= 16):
             raise ValueError("bit_depth must be an integer in 1..16")
         object.__setattr__(self, "bit_depth", int(depth))
+        # JSON true and false arrive as Python bools, which are numbers to math.
+        for name in ("black_level", "saturation_level"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         # An infinite saturation level would switch clipping off unnoticed.
         if not math.isfinite(self.black_level):
             raise ValueError("black_level must be finite")
@@ -177,16 +181,18 @@ def save_image(counts: np.ndarray, camera: CameraProfile, path: str | Path) -> N
     if height < 1 or width < 1:
         raise ValueError("image must be at least 1x1")
     _check_bit_depth(counts, camera.bit_depth)
-    path = Path(path)
-    header = f"P6\n{width} {height}\n65535\n".encode("ascii")
-    atomic_write_bytes(path, header + counts.astype(">u2").tobytes())
+    # The sidecar text first: a level json cannot write must fail before the PPM exists.
     meta = {
         "camera_id": camera.camera_id,
         "black_level": camera.black_level,
         "bit_depth": camera.bit_depth,
         "saturation_level": camera.saturation_level,
     }
-    atomic_write_text(sidecar_path(path), json.dumps(meta, indent=2) + "\n")
+    sidecar = json.dumps(meta, indent=2) + "\n"
+    path = Path(path)
+    header = f"P6\n{width} {height}\n65535\n".encode("ascii")
+    atomic_write_bytes(path, header + counts.astype(">u2").tobytes())
+    atomic_write_text(sidecar_path(path), sidecar)
 
 
 def subtract_black_level(counts, level: float) -> np.ndarray:

@@ -26,6 +26,8 @@ from chromabench.estimators import (
 )
 from chromabench.groundtruth import (
     GroundTruthRecord,
+    decide,
+    measure,
     read_gt,
     records_by_id,
     write_gt,
@@ -36,7 +38,6 @@ from chromabench.metrics import (
     reproduction_error,
     summarize,
 )
-from chromabench.groundtruth import compute_ground_truth
 from chromabench.chartgeom import read_chart_file
 
 
@@ -98,8 +99,9 @@ def test_saturation_rule_boundary(tmp_path):
     synth.write_scene(synth.render(spec), tmp_path, "boundary")
     counts, _ = load_counts(tmp_path / "boundary.ppm")
     layout = read_chart_file(tmp_path / "boundary.chart")
-    at_3300 = compute_ground_truth(counts, layout, CameraProfile("cam", 0.0, 3300.0))
-    at_3301 = compute_ground_truth(counts, layout, CameraProfile("cam", 0.0, 3301.0))
+    stats = measure(counts, layout)
+    at_3300 = decide(stats, CameraProfile("cam", 0.0, 3300.0), True, "boundary")
+    at_3301 = decide(stats, CameraProfile("cam", 0.0, 3301.0), True, "boundary")
     assert at_3300.patch_index == 19
     assert at_3301.patch_index == 18
     _pass("saturation rule strict boundary (3301 vs thresholds 3300/3301)")

@@ -94,6 +94,12 @@ def test_synth_nan_noise_sigma_exits_1(tmp_path, capsys):
         ("width", 640.5, "width and height must be integers >= 8"),
         ("bit_depth", 2000, "bit_depth must be an integer in 1..16"),
         ("camera_id", None, "camera_id must be a string, got None"),
+        # A JSON true reached the sidecar, whose level extract-gt then refused.
+        ("black_level", True, "black_level must be a number, got True"),
+        ("saturation_level", True, "saturation_level must be a number, got True"),
+        # A null image_id wrote None.ppm, None.meta.json and None.chart.
+        ("image_id", None, "image_id must be a string, got None"),
+        ("image_id", 5, "image_id must be a string, got 5"),
     ],
 )
 def test_synth_non_integer_or_out_of_range_size_exits_1(tmp_path, capsys, field, value, message):
@@ -226,6 +232,28 @@ def test_extract_gt_partial_failure(small_corpus, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("error:") == 1
     assert "img002" in err
+
+
+def test_extract_gt_logs_decide_and_measure_failures_in_image_order_at_any_jobs(
+    small_corpus, tmp_path, capsys
+):
+    # img001 fails in the parent's decide step (a saturation level of 140 clips
+    # every patch), img003 in a worker's measure step (its chart is gone).
+    corpus, _ = small_corpus
+    sidecar = corpus / "img001.meta.json"
+    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "saturation_level": 140}))
+    (corpus / "img003.chart").unlink()
+    runs = []
+    for jobs in ("1", "2"):
+        gt = tmp_path / f"gt{jobs}.csv"
+        assert run(["extract-gt", "--images", corpus, "--out", gt, "--jobs", jobs]) == 2
+        runs.append((gt.read_bytes(), capsys.readouterr().err))
+    assert runs[0] == runs[1]
+    assert [r.image_id for r in read_gt(tmp_path / "gt1.csv")] == ["img000", "img002", "img004"]
+    assert runs[0][1].splitlines() == [
+        "error: img001: no valid achromatic patch: all saturated",
+        f"error: img003: [Errno 2] No such file or directory: '{corpus / 'img003.chart'}'",
+    ]
 
 
 @pytest.mark.parametrize("bit_depth", [0, 17, 2000])

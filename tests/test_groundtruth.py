@@ -14,11 +14,10 @@ from chromabench import chartgeom, synth
 from chromabench.chartgeom import ACHROMATIC_INDICES, read_chart_file
 from chromabench.groundtruth import (
     GroundTruthRecord,
-    compute_ground_truth,
-    patch_stats,
+    decide,
+    measure,
     read_gt,
     records_by_id,
-    select_achromatic_patch,
     write_gt,
 )
 from chromabench.imagecore import CameraProfile, load_counts
@@ -33,27 +32,37 @@ def rgb_samples(r_values, g=None, b=None):
     return np.stack([r, g, b], axis=1)[None]
 
 
+def measure_squares(squares):
+    """``measure`` over achromatic sample squares given as a (6 or 1, N, 3) array."""
+    squares = np.asarray(squares, dtype=float)
+    samples = np.zeros((24,) + squares.shape[1:])
+    samples[list(ACHROMATIC_INDICES)] = squares
+    with mock.patch.object(chartgeom, "sample_patches", return_value=samples):
+        return measure(None, None)
+
+
 def test_patch_stats_singleton():
-    medians, peaks, brightness = patch_stats([[[1.0, 2.0, 3.0]]])
-    assert medians.tolist() == [[1.0, 2.0, 3.0]]
-    assert brightness.tolist() == [2.0]
-    assert peaks.tolist() == [3.0]
+    medians, peaks, brightness = measure_squares([[[1.0, 2.0, 3.0]]])
+    assert medians.tolist() == [[1.0, 2.0, 3.0]] * 6
+    assert brightness.tolist() == [2.0] * 6
+    assert peaks.tolist() == [3.0] * 6
 
 
 def test_patch_stats_median_robust_to_outlier():
-    medians, _, _ = patch_stats(rgb_samples([1, 2, 100]))
+    medians, _, _ = measure_squares(rgb_samples([1, 2, 100]))
     assert medians[0, 0] == 2.0
 
 
 def test_patch_stats_even_count_averages_middle_two():
-    medians, _, _ = patch_stats(rgb_samples([1, 2, 3, 10]))
+    medians, _, _ = measure_squares(rgb_samples([1, 2, 3, 10]))
     assert medians[0, 0] == 2.5
 
 
-def test_patch_stats_rejects_empty():
-    for shape in [(1, 0, 3), (0, 4, 3), (4, 3)]:
-        with pytest.raises(ValueError, match="nonempty"):
-            patch_stats(np.zeros(shape))
+def pick(peaks, brightness, level):
+    """Position in the row of the patch ``decide`` takes, at saturation ``level``."""
+    stats = (np.ones((len(peaks), 3)), peaks, brightness)
+    record = decide(stats, CameraProfile("cam", 0.0, level), True, "x")
+    return record.patch_index - ACHROMATIC_INDICES[0]
 
 
 def make_row(peaks, brightness):
@@ -64,36 +73,29 @@ def make_row(peaks, brightness):
 def test_saturated_white_patch_is_skipped():
     ramp = [3000 - 400 * i for i in range(6)]
     peaks, brightness = make_row([3301] + ramp[1:], ramp)
-    assert select_achromatic_patch(peaks, brightness, 3300) == 1
+    assert pick(peaks, brightness, 3300) == 1
 
 
 def test_brightest_unsaturated_patch_wins():
     ramp = [3000 - 400 * i for i in range(6)]
-    assert select_achromatic_patch(*make_row(ramp, ramp), 3300) == 0
+    assert pick(*make_row(ramp, ramp), 3300) == 0
 
 
 def test_all_saturated_is_an_error():
     peaks, brightness = make_row([4000] * 6, [3000] * 6)
     with pytest.raises(ValueError, match="no valid achromatic patch: all saturated"):
-        select_achromatic_patch(peaks, brightness, 3300)
+        pick(peaks, brightness, 3300)
 
 
 def test_brightness_tie_goes_to_whiter_patch():
     peaks, brightness = make_row([900, 1000, 1000], [900, 1000, 1000])
-    assert select_achromatic_patch(peaks, brightness, 3300) == 1
+    assert pick(peaks, brightness, 3300) == 1
 
 
 def test_exact_threshold_is_not_saturated():
     # "no count above the threshold" is a strict inequality
     peaks, brightness = make_row([3300, 2000], [3000, 2000])
-    assert select_achromatic_patch(peaks, brightness, 3300) == 0
-
-
-def test_select_rejects_mismatched_or_empty_rows():
-    with pytest.raises(ValueError, match="nonempty"):
-        select_achromatic_patch([], [], 3300)
-    with pytest.raises(ValueError, match="nonempty"):
-        select_achromatic_patch([1.0, 2.0], [1.0], 3300)
+    assert pick(peaks, brightness, 3300) == 0
 
 
 @settings(max_examples=100, deadline=None)
@@ -106,10 +108,10 @@ def test_select_rejects_mismatched_or_empty_rows():
 def test_raising_saturation_never_picks_dimmer(bright, peaks, level, bump):
     peaks, brightness = make_row(np.maximum(bright, peaks), bright)
     try:
-        low = select_achromatic_patch(peaks, brightness, level)
+        low = pick(peaks, brightness, level)
     except ValueError:
         return  # nothing valid at the lower level; nothing to compare
-    high = select_achromatic_patch(peaks, brightness, level + bump)
+    high = pick(peaks, brightness, level + bump)
     assert brightness[high] >= brightness[low]
 
 
@@ -119,9 +121,9 @@ def test_selection_is_order_invariant(order):
     peaks, brightness = make_row(
         [1200 + 11 * i for i in range(6)], [1000 + 37 * i for i in range(6)]
     )
-    base = select_achromatic_patch(peaks, brightness, 1240)
+    base = pick(peaks, brightness, 1240)
     assert base == 3
-    moved = select_achromatic_patch(peaks[order], brightness[order], 1240)
+    moved = pick(peaks[order], brightness[order], 1240)
     assert order[moved] == base
 
 
@@ -144,7 +146,7 @@ def reference_ground_truth(samples, camera, subtract_black=True):
 
 def ground_truth_outcome(data, layout, camera, subtract_black=True):
     try:
-        rec = compute_ground_truth(data, layout, camera, subtract_black=subtract_black)
+        rec = decide(measure(data, layout), camera, subtract_black, "")
     except ValueError as exc:
         return str(exc)
     return rec.illuminant, rec.patch_index
@@ -184,7 +186,7 @@ def test_pipeline_recovers_known_illuminant(tmp_path):
         (2400, 1700, 1100), synth.random_pose(rng)
     )
     counts, camera, layout = render_and_load(tmp_path, spec, "a")
-    rec = compute_ground_truth(counts, layout, camera, image_id="a")
+    rec = decide(measure(counts, layout), camera, True, "a")
     assert recovery_error(rec.illuminant, truth) < 1e-6
     assert rec.patch_index == 18
     assert rec.black_level_subtracted
@@ -197,8 +199,8 @@ def test_black_level_cancels_exactly(tmp_path):
     spec129, _ = synthcases.scene_for_target((2400, 1700, 1100), pose, black_level=129.0)
     counts0, camera0, layout0 = render_and_load(tmp_path, spec0, "zero")
     counts129, camera129, layout129 = render_and_load(tmp_path, spec129, "offset")
-    rec0 = compute_ground_truth(counts0, layout0, camera0, image_id="zero")
-    rec129 = compute_ground_truth(counts129, layout129, camera129, image_id="offset")
+    rec0 = decide(measure(counts0, layout0), camera0, True, "zero")
+    rec129 = decide(measure(counts129, layout129), camera129, True, "offset")
     assert recovery_error(rec0.illuminant, rec129.illuminant) < 1e-6
     assert recovery_error(rec129.illuminant, truth) < 1e-6
 
@@ -209,8 +211,9 @@ def test_skipping_subtraction_shifts_by_exactly_129(tmp_path):
         (2400, 1700, 1100), synth.random_pose(rng), black_level=129.0
     )
     counts, camera, layout = render_and_load(tmp_path, spec, "s")
-    subtracted = compute_ground_truth(counts, layout, camera, image_id="s")
-    raw = compute_ground_truth(counts, layout, camera, image_id="s", subtract_black=False)
+    stats = measure(counts, layout)
+    subtracted = decide(stats, camera, True, "s")
+    raw = decide(stats, camera, False, "s")
     diff = np.asarray(raw.illuminant) - np.asarray(subtracted.illuminant)
     assert diff.tolist() == [129.0, 129.0, 129.0]
     assert not raw.black_level_subtracted
@@ -315,8 +318,9 @@ def test_saturated_white_patch_in_rendered_scene(tmp_path):
     counts, _, layout = render_and_load(tmp_path, spec, "sat")
     strict = CameraProfile("cam", 0.0, saturation_level=3300.0)
     loose = CameraProfile("cam", 0.0, saturation_level=3301.0)
-    assert compute_ground_truth(counts, layout, strict).patch_index == 19
-    assert compute_ground_truth(counts, layout, loose).patch_index == 18
+    stats = measure(counts, layout)
+    assert decide(stats, strict, True, "sat").patch_index == 19
+    assert decide(stats, loose, True, "sat").patch_index == 18
 
 
 @pytest.mark.parametrize(

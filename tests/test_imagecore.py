@@ -127,6 +127,14 @@ def test_save_rejects_counts_that_load_counts_would_reject_as_over_bit_depth(tmp
     assert load_counts(tmp_path / "top.ppm")[0].max() == 4095
 
 
+def test_save_writes_neither_file_when_the_sidecar_cannot_be_written(tmp_path):
+    # A numpy float32 level is not JSON; the PPM used to be on disk before that was found.
+    camera = CameraProfile("cam", np.float32(0.0))
+    with pytest.raises(TypeError, match="float32 is not JSON serializable"):
+        save_image(np.ones((1, 1, 3), np.uint16), camera, tmp_path / "x.ppm")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_load_accepts_integral_float_bit_depth(tmp_path):
     p = tmp_path / "twelve.ppm"
     write_ppm(p, [1, 2, 3], 1, 1, meta={"bit_depth": 12.0})
@@ -285,6 +293,11 @@ def test_camera_profile_invariants():
     for field in ("black_level", "saturation_level"):
         for bad in (float("inf"), float("-inf"), float("nan")):
             with pytest.raises(ValueError, match=f"{field} must be finite"):
+                CameraProfile("c", **{field: bad})
+    # A bool is refused with load_counts's message for a sidecar's JSON true or false.
+    for field in ("black_level", "saturation_level"):
+        for bad in (True, False):
+            with pytest.raises(ValueError, match=f"^{field} must be a number, got {bad}$"):
                 CameraProfile("c", **{field: bad})
     assert CameraProfile("c").saturation_level == 3300.0
     # numpy integers pass and are stored as int, which the sidecar's JSON writes as a number.

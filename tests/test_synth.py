@@ -19,7 +19,7 @@ from chromabench.chartgeom import (
     read_chart_file,
 )
 from chromabench.estimators import PRESETS, estimate_many
-from chromabench.groundtruth import compute_ground_truth
+from chromabench.groundtruth import decide, measure
 from chromabench.imagecore import CameraProfile, load_counts
 from chromabench.metrics import recovery_error
 
@@ -83,7 +83,7 @@ def test_saturating_exposure_moves_selection_to_second_gray(tmp_path):
     synth.write_scene(scene, tmp_path, "clip")
     counts, camera = load_counts(tmp_path / "clip.ppm")
     layout = read_chart_file(tmp_path / "clip.chart")
-    record = compute_ground_truth(counts, layout, camera, image_id="clip")
+    record = decide(measure(counts, layout), camera, True, "clip")
     assert record.patch_index == 19
     np.testing.assert_allclose(record.illuminant, 0.25 * 9000.0)
 
@@ -319,7 +319,7 @@ def test_round_trip_recovers_parallel_illuminant(tmp_path):
         synth.write_scene(scene, tmp_path, f"rt{i}")
         counts, camera = load_counts(tmp_path / f"rt{i}.ppm")
         layout = read_chart_file(tmp_path / f"rt{i}.chart")
-        record = compute_ground_truth(counts, layout, camera, image_id=f"rt{i}")
+        record = decide(measure(counts, layout), camera, True, f"rt{i}")
         assert recovery_error(record.illuminant, truth) < 1e-6
 
 
