@@ -1,4 +1,5 @@
-"""Shared plumbing: float formatting, atomic writes and the one CSV dialect."""
+"""Shared plumbing: float formatting, atomic writes and the one CSV dialect,
+which ``write_csv`` writes and ``read_csv`` reads row by row on ``csv.reader``."""
 
 from __future__ import annotations
 
@@ -53,27 +54,36 @@ class MissingColumns(ValueError):
 def read_csv(path: str | os.PathLike, required: Iterable[str], parse: Callable) -> list:
     """``parse`` applied to every row (a column -> text dict) of a CSV table.
 
-    Extra columns are ignored.  A missing ``required`` column raises
-    MissingColumns; a row with more or fewer fields than the header, or a
-    TypeError/ValueError raised by ``parse``, becomes a ValueError.  Both
-    name the file (the latter also the line on which the row ends).
+    The first row is the header; blank rows are skipped, and of repeated
+    header names the last column wins.  Extra columns are ignored.  A missing
+    ``required`` column raises MissingColumns.  Every other fault is a
+    ValueError naming the file: a row whose field count differs from the
+    header's or that ``parse`` refuses (with the line the row ends on), a row
+    csv cannot split (the line it starts on), or text that is not UTF-8.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or ()
-        missing = set(required) - set(header)
-        if missing:
-            raise MissingColumns(path, missing)
-        parsed = []
-        for row in reader:
-            # DictReader files a long row's extra fields under None and fills
-            # a short row's missing ones with None.
-            if None in row or row[header[-1]] is None:
-                width = len(header) + len(row.get(None, ())) - list(row.values()).count(None)
-                reason = f"row has {width} fields, header has {len(header)}"
-                raise ValueError(f"{path}: line {reader.line_num}: {reason}")
-            try:
-                parsed.append(parse(row))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
+        reader = csv.reader(fh)
+        end = 0  # the line on which the last row read ends
+        try:
+            header = next(reader, [])
+            end = reader.line_num
+            missing = set(required) - set(header)
+            if missing:
+                raise MissingColumns(path, missing)
+            parsed = []
+            for fields in reader:
+                end = reader.line_num
+                if not fields:
+                    continue
+                try:
+                    if len(fields) != len(header):
+                        raise ValueError(f"row has {len(fields)} fields, header has {len(header)}")
+                    parsed.append(parse(dict(zip(header, fields))))
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"{path}: line {end}: {exc}") from exc
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {end + 1}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            byte = exc.object[exc.start]
+            raise ValueError(f"{path}: not UTF-8 text: byte 0x{byte:02x}: {exc.reason}") from None
     return parsed

@@ -187,8 +187,6 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    import numpy as np
-
     from . import estimators, groundtruth, metrics
 
     # read_gt rejects a repeated image id, so each id names one illuminant.
@@ -196,25 +194,20 @@ def cmd_evaluate(args) -> int:
     keys, rgb = estimators.read_estimates(args.est)
     if not keys:
         raise CliError(f"no estimates in {args.est}")
-    matched = [i for i, (image_id, _) in enumerate(keys) if image_id in references]
+    absent = (float("nan"),) * 3  # the reference of an image the ground truth lacks
     degrees, problems = metrics.error_angles(
-        args.metric,
-        rgb[matched],
-        np.fromiter((references[keys[i][0]] for i in matched), (np.float64, 3), len(matched)),
+        args.metric, rgb, [references.get(image_id, absent) for image_id, _ in keys]
     )
-    # Each matched row's angle and problem, by its position in the file.
-    angle_at = dict(zip(matched, degrees.tolist()))
-    problem_at = {matched[j]: message for j, message in problems.items()}
     rows, failures = [], 0
-    for i, (image_id, algorithm) in enumerate(keys):
+    for i, ((image_id, algorithm), angle) in enumerate(zip(keys, degrees.tolist())):
         if image_id not in references:
             failures += 1
             _log_error(image_id, "missing from ground truth; skipped")
-        elif i in problem_at:
+        elif i in problems:
             failures += 1
-            _log_error(image_id, f"{algorithm}: {problem_at[i]}")
+            _log_error(image_id, f"{algorithm}: {problems[i]}")
         else:
-            rows.append((image_id, algorithm, args.metric, fmt9(angle_at[i])))
+            rows.append((image_id, algorithm, args.metric, fmt9(angle)))
     if not rows:
         raise CliError("no estimate could be scored against this ground truth")
     write_csv(args.out, metrics.ERROR_FIELDS, rows)
@@ -381,21 +374,22 @@ def _scene_from_json(payload: dict) -> tuple[synth.SceneSpec, str]:
     if "pose" in payload and "corners" in payload:
         raise CliError("give either 'pose' or 'corners', not both")
     kwargs = {key: value for key, value in payload.items() if key in spec_fields}
-    if "corners" in payload:
-        corners = np.asarray(payload["corners"], dtype=np.float64).reshape(4, 2)
-        kwargs["pose"] = synth.pose_from_corners(corners)
-    if "achromatic_reflectances" in payload:
-        ramp = np.asarray(payload["achromatic_reflectances"], dtype=np.float64)
-        if ramp.shape != (6,):
-            raise CliError("achromatic_reflectances must be 6 values")
-        table = np.array(
-            kwargs.get("reflectance_table", synth.DEFAULT_REFLECTANCES), dtype=np.float64
-        )
-        table[18:24] = ramp[:, None]
-        kwargs["reflectance_table"] = table
+    # An integer past the float range raises OverflowError wherever it becomes a float.
     try:
+        if "corners" in payload:
+            corners = np.asarray(payload["corners"], dtype=np.float64).reshape(4, 2)
+            kwargs["pose"] = synth.pose_from_corners(corners)
+        if "achromatic_reflectances" in payload:
+            ramp = np.asarray(payload["achromatic_reflectances"], dtype=np.float64)
+            if ramp.shape != (6,):
+                raise CliError("achromatic_reflectances must be 6 values")
+            table = np.array(
+                kwargs.get("reflectance_table", synth.DEFAULT_REFLECTANCES), dtype=np.float64
+            )
+            table[18:24] = ramp[:, None]
+            kwargs["reflectance_table"] = table
         spec = synth.SceneSpec(**kwargs)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise CliError(f"invalid scene spec: {exc}") from exc
     image_id = payload.get("image_id", "scene")
     if not isinstance(image_id, str):

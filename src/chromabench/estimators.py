@@ -44,7 +44,6 @@ its margin; the rest of the frame is kept.
 from __future__ import annotations
 
 import math
-import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -502,11 +501,6 @@ def chart_region_mask(height: int, width: int, layout: ChartLayout) -> np.ndarra
 
 EST_FIELDS = ("image_id", "algorithm", "n", "p", "sigma", "R", "G", "B")
 
-# One estimate row's R, G, B as native float64, the layout np.frombuffer reads.
-# numpy already loads struct; the array module would add about 0.27 MB of
-# resident memory to every process that imports this one.
-_RGB_FLOAT64 = struct.Struct("3d")
-
 
 def write_estimates(
     rows: list[tuple[IlluminantEstimate, EstimatorSpec | None]], path: str | Path
@@ -532,11 +526,11 @@ def read_estimates(path: str | Path) -> tuple[list[tuple[str, str]], np.ndarray]
     quantity is a direction, so normalization restores the invariant without
     changing any angle.  Each row is checked as it is parsed (finite, >= 0,
     not all zero; a repeated (image_id, algorithm) pair is an error), and the
-    whole table is then normalized in one ``metrics.normalize_rows`` call, so
-    a row of any finite magnitude keeps its direction.
+    rows' floats then make one (N, 3) array for one ``metrics.normalize_rows``
+    call, so a row of any finite magnitude keeps its direction.
     """
     seen: set[tuple[str, str]] = set()
-    components = bytearray()  # R, G, B of every row as float64, in file order
+    components: list[float] = []  # R, G, B of every row, in file order
 
     def parse(row: dict[str, str]) -> tuple[str, str]:
         key = (row["image_id"], row["algorithm"])
@@ -550,8 +544,8 @@ def read_estimates(path: str | Path) -> tuple[list[tuple[str, str]], np.ndarray]
             raise ValueError("components must be finite and >= 0")
         if not any(rgb):
             raise ValueError("degenerate illuminant: zero vector")
-        components.extend(_RGB_FLOAT64.pack(*rgb))
+        components.extend(rgb)
         return key
 
     keys = read_csv(path, EST_FIELDS, parse)
-    return keys, normalize_rows(np.frombuffer(components).reshape(-1, 3))
+    return keys, normalize_rows(np.array(components, dtype=np.float64).reshape(-1, 3))

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,7 +42,9 @@ __all__ = [
 class CameraProfile:
     """Per-camera metadata: dark offset and linear-range ceiling in counts, and bit depth.
 
-    The black level is a single scalar applied to all three channels.
+    The black level is a single scalar applied to all three channels.  Both
+    levels must be finite real numbers other than bools, for a sidecar and a
+    scene spec alike.
     """
 
     camera_id: str
@@ -58,15 +61,18 @@ class CameraProfile:
         if not (integral and 1 <= depth <= 16):
             raise ValueError("bit_depth must be an integer in 1..16")
         object.__setattr__(self, "bit_depth", int(depth))
-        # JSON true and false arrive as Python bools, which are numbers to math.
         for name in ("black_level", "saturation_level"):
-            if isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
-        # An infinite saturation level would switch clipping off unnoticed.
-        if not math.isfinite(self.black_level):
-            raise ValueError("black_level must be finite")
-        if not math.isfinite(self.saturation_level):
-            raise ValueError("saturation_level must be finite")
+            value = getattr(self, name)
+            # JSON true and false arrive as Python bools, which are numbers to math.
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            # An infinite saturation level would switch clipping off unnoticed.
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an integer past the float range
+                finite = False
+            if not finite:
+                raise ValueError(f"{name} must be finite")
         if self.black_level < 0:
             raise ValueError("black_level must be >= 0")
         if not self.saturation_level > self.black_level:
@@ -120,9 +126,9 @@ def load_counts(path: str | Path) -> tuple[np.ndarray, CameraProfile]:
     with the sidecar's camera profile (``CameraProfile``'s defaults for the
     fields it leaves out).  Raises if the header is malformed, if the
     sidecar is missing, not valid JSON or not a JSON object, if its
-    ``bit_depth`` is not a whole number or a level is not a number, if
-    ``CameraProfile`` refuses the fields, or if any sample exceeds the bit
-    depth.
+    ``bit_depth`` is not a whole number, if ``CameraProfile`` refuses the
+    fields (a level that is not a finite number, say), or if any sample
+    exceeds the bit depth.
     """
     path = Path(path)
     meta_file = sidecar_path(path)
@@ -143,15 +149,8 @@ def load_counts(path: str | Path) -> tuple[np.ndarray, CameraProfile]:
             raise ValueError(f"bit_depth must be a whole number, got {depth!r}")
         fields["bit_depth"] = int(depth)
     for name in ("black_level", "saturation_level"):
-        if name not in meta:
-            continue
-        value = meta[name]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"{name} must be a number, got {value!r}")
-        try:
-            fields[name] = float(value)
-        except OverflowError:  # an integer past the float range
-            raise ValueError(f"{name} must be finite") from None
+        if name in meta:
+            fields[name] = meta[name]
     camera = CameraProfile(meta.get("camera_id", "unknown"), **fields)
 
     raw = path.read_bytes()

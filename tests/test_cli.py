@@ -88,6 +88,10 @@ def test_synth_nan_noise_sigma_exits_1(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+HUGE = 10**400  # an integer JSON literal past the float range
+TOO_LARGE = "int too large to convert to float"
+
+
 @pytest.mark.parametrize(
     "field, value, message",
     [
@@ -100,6 +104,22 @@ def test_synth_nan_noise_sigma_exits_1(tmp_path, capsys):
         # A null image_id wrote None.ppm, None.meta.json and None.chart.
         ("image_id", None, "image_id must be a string, got None"),
         ("image_id", 5, "image_id must be a string, got 5"),
+        # These ended in "must be real number, not str" and, past the float
+        # range, in an OverflowError traceback.
+        ("saturation_level", "3300", "saturation_level must be a number, got '3300'"),
+        pytest.param("black_level", HUGE, "black_level must be finite", id="huge-black_level"),
+        pytest.param(
+            "saturation_level", HUGE, "saturation_level must be finite", id="huge-saturation_level"
+        ),
+        pytest.param("exposure", HUGE, TOO_LARGE, id="huge-exposure"),
+        pytest.param("noise_sigma", HUGE, TOO_LARGE, id="huge-noise_sigma"),
+        pytest.param("illuminant", [1, HUGE, 1], TOO_LARGE, id="huge-illuminant"),
+        pytest.param("background", [0.1, HUGE, 0.1], TOO_LARGE, id="huge-background"),
+        pytest.param("corners", [HUGE, 0, 1, 0, 1, 1, 0, 1], TOO_LARGE, id="huge-corners"),
+        pytest.param(
+            "achromatic_reflectances", [HUGE, 0.5, 0.4, 0.3, 0.2, 0.1], TOO_LARGE,
+            id="huge-achromatic_reflectances",
+        ),
     ],
 )
 def test_synth_non_integer_or_out_of_range_size_exits_1(tmp_path, capsys, field, value, message):
@@ -720,6 +740,27 @@ def test_evaluate_names_the_file_line_and_reason_of_a_bad_estimate_row(
     est.write_text(EST_HEADER + "\nb,alg,0,1,0,0.6,0.8,0\n\n" + bad_row + "\n")
     assert run(["evaluate", "--gt", gt, "--est", est, "--out", out]) == 1
     assert capsys.readouterr() == ("", f"error: {est}: line 4: {message}\n")
+    assert not out.exists()
+
+
+def test_evaluate_and_rank_name_a_file_the_csv_reader_cannot_read(tmp_path, capsys):
+    # A stray quote runs a field past the csv module's 128 KB field limit; its
+    # csv.Error, which is no ValueError, ended evaluate in a traceback.
+    gt, est, out = tmp_path / "gt.csv", tmp_path / "est.csv", tmp_path / "err.csv"
+    gt.write_text(GT_HEADER + "\na,1000,800,600,18,cam,true\n")
+    rows = "".join(f"a,alg{i},0,1,0,0.6,0.8,0.1\n" for i in range(6000))
+    est.write_text(EST_HEADER + '\na,x,0,1,0,0.6,0.8,0.1\n"' + rows)
+    assert est.stat().st_size > 128 * 1024
+    assert run(["evaluate", "--gt", gt, "--est", est, "--out", out]) == 1
+    message = f"error: {est}: line 3: field larger than field limit (131072)\n"
+    assert capsys.readouterr() == ("", message)
+    assert not out.exists()
+    # A byte that is not UTF-8 was reported without the file's name.
+    err = tmp_path / "errors.csv"
+    err.write_bytes(b"image_id,algorithm,metric,degrees\na,A,recovery,\xff\n")
+    assert run(["rank", "--errors", err, "--out", out]) == 1
+    message = f"error: {err}: not UTF-8 text: byte 0xff: invalid start byte\n"
+    assert capsys.readouterr() == ("", message)
     assert not out.exists()
 
 

@@ -61,6 +61,54 @@ def test_read_csv_refuses_a_row_whose_field_count_differs_from_the_header(tmp_pa
     assert read_csv(path, ["x"], dict) == [{"x": "", "y": ""}]
 
 
+def test_read_csv_names_the_line_a_bad_row_ends_on_after_blank_lines(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("x,y\n1,2\n\n\n1,2,3\n")
+    with pytest.raises(ValueError, match=r"t\.csv: line 5: row has 3 fields, header has 2$"):
+        read_csv(path, ["x"], dict)
+
+
+def test_read_csv_names_the_line_a_multi_line_row_ends_on(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text('x,y\n1,"two\nlines"\noops,2\n')
+    with pytest.raises(ValueError, match=r"t\.csv: line 4: could not convert"):
+        read_csv(path, ["x"], lambda row: float(row["x"]))
+    path.write_text('x,y\n1,"two\nlines"\n')
+    assert read_csv(path, ["x"], dict) == [{"x": "1", "y": "two\nlines"}]
+
+
+def test_read_csv_gives_a_repeated_header_name_its_last_column(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("x,y,x\n1,2,3\n")
+    assert read_csv(path, ["x"], dict) == [{"x": "3", "y": "2"}]
+
+
+def test_read_csv_reads_a_header_only_file_as_no_rows_and_refuses_an_empty_file(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("x,y\n")
+    assert read_csv(path, ["x"], dict) == []
+    path.write_text("")
+    with pytest.raises(MissingColumns, match=r"t\.csv: missing columns \['x'\]"):
+        read_csv(path, ["x"], dict)
+
+
+def test_read_csv_names_the_line_where_an_unclosed_quote_starts(tmp_path):
+    # The quote runs its field on through the rest of a table of over 128 KB,
+    # past the csv module's field size limit (whose csv.Error is no ValueError).
+    path = tmp_path / "t.csv"
+    path.write_text('x,y\n1,2\n"' + "img00000,0.5\n" * 12000)
+    assert path.stat().st_size > 128 * 1024
+    with pytest.raises(ValueError, match=r"t\.csv: line 3: field larger than field limit"):
+        read_csv(path, ["x"], dict)
+
+
+def test_read_csv_names_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"x,y\n1,\xff\n")
+    with pytest.raises(ValueError, match=r"t\.csv: not UTF-8 text: byte 0xff: invalid start byte$"):
+        read_csv(path, ["x"], dict)
+
+
 def test_only_util_constructs_a_csv_reader():
     # read_csv is the package's one reader: no other module builds a
     # csv.reader or csv.DictReader of its own.
