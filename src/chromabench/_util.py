@@ -59,7 +59,7 @@ def read_csv(path: str | os.PathLike, required: Iterable[str], parse: Callable) 
     ``required`` column raises MissingColumns.  Every other fault is a
     ValueError naming the file: a row whose field count differs from the
     header's or that ``parse`` refuses (with the line the row ends on), a row
-    csv cannot split (the line it starts on), or text that is not UTF-8.
+    csv cannot split (the line it starts on), or a byte that is not UTF-8.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -84,6 +84,13 @@ def read_csv(path: str | os.PathLike, required: Iterable[str], parse: Callable) 
         except csv.Error as exc:
             raise ValueError(f"{path}: line {end + 1}: {exc}") from None
         except UnicodeDecodeError as exc:
-            byte = exc.object[exc.start]
-            raise ValueError(f"{path}: not UTF-8 text: byte 0x{byte:02x}: {exc.reason}") from None
+            # The decoder reads ahead of csv.reader: place the bad byte in the whole file.
+            data = Path(path).read_bytes()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as whole:
+                exc = whole
+            line = data.count(b"\n", 0, exc.start) + 1
+            fault = f"byte 0x{exc.object[exc.start]:02x}: {exc.reason}"
+            raise ValueError(f"{path}: line {line}: not UTF-8 text: {fault}") from None
     return parsed

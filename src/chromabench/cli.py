@@ -146,18 +146,15 @@ def _estimate_one(task):
             # A new array, not `mask &=`: on a full frame the in-place form
             # left the worker's heap laid out 8.6 MB higher in peak RSS.
             mask = estimators.chart_region_mask(*counts.shape[:2], layout) & mask
-        results = estimators.estimate_many(
-            counts, specs, mask, image_id=image_id, black_level=camera.black_level
-        )
+        rgb, problems = estimators.estimate_many(counts, specs, mask, camera.black_level)
     except Exception as exc:  # noqa: BLE001
         return image_id, [], [f"{exc}"]
-    rows, errors = [], []
-    for result, spec in zip(results, specs):
-        if isinstance(result, ValueError):
-            errors.append(f"{spec.name}: {result}")
-        else:
-            rows.append((result, spec))
-    return image_id, rows, errors
+    rows = [
+        (estimators.IlluminantEstimate(image_id, spec.name, tuple(rgb[i].tolist())), spec)
+        for i, spec in enumerate(specs)
+        if i not in problems
+    ]
+    return image_id, rows, [f"{specs[i].name}: {problems[i]}" for i in sorted(problems)]
 
 
 def cmd_estimate(args) -> int:
@@ -374,13 +371,14 @@ def _scene_from_json(payload: dict) -> tuple[synth.SceneSpec, str]:
     if "pose" in payload and "corners" in payload:
         raise CliError("give either 'pose' or 'corners', not both")
     kwargs = {key: value for key, value in payload.items() if key in spec_fields}
-    # An integer past the float range raises OverflowError wherever it becomes a float.
     try:
         if "corners" in payload:
-            corners = np.asarray(payload["corners"], dtype=np.float64).reshape(4, 2)
+            corners = synth.float_array(payload["corners"]).reshape(4, 2)
+            if not np.isfinite(corners).all():
+                raise ValueError("corners must be finite")
             kwargs["pose"] = synth.pose_from_corners(corners)
         if "achromatic_reflectances" in payload:
-            ramp = np.asarray(payload["achromatic_reflectances"], dtype=np.float64)
+            ramp = synth.float_array(payload["achromatic_reflectances"])
             if ramp.shape != (6,):
                 raise CliError("achromatic_reflectances must be 6 values")
             table = np.array(

@@ -36,7 +36,9 @@ axis temporary, takes every order, n = 0 too, in row stripes of it, and lets
 the last finite p > 1 of a gather scale the gather in place.  So beside the
 counts the engine holds under one float64 frame at its peak (a channel and
 its blur temporary, or a channel, its gather and stripe temporaries, each a
-third of a frame or less) whatever the frame size.
+third of a frame or less) whatever the frame size.  Like
+``metrics.error_angles`` it returns an (N, 3) array and the problems,
+row index -> message; it finds a sigma too large or an empty mask first.
 `chart_region_mask` tests and dilates only the chart's bounding box plus
 its margin; the rest of the frame is kept.
 """
@@ -175,19 +177,13 @@ def _smooth_in_place(channel: np.ndarray, sigma: float) -> None:
 
     sigma = 0 leaves the channel as it is.  The kernel radius is
     ceil(3*sigma) and its weights are the sampled Gaussian normalized to sum
-    1, so constants pass through exactly; a radius past the longer side is
-    rejected before any kernel is built.  The axis-1 pass goes into one
-    temporary and the axis-0 pass from it into ``channel``, so input and
-    output are never the same array.
+    1, so constants pass through exactly; ``estimate_many`` keeps the radius
+    within the longer side.  The axis-1 pass goes into one temporary and the
+    axis-0 pass from it into ``channel``, so input and output are never the
+    same array.
     """
     if sigma == 0:
         return
-    height, width = channel.shape[:2]
-    if 3.0 * sigma > max(height, width):
-        raise ValueError(
-            f"sigma={sigma:g} is too large for a {width}x{height} image "
-            "(3*sigma must not exceed the longer side)"
-        )
     kernel = _gaussian_kernel(sigma)
     _correlate(_correlate(channel, kernel, axis=1), kernel, axis=0, out=channel)
 
@@ -330,9 +326,8 @@ def _pool(v: np.ndarray, p: float, scale_in_place: bool) -> float:
     magnitudes cannot overflow; p = 1 is the exact arithmetic mean.
     ``scale_in_place`` lets a finite p > 1 scale and raise ``v`` itself
     rather than a copy of it.
+    ``estimate_many`` never pools an empty gather.
     """
-    if v.size == 0:
-        raise ValueError("empty mask: no values to pool")
     if math.isinf(p):
         return float(v.max())
     if p == 1.0:
@@ -348,23 +343,22 @@ def _pool(v: np.ndarray, p: float, scale_in_place: bool) -> float:
 def estimate_many(
     counts: np.ndarray,
     specs: Sequence[EstimatorSpec],
-    mask: np.ndarray | None = None,
-    image_id: str = "",
-    black_level: float = 0.0,
-) -> list[IlluminantEstimate | ValueError]:
+    mask: np.ndarray | None,
+    black_level: float,
+) -> tuple[np.ndarray, dict[int, str]]:
     """Run several estimators on uint16 (H, W, 3) raw counts, sharing their common work.
 
-    The work goes one channel at a time: each channel is linearised once per
+    Returns a (len(specs), 3) float64 array whose row i is spec i's unit
+    estimate, and the problems: spec index -> message, for rows left NaN.
+    Before any channel is linearised, a spec fails whose 3*sigma is past the
+    longer side, and then every other spec if the mask keeps no pixel.  The
+    rest run one channel at a time: each channel is linearised once per
     sigma (``counts - black_level``, clamped at zero, by
     :func:`imagecore.subtract_black_level`) and smoothed, each derivative
     order is taken once per (n, sigma) from that, and the response is
     gathered under the mask once and pooled for every p that asks for it.
-    The result holds, in spec order, each spec's estimate or the ValueError
-    that running it alone would give (the first channel's, if several
-    fail), so one spec's failure (a sigma too large for the frame, say)
-    leaves the others standing.  Counts of another dtype or shape, and a
-    mask of the wrong shape, raise before any work is done.  Neither the
-    counts nor the mask is written to.
+    Counts of another dtype or shape, and a mask of the wrong shape, raise
+    before any work is done.  Neither the counts nor the mask is written to.
     """
     if counts.dtype != np.uint16 or counts.ndim != 3 or counts.shape[2] != 3:
         raise ValueError("counts must be a uint16 (H, W, 3) array")
@@ -372,42 +366,40 @@ def estimate_many(
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != counts.shape[:2]:
             raise ValueError("mask dimensions must match the image")
+    height, width = counts.shape[:2]
+    empty = counts.size == 0 if mask is None else not mask.any()
+    problems: dict[int, str] = {}
     groups: dict[float, dict[int, list[int]]] = {}  # sigma -> n -> spec indices
     for i, spec in enumerate(specs):
-        groups.setdefault(spec.sigma, {}).setdefault(spec.n, []).append(i)
-    pooled: list = [[] for _ in specs]  # per spec: its pooled channels, or its first error
+        if 3.0 * spec.sigma > max(height, width):
+            problems[i] = (
+                f"sigma={spec.sigma:g} is too large for a {width}x{height} image "
+                "(3*sigma must not exceed the longer side)"
+            )
+        elif empty:
+            problems[i] = "empty mask: no values to pool"
+        else:
+            groups.setdefault(spec.sigma, {}).setdefault(spec.n, []).append(i)
+    rgb = np.full((len(specs), 3), np.nan)
     for sigma, by_order in groups.items():
         for c in range(3):
             channel = subtract_black_level(counts[:, :, c], black_level)
-            try:
-                _smooth_in_place(channel, sigma)
-            except ValueError as exc:  # the frame's size decides it, so every channel fails
-                for members in by_order.values():
-                    for i in members:
-                        pooled[i] = exc
-                break
+            _smooth_in_place(channel, sigma)
             for n, members in by_order.items():
-                _pool_members(_gather(channel, n, mask), members, specs, pooled)
+                values = _gather(channel, n, mask)
+                # p = 1 and p = inf only read the gather, so they go first; the
+                # last finite p > 1 may then scale it in place.
+                order = sorted(members, key=lambda j: 1.0 < specs[j].p < math.inf)
+                for i in order:
+                    rgb[i, c] = _pool(values, specs[i].p, scale_in_place=i == order[-1])
+                del values  # before the next response is gathered
             del channel  # before the next channel is linearised
-    return [_finish(channels, spec, image_id) for channels, spec in zip(pooled, specs)]
-
-
-def _pool_members(
-    values: np.ndarray, members: list[int], specs: Sequence[EstimatorSpec], pooled: list
-) -> None:
-    """Pool one gathered response for every spec in ``members``.
-
-    The specs with p = 1 or p = inf only read the gather, so they go first;
-    the last one with a finite p > 1 may then scale the gather in place,
-    since no spec reads it after that.
-    """
-    order = sorted(members, key=lambda i: 1.0 < specs[i].p < math.inf)
-    for i in order:
-        if isinstance(pooled[i], list):
-            try:
-                pooled[i].append(_pool(values, specs[i].p, scale_in_place=i == order[-1]))
-            except ValueError as exc:
-                pooled[i] = exc
+    for i in np.flatnonzero((rgb == 0.0).any(axis=1)).tolist():
+        problems[i] = "degenerate estimate: zero channel under mask"
+        rgb[i] = np.nan
+    ok = ~np.isnan(rgb).any(axis=1)
+    rgb[ok] = normalize_rows(rgb[ok])
+    return rgb, problems
 
 
 def _gather(smoothed: np.ndarray, n: int, mask: np.ndarray | None) -> np.ndarray:
@@ -432,20 +424,6 @@ def _gather(smoothed: np.ndarray, n: int, mask: np.ndarray | None) -> np.ndarray
         out[end : end + values.size] = values
         end += values.size
     return out
-
-
-def _finish(
-    channels: list[float] | ValueError, spec: EstimatorSpec, image_id: str
-) -> IlluminantEstimate | ValueError:
-    if isinstance(channels, ValueError):
-        return channels
-    try:
-        if 0.0 in channels:
-            raise ValueError("degenerate estimate: zero channel under mask")
-        (rgb,) = normalize_rows(np.array([channels])).tolist()
-        return IlluminantEstimate(image_id=image_id, algorithm=spec.name, rgb=tuple(rgb))
-    except ValueError as exc:
-        return exc
 
 
 def saturation_mask(counts: np.ndarray, saturation_level: float) -> np.ndarray:

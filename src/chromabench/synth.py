@@ -45,6 +45,7 @@ __all__ = [
     "WHITE_REFLECTANCE",
     "check_image_id",
     "default_pose",
+    "float_array",
     "pose_from_corners",
     "random_pose",
     "render",
@@ -145,6 +146,17 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def float_array(value) -> np.ndarray:
+    """``value`` as a float64 array, an integer past the float range as +-inf (its IEEE
+    rounding), so that each field's check refuses it as it refuses a NaN."""
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except OverflowError:
+        if _is_int(value):
+            return np.asarray(math.inf if value > 0 else -math.inf)
+        return np.array([float_array(v) for v in value])
+
+
 @dataclass(frozen=True, eq=False)
 class SceneSpec:
     """Everything needed to render one scene deterministically."""
@@ -168,7 +180,7 @@ class SceneSpec:
     camera: CameraProfile = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        illum = tuple(float(v) for v in self.illuminant)
+        illum = tuple(float(float_array(v)) for v in self.illuminant)
         if len(illum) != 3 or not all(math.isfinite(v) and v > 0 for v in illum):
             raise ValueError("illuminant must be finite and positive in every channel")
         object.__setattr__(self, "illuminant", illum)
@@ -177,7 +189,8 @@ class SceneSpec:
         profile = (self.camera_id, self.black_level, self.saturation_level, self.bit_depth)
         object.__setattr__(self, "camera", CameraProfile(*profile))
         for name in ("exposure", "noise_sigma"):
-            if not math.isfinite(getattr(self, name)):
+            value = getattr(self, name)
+            if not math.isfinite(float_array(value) if _is_int(value) else value):
                 raise ValueError(f"{name} must be finite")
         if self.exposure <= 0:
             raise ValueError("exposure must be > 0")
@@ -185,7 +198,7 @@ class SceneSpec:
             raise ValueError("noise_sigma must be >= 0")
         if not (_is_int(self.rng_seed) and self.rng_seed >= 0):
             raise ValueError("rng_seed must be a non-negative integer")
-        table = np.asarray(self.reflectance_table, dtype=np.float64)
+        table = float_array(self.reflectance_table)
         if table.shape != (CHART_ROWS * CHART_COLS, 3):
             raise ValueError("reflectance_table must be 24 RGB triples")
         if not np.all((table >= 0) & (table <= 1)):
@@ -203,7 +216,7 @@ class SceneSpec:
                 raise ValueError("pose must be a 3x3 matrix")
             pose.setflags(write=False)
             object.__setattr__(self, "pose", pose)
-        bg = np.asarray(self.background, dtype=np.float64)
+        bg = float_array(self.background)
         if bg.shape not in ((3,), (self.height, self.width, 3)):
             raise ValueError(
                 "background must be an RGB triple or a (height, width, 3) field"

@@ -197,8 +197,9 @@ def test_estimator_properties():
     rng = np.random.default_rng(123)
 
     def estimate(counts, spec):
-        (result,) = estimate_many(counts, [spec])
-        return result
+        rgb, problems = estimate_many(counts, [spec], None, 0.0)
+        assert problems == {}
+        return rgb[0]
 
     worst_gw = 0.0
     for _ in range(100):
@@ -206,7 +207,7 @@ def test_estimator_properties():
         est = estimate(img, PRESETS["grey-world"])
         means = img.mean(axis=(0, 1))
         worst_gw = max(
-            worst_gw, float(np.abs(np.asarray(est.rgb) - means / np.linalg.norm(means)).max())
+            worst_gw, float(np.abs(est - means / np.linalg.norm(means)).max())
         )
     assert worst_gw < 1e-12
 
@@ -215,7 +216,7 @@ def test_estimator_properties():
         img = rng.integers(1, 4001, size=(32, 32, 3), dtype=np.uint16)
         sog = estimate(img, EstimatorSpec("sog100", 0, 100.0, 0.0))
         wp = estimate(img, PRESETS["white-patch"])
-        worst_sog = max(worst_sog, recovery_error(sog.rgb, wp.rgb))
+        worst_sog = max(worst_sog, recovery_error(sog, wp))
     assert worst_sog < 0.5
 
     worst_expo = 0.0
@@ -226,7 +227,7 @@ def test_estimator_properties():
             for spec in PRESETS.values():
                 worst_expo = max(
                     worst_expo,
-                    recovery_error(estimate(img, spec).rgb, estimate(scaled, spec).rgb),
+                    recovery_error(estimate(img, spec), estimate(scaled, spec)),
                 )
     assert worst_expo < 1e-9
 

@@ -89,7 +89,7 @@ def test_synth_nan_noise_sigma_exits_1(tmp_path, capsys):
 
 
 HUGE = 10**400  # an integer JSON literal past the float range
-TOO_LARGE = "int too large to convert to float"
+NAN = float("nan")  # Python's json writes and reads it as NaN
 
 
 @pytest.mark.parametrize(
@@ -111,14 +111,32 @@ TOO_LARGE = "int too large to convert to float"
         pytest.param(
             "saturation_level", HUGE, "saturation_level must be finite", id="huge-saturation_level"
         ),
-        pytest.param("exposure", HUGE, TOO_LARGE, id="huge-exposure"),
-        pytest.param("noise_sigma", HUGE, TOO_LARGE, id="huge-noise_sigma"),
-        pytest.param("illuminant", [1, HUGE, 1], TOO_LARGE, id="huge-illuminant"),
-        pytest.param("background", [0.1, HUGE, 0.1], TOO_LARGE, id="huge-background"),
-        pytest.param("corners", [HUGE, 0, 1, 0, 1, 1, 0, 1], TOO_LARGE, id="huge-corners"),
+        # Past the float range these named no field: "int too large to convert to float".
+        # Each now gets the message a NaN in the field gets.
+        pytest.param("exposure", HUGE, "exposure must be finite", id="huge-exposure"),
+        pytest.param("noise_sigma", HUGE, "noise_sigma must be finite", id="huge-noise_sigma"),
         pytest.param(
-            "achromatic_reflectances", [HUGE, 0.5, 0.4, 0.3, 0.2, 0.1], TOO_LARGE,
-            id="huge-achromatic_reflectances",
+            "illuminant", [1, HUGE, 1], "illuminant must be finite and positive in every channel",
+            id="huge-illuminant",
+        ),
+        pytest.param(
+            "background", [0.1, HUGE, 0.1], "background reflectance must lie in [0, 1]",
+            id="huge-background",
+        ),
+        pytest.param(
+            "corners", [HUGE, 0, 1, 0, 1, 1, 0, 1], "corners must be finite", id="huge-corners"
+        ),
+        # A NaN corner named no field either: "points must be finite".
+        pytest.param(
+            "corners", [NAN, 0, 1, 0, 1, 1, 0, 1], "corners must be finite", id="nan-corners"
+        ),
+        pytest.param(
+            "achromatic_reflectances", [HUGE, 0.5, 0.4, 0.3, 0.2, 0.1],
+            "reflectances must lie in [0, 1]", id="huge-achromatic_reflectances",
+        ),
+        pytest.param(
+            "reflectance_table", [[0.5, 0.5, HUGE]] * 24, "reflectances must lie in [0, 1]",
+            id="huge-reflectance_table",
         ),
     ],
 )
@@ -759,7 +777,7 @@ def test_evaluate_and_rank_name_a_file_the_csv_reader_cannot_read(tmp_path, caps
     err = tmp_path / "errors.csv"
     err.write_bytes(b"image_id,algorithm,metric,degrees\na,A,recovery,\xff\n")
     assert run(["rank", "--errors", err, "--out", out]) == 1
-    message = f"error: {err}: not UTF-8 text: byte 0xff: invalid start byte\n"
+    message = f"error: {err}: line 2: not UTF-8 text: byte 0xff: invalid start byte\n"
     assert capsys.readouterr() == ("", message)
     assert not out.exists()
 
@@ -1212,8 +1230,8 @@ def test_cli_and_estimate_many_import_no_scipy():
         "mask = estimators.chart_region_mask(40, 48, ChartLayout([(10, 10), (30, 10), (30, 25), (10, 25)]))\n"
         "counts = np.random.default_rng(1).integers(1, 4000, (40, 48, 3)).astype(np.uint16)\n"
         "spec = estimators.spec_from_string('n=2,p=6,sigma=2')\n"
-        "(result,) = estimators.estimate_many(counts, [spec], mask)\n"
-        "assert isinstance(result, estimators.IlluminantEstimate), result\n"
+        "rgb, problems = estimators.estimate_many(counts, [spec], mask, 0.0)\n"
+        "assert problems == {} and np.isfinite(rgb).all(), problems\n"
         "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
     )
     proc = subprocess.run(

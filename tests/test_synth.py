@@ -146,6 +146,25 @@ def test_spec_validation():
     assert synth.SceneSpec(rng_seed=np.int64(0)).rng_seed == 0
 
 
+def test_spec_refuses_an_integer_past_the_float_range_as_it_refuses_a_nan():
+    # These said "int too large to convert to float", naming no field.
+    huge = 10**400
+    row = [[huge, huge, huge]] + synth.DEFAULT_REFLECTANCES[1:].tolist()
+    field = [[[0.5, 0.5, 0.5]] * 640] * 479 + [[[0.5, -huge, 0.5]] * 640]
+    cases = [
+        ("exposure", huge, "exposure must be finite"),
+        ("noise_sigma", -huge, "noise_sigma must be finite"),
+        ("illuminant", (1, huge, 1), "illuminant must be finite and positive in every channel"),
+        ("background", (0.5, huge, 0.5), "background reflectance must lie in \\[0, 1\\]"),
+        ("background", field, "background reflectance must lie in \\[0, 1\\]"),
+        ("reflectance_table", row, "reflectances must lie in \\[0, 1\\]"),
+    ]
+    for name, bad, message in cases:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            synth.SceneSpec(**{name: bad})
+    assert synth.float_array([[1, -huge], [huge, 2]]).tolist() == [[1.0, -np.inf], [np.inf, 2.0]]
+
+
 def test_spec_builds_the_camera_its_scene_carries():
     spec = synth.SceneSpec(
         black_level=129, saturation_level=3500.0, bit_depth=np.int64(14), camera_id="c"
@@ -339,8 +358,11 @@ def test_grayworld_scene_neutral_illuminant_gives_neutral_mean():
 
 def test_grey_world_estimator_nails_grayworld_scene():
     illum = (0.9, 0.6, 0.35)
-    (est,) = estimate_many(synthcases.grayworld_image(illum, rng_seed=11), [PRESETS["grey-world"]])
-    assert recovery_error(est.rgb, illum) < 1e-6
+    rgb, problems = estimate_many(
+        synthcases.grayworld_image(illum, rng_seed=11), [PRESETS["grey-world"]], None, 0.0
+    )
+    assert problems == {}
+    assert recovery_error(rgb[0], illum) < 1e-6
 
 
 def test_written_scene_files(tmp_path):

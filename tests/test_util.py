@@ -105,7 +105,21 @@ def test_read_csv_names_the_line_where_an_unclosed_quote_starts(tmp_path):
 def test_read_csv_names_a_file_that_is_not_utf8(tmp_path):
     path = tmp_path / "t.csv"
     path.write_bytes(b"x,y\n1,\xff\n")
-    with pytest.raises(ValueError, match=r"t\.csv: not UTF-8 text: byte 0xff: invalid start byte$"):
+    with pytest.raises(
+        ValueError, match=r"t\.csv: line 2: not UTF-8 text: byte 0xff: invalid start byte$"
+    ):
+        read_csv(path, ["x"], dict)
+
+
+def test_read_csv_names_the_line_of_a_bad_byte_past_the_decoders_read_ahead(tmp_path):
+    # The decoder reads 8 KB ahead of csv.reader, so neither the reader's line
+    # nor the decoder's offset in its chunk is the bad byte's line.
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"x,y\n" + b"img0000,0.5\n" * 1499 + b"img0000,\xff\n" + b"img0000,0.5\n" * 10)
+    assert path.stat().st_size > 8 * 1024
+    with pytest.raises(
+        ValueError, match=r"t\.csv: line 1501: not UTF-8 text: byte 0xff: invalid start byte$"
+    ):
         read_csv(path, ["x"], dict)
 
 
