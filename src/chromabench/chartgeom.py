@@ -12,7 +12,7 @@ Coordinates are pixel-center based: an image of width W spans x in [0, W-1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +21,8 @@ from ._util import fmt9
 
 __all__ = [
     "ACHROMATIC_INDICES",
+    "CANONICAL_CORNERS",
+    "CELL",
     "CHART_COLS",
     "CHART_ROWS",
     "ChartLayout",
@@ -39,9 +41,16 @@ CHART_ROWS = 4
 CHART_COLS = 6
 ACHROMATIC_INDICES = tuple(range(18, 24))
 
-# Rectified-view defaults: 100x100-pixel patch cells, sample squares of
+# The canonical rectified view, which synth also draws the chart on:
+# 100x100-pixel patch cells, pixel centers at integers.  Sample squares of
 # 31x31 rectified pixels stay well inside a cell.
-DEFAULT_RECT_SIZE = (600, 400)
+CELL = 100
+DEFAULT_RECT_SIZE = (CHART_COLS * CELL, CHART_ROWS * CELL)
+_W, _H = DEFAULT_RECT_SIZE
+CANONICAL_CORNERS = np.array(
+    [[0, 0], [_W - 1, 0], [_W - 1, _H - 1], [0, _H - 1]], dtype=np.float64
+)
+CANONICAL_CORNERS.setflags(write=False)
 DEFAULT_HALF_SIZE = 15
 
 
@@ -99,18 +108,13 @@ def fit_homography(src, dst) -> np.ndarray:
 
 
 def apply_homography(H, pts) -> np.ndarray:
-    """Project (N, 2) points through H. Returns (N, 2); a single point maps to (2,)."""
-    H = np.asarray(H, dtype=np.float64)
-    pts_in = np.asarray(pts, dtype=np.float64)
-    single = pts_in.ndim == 1
-    pts2 = np.atleast_2d(pts_in)
-    ones = np.ones((pts2.shape[0], 1))
-    hom = np.hstack([pts2, ones]) @ H.T
+    """Project (N, 2) points through H, as (N, 2)."""
+    pts = np.asarray(pts, dtype=np.float64)
+    hom = np.hstack([pts, np.ones((len(pts), 1))]) @ np.asarray(H, dtype=np.float64).T
     w = hom[:, 2]
     if np.any(w == 0.0):
         raise ValueError("point maps to infinity under homography")
-    out = hom[:, :2] / w[:, None]
-    return out[0] if single else out
+    return hom[:, :2] / w[:, None]
 
 
 def _bilinear_sample(data: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -138,15 +142,13 @@ def _bilinear_sample(data: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.nda
 
 
 def default_corner_patch_centers() -> np.ndarray:
-    """Centers of patches 0, 5, 23 and 18 on the canonical rectified grid."""
-    cw = DEFAULT_RECT_SIZE[0] / CHART_COLS
-    ch = DEFAULT_RECT_SIZE[1] / CHART_ROWS
-    return np.array(
+    """Centers of patches 0, 5, 23 and 18: their cells' centers on the canonical view."""
+    return CELL * np.array(
         [
-            [0.5 * cw, 0.5 * ch],  # patch 0 (top-left)
-            [(CHART_COLS - 0.5) * cw, 0.5 * ch],  # patch 5 (top-right)
-            [(CHART_COLS - 0.5) * cw, (CHART_ROWS - 0.5) * ch],  # patch 23
-            [0.5 * cw, (CHART_ROWS - 0.5) * ch],  # patch 18 (white)
+            [0.5, 0.5],  # patch 0 (top-left)
+            [CHART_COLS - 0.5, 0.5],  # patch 5 (top-right)
+            [CHART_COLS - 0.5, CHART_ROWS - 0.5],  # patch 23
+            [0.5, CHART_ROWS - 0.5],  # patch 18 (white)
         ]
     )
 
@@ -186,17 +188,20 @@ def patch_centers(corner_patch_centers, half_size: int = DEFAULT_HALF_SIZE) -> n
 
 @dataclass(frozen=True, eq=False)
 class ChartLayout:
-    """Per-image chart annotation: source corners plus optional grid overrides.
+    """Per-image chart annotation: source corners and the sample grid on the canonical view.
 
     Everything that does not depend on the frame is checked where the layout
     is made: the corners are finite, no three collinear, and a convex
-    quadrilateral, and the sample grid is valid (:meth:`sample_grid`).
-    Whether the corners fit a given frame is :meth:`check_in_frame`.
+    quadrilateral, and the sample grid is valid (:func:`patch_centers`), its
+    24 centers snapped to rectified pixels and every square inside the view.
+    The snapped centers are kept, read-only, as ``centers``.  Whether the
+    corners fit a given frame is :meth:`check_in_frame`.
     """
 
     corners: np.ndarray  # (4, 2) source-pixel coordinates, TL TR BR BL
-    corner_patch_centers: np.ndarray | None = None  # (4, 2) rectified coords
-    half_size: int | None = None
+    corner_patch_centers: np.ndarray = field(default_factory=default_corner_patch_centers)
+    half_size: int = DEFAULT_HALF_SIZE
+    centers: np.ndarray = field(init=False, repr=False)  # (24, 2), snapped
 
     def __post_init__(self) -> None:
         corners = _as_points(self.corners, 4)
@@ -207,35 +212,21 @@ class ChartLayout:
         turns = edges[:, 0] * following[:, 1] - edges[:, 1] * following[:, 0]
         if not (np.all(turns > 0) or np.all(turns < 0)):
             raise ValueError("chart corners must form a convex quadrilateral")
-        corners.setflags(write=False)
-        object.__setattr__(self, "corners", corners)
-        if self.corner_patch_centers is not None:
-            cpc = _as_points(self.corner_patch_centers, 4)
-            cpc.setflags(write=False)
-            object.__setattr__(self, "corner_patch_centers", cpc)
-        self.sample_grid()
+        cpc = _as_points(self.corner_patch_centers, 4)
+        half = self.half_size
+        centers = np.rint(patch_centers(cpc, half))
+        if np.any(centers - half < 0) or np.any(centers + half > CANONICAL_CORNERS[2]):
+            raise ValueError("sample square exceeds image bounds")
+        checked = {"corners": corners, "corner_patch_centers": cpc, "centers": centers}
+        for name, value in checked.items():
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     def check_in_frame(self, height: int, width: int) -> None:
         """Reject corners outside the pixel-center span of a height x width frame."""
         x, y = self.corners[:, 0], self.corners[:, 1]
         if np.any(x < 0) or np.any(x > width - 1) or np.any(y < 0) or np.any(y > height - 1):
             raise ValueError("chart corners must lie inside the image")
-
-    def sample_grid(self) -> tuple[np.ndarray, int]:
-        """The 24 sample-square centers on the rectified view, snapped to pixels, and the half size."""
-        cpc = self.corner_patch_centers
-        if cpc is None:
-            cpc = default_corner_patch_centers()
-        half = self.half_size if self.half_size is not None else DEFAULT_HALF_SIZE
-        centers = np.rint(patch_centers(cpc, half))
-        out_w, out_h = DEFAULT_RECT_SIZE
-        if (
-            np.any(centers - half < 0)
-            or np.any(centers[:, 0] + half > out_w - 1)
-            or np.any(centers[:, 1] + half > out_h - 1)
-        ):
-            raise ValueError("sample square exceeds image bounds")
-        return centers, half
 
 
 def sample_patches(data: np.ndarray, layout: ChartLayout) -> np.ndarray:
@@ -250,18 +241,13 @@ def sample_patches(data: np.ndarray, layout: ChartLayout) -> np.ndarray:
     counts or float; the samples are float64.
     """
     layout.check_in_frame(*data.shape[:2])
-    centers, half = layout.sample_grid()
-    out_w, out_h = DEFAULT_RECT_SIZE
+    centers, half = layout.centers, layout.half_size
     side = np.arange(-half, half + 1, dtype=np.float64)
     us = centers[:, None, None, 0] + side[None, None, :]
     vs = centers[:, None, None, 1] + side[None, :, None]
     pts = np.stack(np.broadcast_arrays(us, vs), axis=-1).reshape(-1, 2)
-    rect = np.array(
-        [[0, 0], [out_w - 1, 0], [out_w - 1, out_h - 1], [0, out_h - 1]],
-        dtype=np.float64,
-    )
-    # Fitting rect -> corners gives the view-to-source map directly.
-    src = apply_homography(fit_homography(rect, layout.corners), pts)
+    # Fitting the view's corners -> chart corners gives the view-to-source map directly.
+    src = apply_homography(fit_homography(CANONICAL_CORNERS, layout.corners), pts)
     samples = _bilinear_sample(data, src[:, 0], src[:, 1])
     return samples.reshape(len(centers), side.size**2, 3)
 
@@ -271,24 +257,25 @@ def _parse_numbers(text: str, n: int, what: str) -> np.ndarray:
     if len(parts) != n:
         raise ValueError(f"malformed chart file: {what} needs {n} numbers")
     try:
-        return np.array([float(p) for p in parts], dtype=np.float64)
+        values = np.array([float(p) for p in parts], dtype=np.float64)
     except ValueError as exc:
         raise ValueError(f"malformed chart file: bad number in {what}") from exc
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"malformed chart file: {what} must be finite")
+    return values
 
 
 def read_chart_file(path: str | Path) -> ChartLayout:
     """Parse a '.chart' annotation file.
 
-    Line format (one key per line, each at most once, later lines optional)::
+    Line format (one key per line, each at most once, later lines optional;
+    a missing line takes :class:`ChartLayout`'s default)::
 
         corners: x0 y0 x1 y1 x2 y2 x3 y3
         corner_patch_centers: u0 v0 u1 v1 u2 v2 u3 v3
         half_size: N
     """
-    corners = None
-    cpc = None
-    half = None
-    seen: set[str] = set()
+    fields: dict = {}
     for raw_line in Path(path).read_text(encoding="utf-8").splitlines():
         line = raw_line.strip()
         if not line or line.startswith("#"):
@@ -297,33 +284,26 @@ def read_chart_file(path: str | Path) -> ChartLayout:
         if not sep:
             raise ValueError(f"malformed chart file: {line!r}")
         key = key.strip()
-        if key in seen:
+        if key in fields:
             raise ValueError(f"malformed chart file: repeated key {key!r}")
-        seen.add(key)
-        if key == "corners":
-            corners = _parse_numbers(rest, 8, "corners").reshape(4, 2)
-        elif key == "corner_patch_centers":
-            cpc = _parse_numbers(rest, 8, "corner_patch_centers").reshape(4, 2)
+        if key in ("corners", "corner_patch_centers"):
+            fields[key] = _parse_numbers(rest, 8, key).reshape(4, 2)
         elif key == "half_size":
-            value = float(_parse_numbers(rest, 1, "half_size")[0])
+            value = float(_parse_numbers(rest, 1, key)[0])
             if not value.is_integer():
                 raise ValueError("malformed chart file: half_size must be an integer")
-            half = int(value)
+            fields[key] = int(value)
         else:
             raise ValueError(f"malformed chart file: unknown key {key!r}")
-    if corners is None:
+    if "corners" not in fields:
         raise ValueError("malformed chart file: missing corners")
-    return ChartLayout(corners, cpc, half)
+    return ChartLayout(**fields)
 
 
 def format_chart(layout: ChartLayout) -> str:
     """The '.chart' text of a layout, in the line format :func:`read_chart_file` parses."""
-    lines = ["corners: " + " ".join(fmt9(v) for v in layout.corners.ravel())]
-    if layout.corner_patch_centers is not None:
-        lines.append(
-            "corner_patch_centers: "
-            + " ".join(fmt9(v) for v in layout.corner_patch_centers.ravel())
-        )
-    if layout.half_size is not None:
-        lines.append(f"half_size: {layout.half_size}")
-    return "\n".join(lines) + "\n"
+    return (
+        f"corners: {' '.join(fmt9(v) for v in layout.corners.ravel())}\n"
+        f"corner_patch_centers: {' '.join(fmt9(v) for v in layout.corner_patch_centers.ravel())}\n"
+        f"half_size: {layout.half_size}\n"
+    )

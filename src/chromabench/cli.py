@@ -48,14 +48,16 @@ def _resolve_jobs(arg_jobs: int | None) -> int:
     return jobs
 
 
-def _discover_images(images_dir: str) -> list[tuple[str, Path]]:
-    root = Path(images_dir)
+def _image_tasks(args, *extra) -> list[tuple]:
+    """One (image_id, image path, chart path, *extra) task per --images .ppm, by name."""
+    root = Path(args.images)
     if not root.is_dir():
-        raise CliError(f"not a directory: {images_dir}")
+        raise CliError(f"not a directory: {args.images}")
     found = sorted(root.glob("*.ppm"))
     if not found:
-        raise CliError(f"no .ppm images in {images_dir}")
-    return [(p.stem, p) for p in found]
+        raise CliError(f"no .ppm images in {args.images}")
+    charts_dir = Path(args.charts or args.images)
+    return [(p.stem, str(p), str(charts_dir / f"{p.stem}.chart"), *extra) for p in found]
 
 
 def _log_error(image_id: str, message: str) -> None:
@@ -113,11 +115,7 @@ def cmd_extract_gt(args) -> int:
     from . import chartgeom, groundtruth, imagecore  # noqa: F401
 
     jobs = _resolve_jobs(args.jobs)
-    images = _discover_images(args.images)
-    charts_dir = Path(args.charts or args.images)
-    tasks = [
-        (image_id, str(path), str(charts_dir / f"{image_id}.chart")) for image_id, path in images
-    ]
+    tasks = _image_tasks(args)
     subtract_black = not args.no_black_subtract
 
     def decide(image_id, measured):  # in this process, in image order
@@ -167,12 +165,7 @@ def cmd_estimate(args) -> int:
     repeated = sorted({name for name in names if names.count(name) > 1})
     if repeated:
         raise CliError(f"--algo repeats {', '.join(repeated)}")
-    images = _discover_images(args.images)
-    charts_dir = Path(args.charts or args.images)
-    tasks = [
-        (image_id, str(path), str(charts_dir / f"{image_id}.chart"), specs, args.mask_chart)
-        for image_id, path in images
-    ]
+    tasks = _image_tasks(args, specs, args.mask_chart)
     rows, failures = _run_per_image(_estimate_one, tasks, jobs)
     estimators.write_estimates(rows, args.out)
     print(f"wrote {len(rows)} estimates to {args.out}")
@@ -362,7 +355,7 @@ def _scene_from_json(payload: dict) -> tuple[synth.SceneSpec, str]:
 
     import numpy as np
 
-    from . import synth
+    from . import chartgeom, synth
 
     spec_fields = {f.name for f in dataclasses.fields(synth.SceneSpec) if f.init}
     unknown = set(payload) - spec_fields - _JSON_ONLY_KEYS
@@ -378,13 +371,14 @@ def _scene_from_json(payload: dict) -> tuple[synth.SceneSpec, str]:
                 raise ValueError("corners must be finite")
             kwargs["pose"] = synth.pose_from_corners(corners)
         if "achromatic_reflectances" in payload:
+            row = list(chartgeom.ACHROMATIC_INDICES)
             ramp = synth.float_array(payload["achromatic_reflectances"])
-            if ramp.shape != (6,):
-                raise CliError("achromatic_reflectances must be 6 values")
+            if ramp.shape != (len(row),):
+                raise CliError(f"achromatic_reflectances must be {len(row)} values")
             table = np.array(
                 kwargs.get("reflectance_table", synth.DEFAULT_REFLECTANCES), dtype=np.float64
             )
-            table[18:24] = ramp[:, None]
+            table[row] = ramp[:, None]
             kwargs["reflectance_table"] = table
         spec = synth.SceneSpec(**kwargs)
     except (TypeError, ValueError, OverflowError) as exc:

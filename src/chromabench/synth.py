@@ -23,20 +23,20 @@ import numpy as np
 
 from ._util import atomic_write_text
 from .chartgeom import (
+    ACHROMATIC_INDICES,
+    CANONICAL_CORNERS,
+    CELL,
     CHART_COLS,
     CHART_ROWS,
-    DEFAULT_HALF_SIZE,
     DEFAULT_RECT_SIZE,
     ChartLayout,
     apply_homography,
-    default_corner_patch_centers,
     fit_homography,
     format_chart,
 )
 from .imagecore import CameraProfile, save_image
 
 __all__ = [
-    "CANONICAL_CORNERS",
     "CHART_H",
     "CHART_W",
     "DEFAULT_REFLECTANCES",
@@ -53,14 +53,9 @@ __all__ = [
     "write_scene",
 ]
 
-# Canonical chart raster: the rectified view itself (100x100-pixel cells),
-# pixel centers at integers.
+# The chart is drawn on chartgeom's canonical view, CELL-pixel cells with
+# pixel centers at integers, and placed in the frame by a pose.
 CHART_W, CHART_H = DEFAULT_RECT_SIZE
-CELL = CHART_W // CHART_COLS
-CANONICAL_CORNERS = np.array(
-    [[0, 0], [CHART_W - 1, 0], [CHART_W - 1, CHART_H - 1], [0, CHART_H - 1]],
-    dtype=np.float64,
-)
 
 # Rows 0-2: chromatic patches (synthetic colors). Row 3: achromatic ramp,
 # white -> black, strictly decreasing, equal across channels.
@@ -92,7 +87,7 @@ DEFAULT_REFLECTANCES = np.array(
         [0.03, 0.03, 0.03],
     ]
 )
-WHITE_REFLECTANCE = float(DEFAULT_REFLECTANCES[18][0])
+WHITE_REFLECTANCE = float(DEFAULT_REFLECTANCES[ACHROMATIC_INDICES[0]][0])
 
 # Rows per in-place finishing pass in render; bounds its noise temporary.
 _STRIPE_ROWS = 64
@@ -203,7 +198,7 @@ class SceneSpec:
             raise ValueError("reflectance_table must be 24 RGB triples")
         if not np.all((table >= 0) & (table <= 1)):
             raise ValueError("reflectances must lie in [0, 1]")
-        achromatic = table[18:24]
+        achromatic = table[list(ACHROMATIC_INDICES)]
         if not np.all(achromatic[:, 0:1] == achromatic):
             raise ValueError("achromatic-row reflectances must be gray (R=G=B)")
         if not np.all(np.diff(achromatic[:, 0]) < 0):
@@ -211,9 +206,11 @@ class SceneSpec:
         table.setflags(write=False)
         object.__setattr__(self, "reflectance_table", table)
         if self.pose is not None:
-            pose = np.asarray(self.pose, dtype=np.float64)
+            pose = float_array(self.pose)
             if pose.shape != (3, 3):
                 raise ValueError("pose must be a 3x3 matrix")
+            if not np.all(np.isfinite(pose)):
+                raise ValueError("pose must be finite")
             pose.setflags(write=False)
             object.__setattr__(self, "pose", pose)
         bg = float_array(self.background)
@@ -285,11 +282,7 @@ def render(spec: SceneSpec) -> RenderedScene:
     formula's bit for bit.
     """
     pose = spec.pose if spec.pose is not None else default_pose(spec.width, spec.height)
-    layout = ChartLayout(
-        apply_homography(pose, CANONICAL_CORNERS),
-        default_corner_patch_centers(),
-        DEFAULT_HALF_SIZE,
-    )
+    layout = ChartLayout(apply_homography(pose, CANONICAL_CORNERS))
     layout.check_in_frame(spec.height, spec.width)
 
     counts = np.empty((spec.height, spec.width, 3))

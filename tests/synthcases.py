@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from chromabench import synth
+from chromabench.chartgeom import CANONICAL_CORNERS
 
 # Achromatic ramp of exact binary fractions: products with integer exposures
 # stay exactly representable, which the saturation boundary tests rely on.
@@ -29,7 +30,7 @@ def exact_reflectance_table() -> np.ndarray:
 
 def translation_pose(dx: float = 20.0, dy: float = 40.0) -> np.ndarray:
     """Exact integer translation: rectification copies counts bit-for-bit."""
-    return synth.pose_from_corners(synth.CANONICAL_CORNERS + np.array([dx, dy]))
+    return synth.pose_from_corners(CANONICAL_CORNERS + np.array([dx, dy]))
 
 
 def grayworld_image(

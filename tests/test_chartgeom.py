@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from chromabench import synth
 from chromabench.chartgeom import (
+    CANONICAL_CORNERS,
     DEFAULT_RECT_SIZE,
     ChartLayout,
     _bilinear_sample,
@@ -97,12 +100,9 @@ def rectify_then_slice(data, layout):
     pts = np.stack([us.ravel(), vs.ravel()], axis=1).astype(np.float64)
     src = apply_homography(fit_homography(rect, layout.corners), pts)
     view = _bilinear_sample(data, src[:, 0], src[:, 1]).reshape(VIEW_H, VIEW_W, 3)
-    cpc = layout.corner_patch_centers
-    if cpc is None:
-        cpc = default_corner_patch_centers()
-    half = 15 if layout.half_size is None else layout.half_size
+    half = layout.half_size
     squares = []
-    for cx, cy in patch_centers(cpc, half):
+    for cx, cy in patch_centers(layout.corner_patch_centers, half):
         ix, iy = int(round(float(cx))), int(round(float(cy)))
         block = view[iy - half : iy + half + 1, ix - half : ix + half + 1]
         squares.append(block.reshape(-1, 3))
@@ -114,7 +114,7 @@ def test_sample_patches_match_rectify_then_slice():
     for _ in range(4):
         data = rng.uniform(0, 4095, size=(480, 640, 3))
         pose = synth.random_pose(rng, 640, 480)
-        corners = apply_homography(pose, synth.CANONICAL_CORNERS)
+        corners = apply_homography(pose, CANONICAL_CORNERS)
         cpc = default_corner_patch_centers() + rng.uniform(-4, 4, size=(4, 2))
         for layout in (
             ChartLayout(corners),
@@ -290,17 +290,46 @@ def test_chart_file_round_trip(tmp_path):
 
 
 def test_chart_file_optional_lines_default(tmp_path):
-    path = tmp_path / "min.chart"
-    path.write_text("corners: 0 0 99 0 99 49 0 49\n")
-    layout = read_chart_file(path)
-    assert layout.corner_patch_centers is None
-    assert layout.half_size is None
-    data = np.random.default_rng(7).uniform(0, 4095, size=(50, 100, 3))
-    samples = sample_patches(data, layout)
-    assert samples.shape == (24, 31 * 31, 3)
-    canonical = ChartLayout(layout.corners, default_corner_patch_centers(), 15)
-    assert np.array_equal(samples, sample_patches(data, canonical))
+    # A corners-only file and one that states the defaults are one layout,
+    # and either writes back as the three lines synth writes.
+    scene = synth.render(synth.SceneSpec(pose=synth.random_pose(np.random.default_rng(7))))
+    corners_only, explicit = tmp_path / "min.chart", tmp_path / "full.chart"
+    corners_only.write_text(scene.chart_text.splitlines()[0] + "\n")
+    explicit.write_text(scene.chart_text)
+    short, full = read_chart_file(corners_only), read_chart_file(explicit)
+    assert np.array_equal(short.corner_patch_centers, default_corner_patch_centers())
+    assert short.half_size == full.half_size == 15
+    for name in ("corners", "corner_patch_centers", "centers"):
+        assert np.array_equal(getattr(short, name), getattr(full, name)), name
+    assert scene.chart_text.count("\n") == 3
+    assert format_chart(short) == format_chart(full) == scene.chart_text
+    data = scene.counts
+    assert sample_patches(data, short).tobytes() == sample_patches(data, full).tobytes()
     np.testing.assert_allclose(default_corner_patch_centers()[3], [50.0, 350.0])
+
+
+def test_layout_grid_is_resolved_once_and_read_only():
+    layout = ChartLayout(VIEW_CORNERS, half_size=2)
+    assert np.array_equal(layout.centers, np.rint(patch_centers(default_corner_patch_centers(), 2)))
+    for name in ("corners", "corner_patch_centers", "centers"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(layout, name)[0, 0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        layout.centers = np.zeros((24, 2))
+    with pytest.raises(TypeError):
+        ChartLayout(VIEW_CORNERS, centers=np.zeros((24, 2)))
+
+
+# A non-finite number names its line's field; these used to fail later, as
+# "points must be finite".
+NON_FINITE = {
+    "corners: nan 0 99 0 99 49 0 49\n": "corners",
+    "corners: 0 0 1e400 0 99 49 0 49\n": "corners",
+    "corners: 0 0 99 0 99 49 0 49\ncorner_patch_centers: nan 50 550 50 550 350 50 350\n":
+        "corner_patch_centers",
+    "corners: 0 0 99 0 99 49 0 49\ncorner_patch_centers: 50 50 550 50 550 350 50 inf\n":
+        "corner_patch_centers",
+}
 
 
 @pytest.mark.parametrize(
@@ -313,13 +342,16 @@ def test_chart_file_optional_lines_default(tmp_path):
         "corners: 0 0 99 0 99 49 0 49\nhalf_size: 2.7\n",
         "corners: 0 0 99 0 99 49 0 49\nhalf_size: nan\n",
         "corners: 0 0 99 0 99 49 0 49\nhalf_size: inf\n",
+        *NON_FINITE,
     ],
 )
 def test_chart_file_malformed(tmp_path, content):
     path = tmp_path / "bad.chart"
     path.write_text(content)
-    with pytest.raises(ValueError, match="malformed chart file"):
+    with pytest.raises(ValueError, match="malformed chart file") as info:
         read_chart_file(path)
+    if content in NON_FINITE:
+        assert str(info.value) == f"malformed chart file: {NON_FINITE[content]} must be finite"
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,7 @@ import pytest
 import synthcases
 from chromabench import cli, synth
 from chromabench._util import fmt9
-from chromabench.chartgeom import ChartLayout, format_chart, read_chart_file
+from chromabench.chartgeom import ACHROMATIC_INDICES, CANONICAL_CORNERS, read_chart_file
 from chromabench.estimators import PRESETS, IlluminantEstimate, read_estimates, write_estimates
 from chromabench.groundtruth import GroundTruthRecord, read_gt, records_by_id, write_gt
 from chromabench.imagecore import CameraProfile, save_image
@@ -63,7 +63,7 @@ def test_synth_is_deterministic(tmp_path):
 
 
 def test_synth_pose_outside_frame_exits_1(tmp_path, capsys):
-    corners = (synth.CANONICAL_CORNERS + np.array([300.0, 0.0])).ravel().tolist()
+    corners = (CANONICAL_CORNERS + np.array([300.0, 0.0])).ravel().tolist()
     spec = write_scene_json(tmp_path / "scene.json", corners=corners)
     assert run(["synth", "--spec", spec, "--out", tmp_path / "o"]) == 1
     assert "inside the image" in capsys.readouterr().err
@@ -90,6 +90,7 @@ def test_synth_nan_noise_sigma_exits_1(tmp_path, capsys):
 
 HUGE = 10**400  # an integer JSON literal past the float range
 NAN = float("nan")  # Python's json writes and reads it as NaN
+INF = float("1e400")  # a JSON 1e400 reads as this; Python's json writes it as Infinity
 
 
 @pytest.mark.parametrize(
@@ -129,6 +130,14 @@ NAN = float("nan")  # Python's json writes and reads it as NaN
         # A NaN corner named no field either: "points must be finite".
         pytest.param(
             "corners", [NAN, 0, 1, 0, 1, 1, 0, 1], "corners must be finite", id="nan-corners"
+        ),
+        # A non-finite pose was refused only by the homography, as "points must be
+        # finite" or "degenerate correspondence: coincident points".
+        *(
+            pytest.param(
+                "pose", [[1, 0, 0], [0, 1, 0], [0, 0, bad]], "pose must be finite", id=f"{name}-pose"
+            )
+            for name, bad in (("nan", NAN), ("inf", INF), ("huge", HUGE))
         ),
         pytest.param(
             "achromatic_reflectances", [HUGE, 0.5, 0.4, 0.3, 0.2, 0.1],
@@ -196,7 +205,7 @@ def test_synth_pose_with_corners_exits_1(tmp_path, capsys):
     spec = write_scene_json(
         tmp_path / "scene.json",
         pose=synth.default_pose(640, 480).tolist(),
-        corners=synth.CANONICAL_CORNERS.ravel().tolist(),
+        corners=CANONICAL_CORNERS.ravel().tolist(),
     )
     assert run(["synth", "--spec", spec, "--out", tmp_path / "o"]) == 1
     assert "not both" in capsys.readouterr().err
@@ -209,7 +218,7 @@ def test_synth_json_sets_every_scene_field(tmp_path):
     fields = dict(
         illuminant=(0.9, 0.6, 0.4),
         pose=synth.pose_from_corners(
-            synth.CANONICAL_CORNERS * 0.8 + np.array([40.0, 30.0])
+            CANONICAL_CORNERS * 0.8 + np.array([40.0, 30.0])
         ),
         width=700,
         height=500,
@@ -231,7 +240,7 @@ def test_synth_json_sets_every_scene_field(tmp_path):
     )
     assert run(["synth", "--spec", spec, "--out", tmp_path / "cli"]) == 0
 
-    table[18:24] = np.array(ramp)[:, None]
+    table[list(ACHROMATIC_INDICES)] = np.array(ramp)[:, None]
     expected = synth.render(synth.SceneSpec(**{**fields, "reflectance_table": table}))
     synth.write_scene(expected, tmp_path / "lib", "full")
     for suffix in (".ppm", ".meta.json", ".chart"):
@@ -510,19 +519,19 @@ GRID_LINES = {
 
 
 def bad_chart_text(good, case):
-    text = format_chart(ChartLayout(good.corners))
-    if case == "repeated-key":
-        return text + text.splitlines()[0] + "\n"
-    if case in GRID_LINES:
-        return text + GRID_LINES[case] + "\n"
     corners = good.corners.copy()
     if case == "bow-tie":
         corners = corners[[0, 1, 3, 2]]
     elif case == "outside":
         corners[:, 0] += 640.0
-    else:  # collinear
+    elif case == "collinear":
         corners[1] = (corners[0] + corners[2]) / 2.0
-    return "corners: " + " ".join(repr(float(v)) for v in corners.ravel()) + "\n"
+    text = "corners: " + " ".join(repr(float(v)) for v in corners.ravel()) + "\n"
+    if case == "repeated-key":
+        return text + text
+    if case in GRID_LINES:
+        text += GRID_LINES[case] + "\n"
+    return text
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,11 @@
-"""Every library module's ``__all__`` lists exactly its public functions and classes."""
+"""Every library module's ``__all__`` lists exactly its public functions and classes,
+and no module imports a name it never uses."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import chromabench
 
@@ -36,3 +39,41 @@ def test_every_module_all_exists_and_lists_each_public_function_and_class():
         checked.append(info.name)
     assert problems == {}
     assert len(checked) >= 7  # the library modules were found at all
+
+
+def _imported_names(tree: ast.Module) -> set[str]:
+    """The names a module's import statements bind, ``from __future__`` aside."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names |= {alias.asname or alias.name for alias in node.names}
+    return names
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    """Names read anywhere in the module, in ``__all__`` or in a string annotation."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {elt.value for elt in node.value.elts}
+        for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            for part in ast.walk(annotation) if annotation is not None else ():
+                if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    used |= _used_names(ast.parse(part.value, mode="eval"))
+    return used
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = {}
+    for path in sorted(Path(chromabench.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = sorted(_imported_names(tree) - _used_names(tree))
+        if names:
+            unused[path.name] = names
+    assert unused == {}

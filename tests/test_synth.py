@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 import synthcases
 from chromabench import synth
 from chromabench.chartgeom import (
+    CANONICAL_CORNERS,
+    CELL,
     CHART_COLS,
     CHART_ROWS,
     DEFAULT_HALF_SIZE,
@@ -89,7 +91,7 @@ def test_saturating_exposure_moves_selection_to_second_gray(tmp_path):
 
 
 def test_pose_outside_frame_rejected():
-    pose = synth.pose_from_corners(synth.CANONICAL_CORNERS + np.array([300.0, 0.0]))
+    pose = synth.pose_from_corners(CANONICAL_CORNERS + np.array([300.0, 0.0]))
     with pytest.raises(ValueError, match="inside the image"):
         synth.render(synth.SceneSpec(pose=pose))
 
@@ -181,7 +183,7 @@ def _render_full_frame(spec: synth.SceneSpec) -> synth.RenderedScene:
     """
     pose = spec.pose if spec.pose is not None else synth.default_pose(spec.width, spec.height)
     layout = ChartLayout(
-        apply_homography(pose, synth.CANONICAL_CORNERS),
+        apply_homography(pose, CANONICAL_CORNERS),
         default_corner_patch_centers(),
         DEFAULT_HALF_SIZE,
     )
@@ -201,8 +203,8 @@ def _render_full_frame(spec: synth.SceneSpec) -> synth.RenderedScene:
     qx = q[:, 0].reshape(spec.height, spec.width)
     qy = q[:, 1].reshape(spec.height, spec.width)
     inside = (qx >= 0) & (qx < synth.CHART_W) & (qy >= 0) & (qy < synth.CHART_H)
-    col = np.clip(np.floor(qx / synth.CELL).astype(int), 0, CHART_COLS - 1)
-    row = np.clip(np.floor(qy / synth.CELL).astype(int), 0, CHART_ROWS - 1)
+    col = np.clip(np.floor(qx / CELL).astype(int), 0, CHART_COLS - 1)
+    row = np.clip(np.floor(qy / CELL).astype(int), 0, CHART_ROWS - 1)
     patch_idx = row * CHART_COLS + col
     reflectance[inside] = spec.reflectance_table[patch_idx[inside]]
 
