@@ -6,6 +6,11 @@ patches) or for one big systematic one: a constant dark offset that one set
 subtracted and the other did not.  This module measures per-image angular
 divergence, flags outliers, tests the "b is a plus a constant offset"
 hypothesis directly, and checks legacy files for same-patch violations.
+
+The offset scan scores ``SCAN_OFFSETS`` in blocks of offsets: each block
+stacks ``a + offset`` for its offsets into one table and is one
+``error_angles`` call, so a set of a few images scores all 513 offsets in a
+single call, and a large set in blocks of bounded size.
 """
 
 from __future__ import annotations
@@ -107,6 +112,13 @@ class OffsetFit:
 
 _WITHIN_DEG = 0.1
 
+# The dark offsets ``scan_offset`` tries, in counts.
+SCAN_OFFSETS = range(513)
+
+# Residual rows per ``error_angles`` call in an offset scan: bounds the
+# temporaries, and with them peak memory, on large sets.
+_SCAN_ROWS = 4096
+
 
 def _stacked(a: GTSet, b: GTSet) -> tuple[np.ndarray, np.ndarray]:
     """Illuminants of the common images, in id order, as two (n, 3) arrays."""
@@ -117,30 +129,50 @@ def _stacked(a: GTSet, b: GTSet) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _offset_fit(illum_a: np.ndarray, illum_b: np.ndarray, offset: float) -> OffsetFit:
-    residuals, problems = error_angles("recovery", illum_a + offset, illum_b)
-    if problems:
-        raise ValueError(problems[min(problems)])
-    return OffsetFit(
-        offset=float(offset),
-        fraction_within=float(np.mean(residuals <= _WITHIN_DEG)),
-        median_residual_deg=float(np.median(residuals)),
-    )
+def _offset_fits(illum_a: np.ndarray, illum_b: np.ndarray, offsets) -> list[OffsetFit]:
+    """The fit of each offset, in order, scored a block of offsets at a time.
+
+    A block holds as many offsets as fit in about ``_SCAN_ROWS`` residual
+    rows (at least one) and is one ``error_angles`` call, so its temporaries
+    stay bounded however many offsets are scored.  An invalid row raises the
+    message of the first offset that has one, at its first such image.
+    """
+    offsets = np.asarray(offsets, dtype=np.float64)
+    count = len(illum_a)
+    per_block = max(1, _SCAN_ROWS // count)
+    fits = []
+    for start in range(0, len(offsets), per_block):
+        block = offsets[start : start + per_block]
+        shifted = (illum_a + block[:, None, None]).reshape(-1, 3)
+        residuals, problems = error_angles(
+            "recovery", shifted, np.tile(illum_b, (len(block), 1))
+        )
+        if problems:
+            raise ValueError(problems[min(problems)])
+        residuals = residuals.reshape(len(block), count)
+        within = np.mean(residuals <= _WITHIN_DEG, axis=1)
+        medians = np.median(residuals, axis=1)
+        fits += map(OffsetFit, block.tolist(), within.tolist(), medians.tolist())
+    return fits
 
 
 def explain_offset(a: GTSet, b: GTSet, offset: float) -> OffsetFit:
     """Residual angles between (a + offset) and b over the common images."""
     if not math.isfinite(offset):
         raise ValueError(f"offset must be finite, got {offset!r}")
-    return _offset_fit(*_stacked(a, b), offset)
+    (fit,) = _offset_fits(*_stacked(a, b), [offset])
+    return fit
 
 
 def scan_offset(a: GTSet, b: GTSet) -> OffsetFit:
-    """Sweep the integer offsets 0..512 and return the fit with the smallest
-    median residual.  Ties go to the smaller offset.
+    """Sweep the integer offsets ``SCAN_OFFSETS`` (0..512) and return the fit
+    with the smallest median residual.  Ties go to the smaller offset.
+
+    The offsets are scored in blocks, one ``error_angles`` call per block of
+    about ``_SCAN_ROWS`` residual rows, so a small set scores all 513 offsets
+    in one call.
     """
-    stacked = _stacked(a, b)
-    fits = (_offset_fit(*stacked, float(offset)) for offset in range(513))
+    fits = _offset_fits(*_stacked(a, b), SCAN_OFFSETS)
     # min keeps the first of equal keys, i.e. the smallest offset.
     return min(fits, key=lambda fit: fit.median_residual_deg)
 

@@ -12,6 +12,7 @@ Coordinates are pixel-center based: an image of width W spans x in [0, W-1].
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -55,7 +56,8 @@ DEFAULT_HALF_SIZE = 15
 
 
 def _as_points(pts, n: int) -> np.ndarray:
-    arr = np.asarray(pts, dtype=np.float64)
+    """``pts`` as a new (n, 2) float64 array, so the caller's array is never shared."""
+    arr = np.array(pts, dtype=np.float64)
     if arr.shape != (n, 2):
         raise ValueError(f"expected {n} (x, y) points, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -214,6 +216,8 @@ class ChartLayout:
             raise ValueError("chart corners must form a convex quadrilateral")
         cpc = _as_points(self.corner_patch_centers, 4)
         half = self.half_size
+        if isinstance(half, bool) or not isinstance(half, numbers.Integral):
+            raise ValueError("half_size must be an integer")
         centers = np.rint(patch_centers(cpc, half))
         if np.any(centers - half < 0) or np.any(centers + half > CANONICAL_CORNERS[2]):
             raise ValueError("sample square exceeds image bounds")

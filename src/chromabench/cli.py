@@ -338,6 +338,13 @@ def cmd_diff_gt(args) -> int:
             f"(median residual {best.median_residual_deg:.6f} deg, "
             f"{100.0 * best.fraction_within:.1f}% within 0.1 deg)"
         )
+        lo, hi = audit.SCAN_OFFSETS[0], audit.SCAN_OFFSETS[-1]
+        if best.offset == hi:
+            print(
+                f"warning: best offset {hi} is the top of the scanned range {lo}..{hi}; "
+                "the true offset may lie past it",
+                file=sys.stderr,
+            )
     print(f"wrote per-image report to {args.out}")
     return EXIT_OK
 

@@ -11,10 +11,12 @@ float64 arrays: atan2(|u x v|, u.v), which is exact at zero for parallel
 inputs and equivalent to the arccos form elsewhere.  ``error_angles`` scores
 whole tables through it, reporting each invalid row with the message the
 one-pair functions ``recovery_error`` and ``reproduction_error`` raise; those
-two are its one-row case.  The kernel scales each row by a power of two
-(exact) so its largest component lies in [0.5, 1), which keeps the squared
-cross norm from overflowing on large rows or underflowing on tiny ones.  It
-takes the row norm and the row dot product as batched row matmuls, which run
+two are its one-row case.  Its row checks combine the three columns with an
+element-wise ``|``, several times faster on long tables than ``any(axis=1)``
+along each short row.  The kernel scales each row by a power of two (exact)
+so its largest component lies in [0.5, 1), which keeps the squared cross
+norm from overflowing on large rows or underflowing on tiny ones.  It takes
+the row norm and the row dot product as batched row matmuls, which run
 the same BLAS dot as ``np.dot`` on one pair, and applies ``math.atan2`` per
 element (``np.arctan2`` differs from it in the last bit on some inputs), so a
 row's angle does not depend on the batch it is computed in.
@@ -90,6 +92,15 @@ def _unit_exponent_rows(a: np.ndarray) -> np.ndarray:
     return np.ldexp(a, -np.frexp(top)[1][:, None])
 
 
+def _any_in_row(flags: np.ndarray) -> np.ndarray:
+    """Rows of an (N, 3) bool array with any True entry.
+
+    Or'd column by column: about seven times faster than ``any(axis=1)`` on
+    three columns, as the column-wise maximum in ``_unit_exponent_rows`` is.
+    """
+    return flags[:, 0] | flags[:, 1] | flags[:, 2]
+
+
 def normalize_rows(a: np.ndarray) -> np.ndarray:
     """Rows of (N, 3) ``a`` divided by their Euclidean norms, as a new float64 array.
 
@@ -147,23 +158,24 @@ def error_angles(
         raise ValueError("estimates and references must be (N, 3) arrays of one shape")
     # (row is invalid, message) in the order the one-pair functions check them.
     checks = [
-        (~np.isfinite(e).all(axis=1), "estimate must be finite"),
-        (~np.isfinite(g).all(axis=1), "reference must be finite"),
+        (_any_in_row(~np.isfinite(e)), "estimate must be finite"),
+        (_any_in_row(~np.isfinite(g)), "reference must be finite"),
     ]
     if metric == "recovery":
         u, v = e, g
-        checks.append((~(e.any(axis=1) & g.any(axis=1)), "zero vector has no direction"))
+        zero = ~(_any_in_row(e != 0.0) & _any_in_row(g != 0.0))
+        checks.append((zero, "zero vector has no direction"))
     elif metric == "reproduction":
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             u = g / e
         v = np.ones_like(u)
         too_small = "estimate channel {} is too small: reference/estimate overflows"
         checks += [
-            ((e == 0.0).any(axis=1), "division by zero channel in estimate"),
-            ((e < 0.0).any(axis=1), "estimate channels must be positive"),
+            (_any_in_row(e == 0.0), "division by zero channel in estimate"),
+            (_any_in_row(e < 0.0), "estimate channels must be positive"),
             # The first overflowing channel names the row's problem.
             *((~np.isfinite(u[:, c]), too_small.format(rgb)) for c, rgb in enumerate("RGB")),
-            (~u.any(axis=1), "zero vector has no direction"),
+            (~_any_in_row(u != 0.0), "zero vector has no direction"),
         ]
     else:
         raise ValueError(f"unknown metric {metric!r}; choose from {METRICS}")

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from chromabench import audit
 from chromabench.audit import (
+    SCAN_OFFSETS,
+    OffsetFit,
     check_same_patch,
     diff_ground_truths,
     emit_chromaticity_scatter,
@@ -9,7 +12,7 @@ from chromabench.audit import (
     scan_offset,
 )
 from chromabench.groundtruth import GroundTruthRecord
-from chromabench.metrics import recovery_error
+from chromabench.metrics import error_angles, recovery_error
 
 GT_HEADER = "image_id,R,G,B,patch_index,camera_id,black_level_subtracted"
 
@@ -176,6 +179,83 @@ def test_scan_tie_goes_to_the_smallest_offset():
     best = scan_offset(neutral, neutral)
     assert best == brute_force_scan(neutral, neutral)
     assert best.offset == 0.0 and best.median_residual_deg == 0.0
+
+
+def per_offset_reference(illum_a, illum_b, offsets):
+    # One error_angles call and 1-D statistics per offset; raises the first
+    # problem of the first offset that has one.
+    fits = []
+    for offset in offsets:
+        residuals, problems = error_angles("recovery", illum_a + float(offset), illum_b)
+        if problems:
+            raise ValueError(problems[min(problems)])
+        fits.append(
+            OffsetFit(
+                offset=float(offset),
+                fraction_within=float(np.mean(residuals <= 0.1)),
+                median_residual_deg=float(np.median(residuals)),
+            )
+        )
+    return fits
+
+
+def count_error_angles_calls(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        return error_angles(*args)
+
+    monkeypatch.setattr(audit, "error_angles", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "count, scan_rows, block_sizes",
+    [
+        (1, None, [513]),  # every offset in one block
+        (10, None, [409, 104]),  # 4096 // 10 offsets a block, then a partial one
+        (10, 9, [1] * 513),  # fewer rows than images: one offset a block
+    ],
+)
+def test_blocked_scan_equals_the_per_offset_reference(monkeypatch, count, scan_rows, block_sizes):
+    if scan_rows is not None:
+        monkeypatch.setattr(audit, "_SCAN_ROWS", scan_rows)
+    rng = np.random.default_rng(20 + count)
+    a, b = offset_pair(rng, offset=173.0, count=count)
+    # Noise on b keeps residuals apart, so medians and fractions vary by offset.
+    b = make_set([tuple(np.asarray(r.illuminant) + rng.normal(0.0, 2.0, 3)) for r in b])
+    illum_a = np.array([r.illuminant for r in a])
+    illum_b = np.array([r.illuminant for r in b])
+    reference = per_offset_reference(illum_a, illum_b, SCAN_OFFSETS)
+    calls = count_error_angles_calls(monkeypatch)
+    assert audit._offset_fits(illum_a, illum_b, SCAN_OFFSETS) == reference
+    assert calls == [size * count for size in block_sizes]
+    best = min(fit.median_residual_deg for fit in reference)
+    assert scan_offset(a, b) == next(fit for fit in reference if fit.median_residual_deg == best)
+    for offset in (0.0, 173.0, -0.5, 1e6):
+        assert [explain_offset(a, b, offset)] == per_offset_reference(illum_a, illum_b, [offset])
+
+
+@pytest.mark.parametrize("scan_rows", [4096, 1])
+@pytest.mark.parametrize(
+    "offsets, message",
+    [
+        # Offset 0 fails first, at image 1; offset -10 would fail at image 0.
+        ([0.0, -10.0], "reference must be finite"),
+        ([-10.0, 0.0], "zero vector has no direction"),
+    ],
+)
+def test_blocked_fits_raise_the_first_problem_of_the_first_failing_offset(
+    monkeypatch, scan_rows, offsets, message
+):
+    monkeypatch.setattr(audit, "_SCAN_ROWS", scan_rows)
+    illum_a = np.array([[10.0, 10.0, 10.0], [500.0, 400.0, 300.0]])
+    illum_b = np.array([[1.0, 2.0, 3.0], [np.nan, 1.0, 1.0]])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        per_offset_reference(illum_a, illum_b, offsets)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        audit._offset_fits(illum_a, illum_b, offsets)
 
 
 @pytest.mark.parametrize("offset", [float("nan"), float("inf"), -float("inf")])

@@ -320,6 +320,30 @@ def test_layout_grid_is_resolved_once_and_read_only():
         ChartLayout(VIEW_CORNERS, centers=np.zeros((24, 2)))
 
 
+def test_layout_leaves_the_callers_arrays_writable():
+    mine = np.array(VIEW_CORNERS, dtype=np.float64)
+    cpc = default_corner_patch_centers()
+    layout = ChartLayout(mine, cpc)
+    assert mine.flags.writeable and cpc.flags.writeable
+    assert not np.shares_memory(layout.corners, mine)
+    assert not np.shares_memory(layout.corner_patch_centers, cpc)
+    before = layout.corners.copy()
+    mine[0, 0] = 7.0
+    assert np.array_equal(layout.corners, before)
+
+
+@pytest.mark.parametrize("half_size", [2.5, 2.0, True, False, "2", None])
+def test_layout_refuses_a_half_size_that_is_not_an_integer(half_size):
+    with pytest.raises(ValueError, match="^half_size must be an integer$"):
+        ChartLayout(VIEW_CORNERS, half_size=half_size)
+
+
+def test_layout_takes_a_numpy_integer_half_size():
+    layout = ChartLayout(VIEW_CORNERS, half_size=np.int64(2))
+    samples = sample_patches(np.ones((VIEW_H, VIEW_W, 3)), layout)
+    assert samples.shape == (24, 25, 3)
+
+
 # A non-finite number names its line's field; these used to fail later, as
 # "points must be finite".
 NON_FINITE = {

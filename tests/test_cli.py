@@ -1060,6 +1060,51 @@ def test_diff_gt_stdout_matches_golden(tmp_path, capsys):
     assert out.read_bytes() == (GOLDEN / "gt_divergence.csv").read_bytes()
 
 
+def shifted_gt(path, source, counts):
+    """``source`` with ``counts`` added to every R, G and B, as a GT CSV at ``path``."""
+    with open(source, newline="") as f:
+        rows = list(csv.reader(f))
+    with open(path, "w", newline="") as f:
+        out = csv.writer(f, lineterminator="\n")
+        out.writerow(rows[0])
+        out.writerows([r[0], *(repr(float(v) + counts) for v in r[1:4]), *r[4:]] for r in rows[1:])
+    return path
+
+
+# The stdout of a scan whose best offset is the top of the range: the lines
+# any other best offset prints, since the edge warning goes to stderr.
+SCAN_EDGE_STDOUT = """\
+matched images:   4
+only in A:        0
+only in B:        0
+median angle:     10.692213 deg
+max angle:        11.166379 deg
+outliers (> 0.25 deg): 4 -> rev000, rev001, rev002, rev003
+best offset: 512 (median residual 0.880968 deg, 0.0% within 0.1 deg)
+wrote per-image report to <tmp>/report.csv
+"""
+
+
+def test_diff_gt_warns_when_the_best_offset_is_the_top_of_the_scan(tmp_path, capsys):
+    # 600 counts lie past the scanned 0..512, so the scan stops at 512.
+    gt_a = GOLDEN / "gt_subtracted.csv"
+    gt_b = shifted_gt(tmp_path / "gt_600.csv", gt_a, 600)
+    out = tmp_path / "report.csv"
+    assert run(["diff-gt", "--a", gt_a, "--b", gt_b, "--scan-offset", "--out", out]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.replace(str(tmp_path), "<tmp>") == SCAN_EDGE_STDOUT
+    assert captured.err == (
+        "warning: best offset 512 is the top of the scanned range 0..512; "
+        "the true offset may lie past it\n"
+    )
+    # An offset inside the range is found exactly, with no warning.
+    gt_b = shifted_gt(tmp_path / "gt_511.csv", gt_a, 511)
+    assert run(["diff-gt", "--a", gt_a, "--b", gt_b, "--scan-offset", "--out", out]) == 0
+    captured = capsys.readouterr()
+    assert "best offset: 511 (median residual 0.000000 deg" in captured.out
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize("threshold", ["nan", "inf", "-1", "-0.5"])
 def test_diff_gt_rejects_a_bad_threshold_before_writing(tmp_path, capsys, threshold):
     gt = tmp_path / "gt.csv"

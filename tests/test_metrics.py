@@ -229,6 +229,61 @@ def test_error_angles_and_the_one_pair_functions_match_the_scalar_checks(metric,
             assert degrees[i] == want == one_pair(est, ref)
 
 
+def axis1_error_angles(metric, e, g):
+    # The row checks reduced along axis 1, as error_angles made them before
+    # its column-wise checks; the angles of the valid rows from angles_deg.
+    checks = [
+        (~np.isfinite(e).all(axis=1), "estimate must be finite"),
+        (~np.isfinite(g).all(axis=1), "reference must be finite"),
+    ]
+    if metric == "recovery":
+        u, v = e, g
+        checks.append((~(e.any(axis=1) & g.any(axis=1)), "zero vector has no direction"))
+    else:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            u = g / e
+        v = np.ones_like(u)
+        too_small = "estimate channel {} is too small: reference/estimate overflows"
+        checks += [
+            ((e == 0.0).any(axis=1), "division by zero channel in estimate"),
+            ((e < 0.0).any(axis=1), "estimate channels must be positive"),
+            *((~np.isfinite(u[:, c]), too_small.format(rgb)) for c, rgb in enumerate("RGB")),
+            (~u.any(axis=1), "zero vector has no direction"),
+        ]
+    problems = {}
+    for bad, message in checks:
+        for i in np.flatnonzero(bad).tolist():
+            problems.setdefault(i, message)
+    ok = np.ones(len(e), dtype=bool)
+    ok[list(problems)] = False
+    degrees = np.full(len(e), np.nan)
+    degrees[ok] = angles_deg(u[ok], v[ok])
+    return degrees, problems
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_error_angles_matches_the_axis1_row_checks(metric, seed):
+    rng = np.random.default_rng(seed)
+    shape = (3000, 3)
+    e = rng.uniform(-1.0, 1e3, shape)
+    g = rng.uniform(-1.0, 1e3, shape)
+    specials = np.array([math.nan, math.inf, -math.inf, 0.0, -0.0, -5.0, 1e-320])
+    for table in (e, g):
+        # About one entry in six is special, so most rows keep one and some keep several.
+        hit = rng.random(shape) < 1 / 6
+        table[hit] = rng.choice(specials, hit.sum())
+        # Rows of signed zeros only, which no check may tell from rows of 0.0.
+        zero = rng.random(len(table)) < 0.02
+        table[zero] = rng.choice([0.0, -0.0], (zero.sum(), 3))
+    degrees, problems = error_angles(metric, e, g)
+    want_degrees, want_problems = axis1_error_angles(metric, e, g)
+    assert problems == want_problems
+    assert len(set(problems.values())) >= 3  # the tables reach several checks
+    assert 0 < len(problems) < len(e)
+    assert degrees.tobytes() == want_degrees.tobytes()
+
+
 def test_error_angles_rejects_bad_shapes_and_metrics():
     with pytest.raises(ValueError, match="unknown metric"):
         error_angles("bogus", np.ones((1, 3)), np.ones((1, 3)))
