@@ -7,10 +7,14 @@ subtracted and the other did not.  This module measures per-image angular
 divergence, flags outliers, tests the "b is a plus a constant offset"
 hypothesis directly, and checks legacy files for same-patch violations.
 
-The offset scan scores ``SCAN_OFFSETS`` in blocks of offsets: each block
-stacks ``a + offset`` for its offsets into one table and is one
-``error_angles`` call, so a set of a few images scores all 513 offsets in a
-single call, and a large set in blocks of bounded size.
+The offset scan screens, then scores exactly.  Both passes work in blocks
+of offsets: each block stacks ``a + offset`` for its offsets into one table
+of about ``_SCAN_ROWS`` rows, so temporaries stay bounded on large sets.
+The screen takes every offset's median residual from the angle kernel's own
+norm and dot terms with the vectorised ``np.arctan2``; the exact pass scores
+only the offsets within ``_SCREEN_MARGIN_DEG`` of the smallest screened
+median through ``error_angles`` and its ``math.atan2``, so every reported
+number is the exhaustive exact scan's.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import numpy as np
 
 from ._util import MissingColumns, fmt9, read_csv, write_csv
 from .groundtruth import GroundTruthRecord, records_by_id
-from .metrics import error_angles, recovery_error
+from .metrics import _cross_norms_and_dots, error_angles, recovery_error
 
 __all__ = [
     "DivergenceReport",
@@ -119,6 +123,13 @@ SCAN_OFFSETS = range(513)
 # temporaries, and with them peak memory, on large sets.
 _SCAN_ROWS = 4096
 
+# How far above the smallest screened median an offset's screened median may
+# lie and still be scored exactly.  ``np.arctan2`` and ``math.atan2`` differ
+# by at most an ulp or so, about 3e-14 degrees at 180, and a median moves no
+# more than its elements do, so the exact minimiser's screened median lies
+# within twice that of the smallest; 1e-9 covers it more than 10**4 times.
+_SCREEN_MARGIN_DEG = 1e-9
+
 
 def _stacked(a: GTSet, b: GTSet) -> tuple[np.ndarray, np.ndarray]:
     """Illuminants of the common images, in id order, as two (n, 3) arrays."""
@@ -129,24 +140,32 @@ def _stacked(a: GTSet, b: GTSet) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _offset_fits(illum_a: np.ndarray, illum_b: np.ndarray, offsets) -> list[OffsetFit]:
-    """The fit of each offset, in order, scored a block of offsets at a time.
+def _shifted_blocks(illum_a: np.ndarray, illum_b: np.ndarray, offsets: np.ndarray):
+    """Per block of ``offsets``: the block, its (a + offset) rows and the b rows they match.
 
     A block holds as many offsets as fit in about ``_SCAN_ROWS`` residual
-    rows (at least one) and is one ``error_angles`` call, so its temporaries
-    stay bounded however many offsets are scored.  An invalid row raises the
-    message of the first offset that has one, at its first such image.
+    rows (at least one), so its temporaries stay bounded however many
+    offsets are scored.
     """
-    offsets = np.asarray(offsets, dtype=np.float64)
-    count = len(illum_a)
-    per_block = max(1, _SCAN_ROWS // count)
-    fits = []
+    per_block = max(1, _SCAN_ROWS // len(illum_a))
     for start in range(0, len(offsets), per_block):
         block = offsets[start : start + per_block]
         shifted = (illum_a + block[:, None, None]).reshape(-1, 3)
-        residuals, problems = error_angles(
-            "recovery", shifted, np.tile(illum_b, (len(block), 1))
-        )
+        yield block, shifted, np.tile(illum_b, (len(block), 1))
+
+
+def _offset_fits(illum_a: np.ndarray, illum_b: np.ndarray, offsets) -> list[OffsetFit]:
+    """The fit of each offset, in order, scored a block of offsets at a time.
+
+    Each block is one ``error_angles`` call.  An invalid row raises the
+    message of the first offset that has one, at its first such image.
+    """
+    count = len(illum_a)
+    fits = []
+    for block, shifted, tiled_b in _shifted_blocks(
+        illum_a, illum_b, np.asarray(offsets, dtype=np.float64)
+    ):
+        residuals, problems = error_angles("recovery", shifted, tiled_b)
         if problems:
             raise ValueError(problems[min(problems)])
         residuals = residuals.reshape(len(block), count)
@@ -154,6 +173,23 @@ def _offset_fits(illum_a: np.ndarray, illum_b: np.ndarray, offsets) -> list[Offs
         medians = np.median(residuals, axis=1)
         fits += map(OffsetFit, block.tolist(), within.tolist(), medians.tolist())
     return fits
+
+
+def _screened_medians(illum_a: np.ndarray, illum_b: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Each offset's median residual, in degrees, with ``np.arctan2`` in place
+    of the kernel's ``math.atan2``.
+
+    The norm and dot terms are the kernel's own, so each residual is within
+    an ulp or so of its exact value, and each median within as much of the
+    exact median.  The rows are not checked: a scan's sets are ground-truth
+    records, whose components are finite and > 0, and its offsets are >= 0.
+    """
+    count = len(illum_a)
+    medians = []
+    for block, shifted, tiled_b in _shifted_blocks(illum_a, illum_b, offsets):
+        degrees = np.degrees(np.arctan2(*_cross_norms_and_dots(shifted, tiled_b)))
+        medians.append(np.median(degrees.reshape(len(block), count), axis=1))
+    return np.concatenate(medians)
 
 
 def explain_offset(a: GTSet, b: GTSet, offset: float) -> OffsetFit:
@@ -168,11 +204,18 @@ def scan_offset(a: GTSet, b: GTSet) -> OffsetFit:
     """Sweep the integer offsets ``SCAN_OFFSETS`` (0..512) and return the fit
     with the smallest median residual.  Ties go to the smaller offset.
 
-    The offsets are scored in blocks, one ``error_angles`` call per block of
-    about ``_SCAN_ROWS`` residual rows, so a small set scores all 513 offsets
-    in one call.
+    A screening pass takes every offset's median with ``np.arctan2``; the
+    exact pass then scores, as ``explain_offset`` does, only the offsets whose
+    screened median is within ``_SCREEN_MARGIN_DEG`` of the smallest.  The
+    exact minimiser, and every offset tied with it, is among them, so the
+    result is the exhaustive exact scan's.  Where every offset ties, as on
+    neutral sets, every offset is scored exactly.
     """
-    fits = _offset_fits(*_stacked(a, b), SCAN_OFFSETS)
+    illum_a, illum_b = _stacked(a, b)
+    offsets = np.asarray(SCAN_OFFSETS, dtype=np.float64)
+    medians = _screened_medians(illum_a, illum_b, offsets)
+    candidates = offsets[medians <= medians.min() + _SCREEN_MARGIN_DEG]
+    fits = _offset_fits(illum_a, illum_b, candidates)
     # min keeps the first of equal keys, i.e. the smallest offset.
     return min(fits, key=lambda fit: fit.median_residual_deg)
 

@@ -345,6 +345,13 @@ def cmd_diff_gt(args) -> int:
                 "the true offset may lie past it",
                 file=sys.stderr,
             )
+        elif best.offset == lo and best.median_residual_deg > 0.1:
+            print(
+                f"warning: best offset {lo} is the bottom of the scanned range {lo}..{hi} "
+                f"and leaves a median residual of {best.median_residual_deg:.6f} deg; "
+                "--a may be the set with the offset left in (swap --a and --b)",
+                file=sys.stderr,
+            )
     print(f"wrote per-image report to {args.out}")
     return EXIT_OK
 

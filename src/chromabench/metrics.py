@@ -19,7 +19,10 @@ norm from overflowing on large rows or underflowing on tiny ones.  It takes
 the row norm and the row dot product as batched row matmuls, which run
 the same BLAS dot as ``np.dot`` on one pair, and applies ``math.atan2`` per
 element (``np.arctan2`` differs from it in the last bit on some inputs), so a
-row's angle does not depend on the batch it is computed in.
+row's angle does not depend on the batch it is computed in.  The norm and
+dot terms come from one private helper, whose cross product is spelled out
+column by column; ``audit``'s offset screen finishes the same terms with
+``np.arctan2`` only to pick which offsets to score exactly.
 ``normalize_rows``, the one unit normaliser of estimates, uses the same
 scaling and the same row matmul for the norms.
 
@@ -118,6 +121,26 @@ def normalize_rows(a: np.ndarray) -> np.ndarray:
     return unit
 
 
+def _cross_norms_and_dots(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|u x v| and u.v of matching rows of two contiguous (N, 3) float64 arrays,
+    each row first scaled by a power of two as ``_unit_exponent_rows`` does.
+
+    The atan2 of the pair is the rows' angle.  The cross product is spelled
+    out column by column: the products and differences ``np.cross`` forms,
+    in its order, so the same bits, without its per-call axis bookkeeping.
+    """
+    su = _unit_exponent_rows(u)
+    sv = _unit_exponent_rows(v)
+    (a0, a1, a2), (b0, b1, b2) = su.T, sv.T
+    cross = np.empty_like(su)
+    cross[:, 0] = a1 * b2 - a2 * b1
+    cross[:, 1] = a2 * b0 - a0 * b2
+    cross[:, 2] = a0 * b1 - a1 * b0
+    norms = np.sqrt((cross[:, None, :] @ cross[:, :, None]).ravel())
+    dots = (su[:, None, :] @ sv[:, :, None]).ravel()
+    return norms, dots
+
+
 def angles_deg(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Angle in degrees between matching rows of two (N, 3) float64 arrays.
 
@@ -133,11 +156,7 @@ def angles_deg(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     degrees = np.empty(len(u))
     for start in range(0, len(u), _ROWS_PER_PASS):
         rows = slice(start, start + _ROWS_PER_PASS)
-        su = _unit_exponent_rows(u[rows])
-        sv = _unit_exponent_rows(v[rows])
-        cross = np.cross(su, sv)
-        norms = np.sqrt((cross[:, None, :] @ cross[:, :, None]).ravel())
-        dots = (su[:, None, :] @ sv[:, :, None]).ravel()
+        norms, dots = _cross_norms_and_dots(u[rows], v[rows])
         radians = map(math.atan2, norms.tolist(), dots.tolist())
         degrees[rows] = np.degrees(np.fromiter(radians, np.float64, len(dots)))
     return degrees

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chromabench import audit
 from chromabench.audit import (
@@ -173,12 +175,79 @@ def test_scan_matches_a_brute_force_argmin(seed, offset):
         assert scan_offset(a, other) == brute_force_scan(a, other)
 
 
-def test_scan_tie_goes_to_the_smallest_offset():
+@st.composite
+def scan_pairs(draw):
+    # Integer counts and offsets, so a row without noise matches a + offset
+    # exactly; neutral rows stay parallel, and so tie, at every offset.
+    count = draw(st.integers(1, 6))
+    offset = draw(st.integers(0, 512))
+    counts = st.integers(1, 4000)
+    vecs_a, vecs_b = [], []
+    for _ in range(count):
+        if draw(st.booleans()):
+            vec = (draw(counts),) * 3
+        else:
+            vec = draw(st.tuples(counts, counts, counts))
+        noise = draw(st.tuples(*[st.integers(-3, 3)] * 3))
+        vecs_a.append(tuple(map(float, vec)))
+        vecs_b.append(tuple(float(max(1, v + offset + n)) for v, n in zip(vec, noise)))
+    return make_set(vecs_a), make_set(vecs_b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(scan_pairs())
+def test_screened_scan_equals_the_brute_force_scan(pair):
+    a, b = pair
+    assert scan_offset(a, b) == brute_force_scan(a, b)
+
+
+def test_scan_tie_goes_to_the_smallest_offset(monkeypatch):
     # Neutral sets stay parallel under any offset: every fit has residual 0.
     neutral = make_set([(v, v, v) for v in (300.0, 800.0, 1500.0)])
+    calls = count_error_angles_calls(monkeypatch)
     best = scan_offset(neutral, neutral)
+    # Every offset passes the screen, so every offset is scored exactly.
+    assert calls == [513 * 3]
     assert best == brute_force_scan(neutral, neutral)
     assert best.offset == 0.0 and best.median_residual_deg == 0.0
+
+
+def noisy_offset_pair(rng, offset, count):
+    # Noise on b keeps residuals apart, so medians and fractions vary by offset.
+    a, b = offset_pair(rng, offset=offset, count=count)
+    return a, make_set([tuple(np.asarray(r.illuminant) + rng.normal(0.0, 2.0, 3)) for r in b])
+
+
+def test_scan_scores_only_the_screened_candidates_exactly(monkeypatch):
+    a, b = noisy_offset_pair(np.random.default_rng(31), 211.0, 10)
+    illum_a = np.array([r.illuminant for r in a])
+    illum_b = np.array([r.illuminant for r in b])
+    reference = per_offset_reference(illum_a, illum_b, SCAN_OFFSETS)
+    calls = count_error_angles_calls(monkeypatch)
+    best = scan_offset(a, b)
+    # One candidate is left, scored exactly in one block of one row per image.
+    assert calls == [10]
+    assert best == min(reference, key=lambda fit: fit.median_residual_deg)
+
+
+@pytest.mark.parametrize("case", ["noisy", "neutral"])
+def test_scan_is_unchanged_by_screen_errors_of_half_the_margin(monkeypatch, case):
+    if case == "noisy":
+        a, b = noisy_offset_pair(np.random.default_rng(32), 97.0, 9)
+    else:
+        a = b = make_set([(v, v, v) for v in (300.0, 800.0, 1500.0)])
+    want = scan_offset(a, b)
+    screened = audit._screened_medians
+    half = 0.5 * audit._SCREEN_MARGIN_DEG
+
+    def perturbed(illum_a, illum_b, offsets):
+        # The worst case: the answer's median reads half a margin high, every
+        # other offset's half a margin low.
+        medians = screened(illum_a, illum_b, offsets)
+        return medians + np.where(offsets == want.offset, half, -half)
+
+    monkeypatch.setattr(audit, "_screened_medians", perturbed)
+    assert scan_offset(a, b) == want
 
 
 def per_offset_reference(illum_a, illum_b, offsets):
@@ -221,10 +290,7 @@ def count_error_angles_calls(monkeypatch):
 def test_blocked_scan_equals_the_per_offset_reference(monkeypatch, count, scan_rows, block_sizes):
     if scan_rows is not None:
         monkeypatch.setattr(audit, "_SCAN_ROWS", scan_rows)
-    rng = np.random.default_rng(20 + count)
-    a, b = offset_pair(rng, offset=173.0, count=count)
-    # Noise on b keeps residuals apart, so medians and fractions vary by offset.
-    b = make_set([tuple(np.asarray(r.illuminant) + rng.normal(0.0, 2.0, 3)) for r in b])
+    a, b = noisy_offset_pair(np.random.default_rng(20 + count), 173.0, count)
     illum_a = np.array([r.illuminant for r in a])
     illum_b = np.array([r.illuminant for r in b])
     reference = per_offset_reference(illum_a, illum_b, SCAN_OFFSETS)

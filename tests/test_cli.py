@@ -1105,6 +1105,26 @@ def test_diff_gt_warns_when_the_best_offset_is_the_top_of_the_scan(tmp_path, cap
     assert captured.err == ""
 
 
+def test_diff_gt_warns_when_the_scan_stops_at_zero_with_a_residual(tmp_path, capsys):
+    # Swapped sets: --a has the dark offset left in, so adding any offset to it
+    # only moves it further from --b, and the scan stops at 0.
+    out = tmp_path / "report.csv"
+    argv = ["diff-gt", "--b", GOLDEN / "gt_subtracted.csv", "--scan-offset", "--out", out]
+    assert run([*argv, "--a", GOLDEN / "gt_unsubtracted.csv"]) == 0
+    captured = capsys.readouterr()
+    assert "best offset: 0 (median residual 3.661592 deg, 0.0% within 0.1 deg)\n" in captured.out
+    assert captured.err == (
+        "warning: best offset 0 is the bottom of the scanned range 0..512 and leaves a "
+        "median residual of 3.661592 deg; --a may be the set with the offset left in "
+        "(swap --a and --b)\n"
+    )
+    # A set against itself: offset 0 explains it exactly, with no warning.
+    assert run([*argv, "--a", GOLDEN / "gt_subtracted.csv"]) == 0
+    captured = capsys.readouterr()
+    assert "best offset: 0 (median residual 0.000000 deg, 100.0% within 0.1 deg)\n" in captured.out
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize("threshold", ["nan", "inf", "-1", "-0.5"])
 def test_diff_gt_rejects_a_bad_threshold_before_writing(tmp_path, capsys, threshold):
     gt = tmp_path / "gt.csv"
