@@ -1,10 +1,23 @@
-"""Shared plumbing: float formatting, atomic writes and the one CSV dialect,
-which ``write_csv`` writes and ``read_csv`` reads row by row on ``csv.reader``."""
+"""Shared plumbing: float formatting, atomic writes, the one CSV dialect (which
+``write_csv`` writes and ``read_csv`` reads row by row on ``csv.reader``) and
+the field rules every record's ``__post_init__`` checks its numbers with.
+
+Three coercers, each refusing with a ValueError of one form, ``<field> must
+be ...``, the field named by the caller: :func:`real` (a finite number, not a
+bool, optionally bounded by ``gt``, ``ge`` and ``le``; returned as a float),
+:func:`whole` (an int, not a bool or a float, in ``lo..hi``) and
+:func:`real_array` (a finite float64 array of one of the given shapes, every
+element a number, with the same bounds; returned as a read-only copy, so the
+caller's array is never shared or frozen).  An integer past the float range
+reads as +-inf, so it is refused as "must be finite", as a NaN is.
+"""
 
 from __future__ import annotations
 
 import csv
 import io
+import math
+import numbers
 import os
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -94,3 +107,77 @@ def read_csv(path: str | os.PathLike, required: Iterable[str], parse: Callable) 
             fault = f"byte 0x{exc.object[exc.start]:02x}: {exc.reason}"
             raise ValueError(f"{path}: line {line}: not UTF-8 text: {fault}") from None
     return parsed
+
+
+def _check_span(lo: float, hi: float, name: str, gt, ge, le) -> None:
+    """Raise unless a field whose values span [lo, hi] is finite and within the bounds given."""
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"{name} must be finite")
+    low_ok = (gt is None or lo > gt) and (ge is None or lo >= ge)
+    if not (low_ok and (le is None or hi <= le)):
+        rules = [f"{op} {b}" for op, b in ((">", gt), (">=", ge), ("<=", le)) if b is not None]
+        raise ValueError(f"{name} must be " + " and ".join(rules))
+
+
+def _float(value, name: str, what: str) -> float:
+    if isinstance(value, float):  # a Python or numpy float
+        return float(value)
+    # JSON true and false arrive as Python bools, which are numbers to math.
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer past the float range
+        return math.inf if value > 0 else -math.inf
+
+
+def real(value, name: str, *, gt=None, ge=None, le=None) -> float:
+    """``value`` as a finite float within the bounds given, or a ValueError naming ``name``."""
+    x = _float(value, name, "a number")
+    _check_span(x, x, name, gt, ge, le)
+    return x
+
+
+def whole(value, name: str, lo: int, hi: int | None = None) -> int:
+    """``value`` as an int in ``lo..hi`` (no upper bound if ``hi`` is None), or a ValueError."""
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not (integral and lo <= value and (hi is None or value <= hi)):
+        span = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+        raise ValueError(f"{name} must be an integer {span}")
+    return int(value)
+
+
+def _floats(value, name: str):
+    """``value``'s elements as nested lists of floats; a bool or a non-number is refused."""
+    if isinstance(value, (list, tuple)):
+        return [v if isinstance(v, float) else _floats(v, name) for v in value]
+    if hasattr(value, "tolist"):  # a numpy array or scalar, as Python lists and numbers
+        return _floats(value.tolist(), name)
+    return _float(value, name, "an array of numbers")
+
+
+def real_array(value, name: str, *shapes: tuple, gt=None, ge=None, le=None):
+    """``value`` as a new read-only float64 array of one of ``shapes``, finite and
+    within the bounds given, or a ValueError naming ``name``."""
+    import numpy as np  # here, so that importing the command line loads no numpy
+
+    if isinstance(value, np.ndarray) and value.dtype.kind in "fiu":
+        arr = value.astype(np.float64)  # always a copy
+    else:
+        nested = _floats(value, name)
+        try:
+            arr = np.array(nested, dtype=np.float64)
+        except ValueError:  # rows of different lengths
+            arr = None
+    if arr is None or arr.shape not in shapes:
+        want = " or ".join(map(str, shapes))
+        got = "rows of different lengths" if arr is None else arr.shape
+        raise ValueError(f"{name} must be an array of shape {want}, got {got}")
+    if arr.size > 64:  # a NaN makes both extremes NaN, an infinity one of them infinite
+        lo, hi = float(arr.min()), float(arr.max())
+    else:  # in Python, faster than numpy's reductions on the few numbers of a record
+        flat = arr.ravel().tolist()
+        lo, hi = (min(flat), max(flat)) if all(map(math.isfinite, flat)) else (math.nan, math.nan)
+    _check_span(lo, hi, name, gt, ge, le)
+    arr.setflags(write=False)
+    return arr

@@ -12,13 +12,12 @@ Coordinates are pixel-center based: an image of width W spans x in [0, W-1].
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from ._util import fmt9
+from ._util import fmt9, real_array, whole
 
 __all__ = [
     "ACHROMATIC_INDICES",
@@ -53,16 +52,8 @@ CANONICAL_CORNERS = np.array(
 )
 CANONICAL_CORNERS.setflags(write=False)
 DEFAULT_HALF_SIZE = 15
-
-
-def _as_points(pts, n: int) -> np.ndarray:
-    """``pts`` as a new (n, 2) float64 array, so the caller's array is never shared."""
-    arr = np.array(pts, dtype=np.float64)
-    if arr.shape != (n, 2):
-        raise ValueError(f"expected {n} (x, y) points, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("points must be finite")
-    return arr
+# No larger half size gives a (2h+1)-pixel square that fits the canonical view.
+_MAX_HALF_SIZE = (_H - 1) // 2
 
 
 def _check_no_collinear_triple(pts: np.ndarray) -> None:
@@ -85,8 +76,8 @@ def fit_homography(src, dst) -> np.ndarray:
     Exactly four correspondences, so the 8 unknowns (H normalized with
     H[2][2] = 1) come from a direct 8x8 linear solve; no least squares.
     """
-    src = _as_points(src, 4)
-    dst = _as_points(dst, 4)
+    src = real_array(src, "src", (4, 2))
+    dst = real_array(dst, "dst", (4, 2))
     _check_no_collinear_triple(src)
     _check_no_collinear_triple(dst)
 
@@ -162,7 +153,8 @@ def patch_centers(corner_patch_centers, half_size: int = DEFAULT_HALF_SIZE) -> n
     rectified coordinates; the center of patch (row r, col c) is the bilinear
     blend with weights (c/5, r/3).  Centers are row-major in patch order.
     """
-    pts = _as_points(corner_patch_centers, 4)
+    pts = real_array(corner_patch_centers, "corner_patch_centers", (4, 2))
+    half_size = whole(half_size, "half_size", 0, _MAX_HALF_SIZE)
     for i in range(4):
         for j in range(i + 1, 4):
             if np.all(pts[i] == pts[j]):
@@ -176,8 +168,6 @@ def patch_centers(corner_patch_centers, half_size: int = DEFAULT_HALF_SIZE) -> n
             top = (1.0 - u) * p0 + u * p5
             bottom = (1.0 - u) * p18 + u * p23
             centers[r * CHART_COLS + c] = (1.0 - v) * top + v * bottom
-    if half_size < 0:
-        raise ValueError("half_size must be >= 0")
     # No two sample squares may touch, so every pair of centers must be at
     # least 2*(half_size+1) apart along x or y (Chebyshev distance); on a
     # sheared grid the Euclidean distance overstates that gap.
@@ -206,7 +196,7 @@ class ChartLayout:
     centers: np.ndarray = field(init=False, repr=False)  # (24, 2), snapped
 
     def __post_init__(self) -> None:
-        corners = _as_points(self.corners, 4)
+        corners = real_array(self.corners, "corners", (4, 2))
         _check_no_collinear_triple(corners)
         # Convexity: the same turn direction at every corner.
         edges = np.roll(corners, -1, axis=0) - corners
@@ -214,16 +204,14 @@ class ChartLayout:
         turns = edges[:, 0] * following[:, 1] - edges[:, 1] * following[:, 0]
         if not (np.all(turns > 0) or np.all(turns < 0)):
             raise ValueError("chart corners must form a convex quadrilateral")
-        cpc = _as_points(self.corner_patch_centers, 4)
-        half = self.half_size
-        if isinstance(half, bool) or not isinstance(half, numbers.Integral):
-            raise ValueError("half_size must be an integer")
+        cpc = real_array(self.corner_patch_centers, "corner_patch_centers", (4, 2))
+        half = whole(self.half_size, "half_size", 0, _MAX_HALF_SIZE)
         centers = np.rint(patch_centers(cpc, half))
         if np.any(centers - half < 0) or np.any(centers + half > CANONICAL_CORNERS[2]):
             raise ValueError("sample square exceeds image bounds")
-        checked = {"corners": corners, "corner_patch_centers": cpc, "centers": centers}
-        for name, value in checked.items():
-            value.setflags(write=False)
+        centers.setflags(write=False)
+        checked = {"corners": corners, "corner_patch_centers": cpc, "half_size": half}
+        for name, value in {**checked, "centers": centers}.items():
             object.__setattr__(self, name, value)
 
     def check_in_frame(self, height: int, width: int) -> None:

@@ -367,9 +367,8 @@ _JSON_ONLY_KEYS = {"image_id", "corners", "achromatic_reflectances"}
 def _scene_from_json(payload: dict) -> tuple[synth.SceneSpec, str]:
     import dataclasses
 
-    import numpy as np
-
     from . import chartgeom, synth
+    from ._util import real_array
 
     spec_fields = {f.name for f in dataclasses.fields(synth.SceneSpec) if f.init}
     unknown = set(payload) - spec_fields - _JSON_ONLY_KEYS
@@ -380,22 +379,18 @@ def _scene_from_json(payload: dict) -> tuple[synth.SceneSpec, str]:
     kwargs = {key: value for key, value in payload.items() if key in spec_fields}
     try:
         if "corners" in payload:
-            corners = synth.float_array(payload["corners"]).reshape(4, 2)
-            if not np.isfinite(corners).all():
-                raise ValueError("corners must be finite")
-            kwargs["pose"] = synth.pose_from_corners(corners)
+            corners = real_array(payload["corners"], "corners", (8,), (4, 2))
+            kwargs["pose"] = synth.pose_from_corners(corners.reshape(4, 2))
         if "achromatic_reflectances" in payload:
             row = list(chartgeom.ACHROMATIC_INDICES)
-            ramp = synth.float_array(payload["achromatic_reflectances"])
-            if ramp.shape != (len(row),):
-                raise CliError(f"achromatic_reflectances must be {len(row)} values")
-            table = np.array(
-                kwargs.get("reflectance_table", synth.DEFAULT_REFLECTANCES), dtype=np.float64
-            )
+            name = "achromatic_reflectances"
+            ramp = real_array(payload[name], name, (len(row),))
+            table = kwargs.get("reflectance_table", synth.DEFAULT_REFLECTANCES)
+            table = real_array(table, "reflectance_table", synth.DEFAULT_REFLECTANCES.shape).copy()
             table[row] = ramp[:, None]
             kwargs["reflectance_table"] = table
         spec = synth.SceneSpec(**kwargs)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:
         raise CliError(f"invalid scene spec: {exc}") from exc
     image_id = payload.get("image_id", "scene")
     if not isinstance(image_id, str):

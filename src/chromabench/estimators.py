@@ -47,12 +47,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from ._util import fmt9, read_csv, write_csv
+from ._util import fmt9, read_csv, real, real_array, whole, write_csv
 from .chartgeom import ChartLayout
 from .imagecore import clipped, subtract_black_level
 from .metrics import normalize_rows
@@ -94,12 +94,11 @@ class EstimatorSpec:
     sigma: float
 
     def __post_init__(self) -> None:
-        if self.n not in (0, 1, 2):
-            raise ValueError("derivative order n must be 0, 1 or 2")
-        if not (self.p >= 1.0):  # also rejects NaN
-            raise ValueError("Minkowski norm p must be >= 1 (or inf)")
-        if not (0.0 <= self.sigma < math.inf):  # also rejects NaN
-            raise ValueError("sigma must be finite and >= 0")
+        object.__setattr__(self, "n", whole(self.n, "n", 0, 2))
+        # p = inf pools the maximum (white-patch); any other p is a finite number >= 1.
+        if not (isinstance(self.p, float) and self.p == math.inf):
+            object.__setattr__(self, "p", real(self.p, "p", ge=1))
+        object.__setattr__(self, "sigma", real(self.sigma, "sigma", ge=0))
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,11 +110,9 @@ class IlluminantEstimate:
     rgb: tuple[float, float, float]
 
     def __post_init__(self) -> None:
-        rgb = tuple(map(float, self.rgb))
-        if len(rgb) != 3 or not all(0.0 <= v < math.inf for v in rgb):  # also rejects NaN
-            raise ValueError("estimate must be a finite nonnegative RGB triple")
+        rgb = tuple(real_array(self.rgb, "rgb", (3,), ge=0).tolist())
         if abs(math.hypot(*rgb) - 1.0) > 1e-12:
-            raise ValueError("estimate must have unit Euclidean norm")
+            raise ValueError("rgb must have unit Euclidean norm")
         object.__setattr__(self, "rgb", rgb)
 
 
@@ -142,7 +139,7 @@ def spec_from_string(text: str) -> EstimatorSpec:
         return PRESETS[text]
     if "=" not in text:
         raise ValueError(f"unknown estimator: {text!r}")
-    n, p, sigma = 0, 1.0, 0.0
+    params: dict[str, object] = {"n": 0, "p": 1.0, "sigma": 0.0}
     seen: set[str] = set()
     for part in text.split(","):
         key, sep, value = part.partition("=")
@@ -153,16 +150,15 @@ def spec_from_string(text: str) -> EstimatorSpec:
         if key in seen:
             raise ValueError(f"estimator spec repeats {key!r}")
         seen.add(key)
-        if key == "n":
-            n = int(value)
-        elif key == "p":
-            p = math.inf if value.lower() == "inf" else float(value)
-        elif key == "sigma":
-            sigma = float(value)
-        else:
+        if key not in params:
             raise ValueError(f"unknown estimator parameter: {key!r}")
-    name = f"{_FAMILY_BY_ORDER[n]}(p={fmt9(p)},s={fmt9(sigma)})" if n in _FAMILY_BY_ORDER else ""
-    return EstimatorSpec(name, n, p, sigma)
+        try:
+            params[key] = int(value) if key == "n" else float(value)
+        except ValueError:
+            params[key] = value  # EstimatorSpec refuses the text, naming the parameter
+    spec = EstimatorSpec("", **params)
+    name = f"{_FAMILY_BY_ORDER[spec.n]}(p={fmt9(spec.p)},s={fmt9(spec.sigma)})"
+    return replace(spec, name=name)
 
 
 def _gaussian_kernel(sigma: float) -> np.ndarray:

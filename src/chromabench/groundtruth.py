@@ -23,7 +23,6 @@ in any channel exceeds the threshold.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -31,7 +30,7 @@ from typing import Iterable
 import numpy as np
 
 from . import chartgeom
-from ._util import fmt9, read_csv, write_csv
+from ._util import fmt9, read_csv, real_array, whole, write_csv
 from .chartgeom import ACHROMATIC_INDICES, ChartLayout
 from .imagecore import CameraProfile, clipped, subtract_black_level
 
@@ -67,16 +66,16 @@ class GroundTruthRecord:
     black_level_subtracted: bool
 
     def __post_init__(self) -> None:
-        if self.patch_index not in ACHROMATIC_INDICES:
-            raise ValueError(
-                f"patch_index {self.patch_index} outside achromatic row 18..23"
-            )
-        illum = tuple(map(float, self.illuminant))
-        if len(illum) != 3:
-            raise ValueError("illuminant must be an RGB triple")
-        if not all(0.0 < v < math.inf for v in illum):  # also rejects NaN
-            raise ValueError("illuminant components must be finite and > 0")
-        object.__setattr__(self, "illuminant", illum)
+        for name, value in (("image_id", self.image_id), ("camera_id", self.camera_id)):
+            if not isinstance(value, str):
+                raise ValueError(f"{name} must be a string, got {value!r}")
+        flag = self.black_level_subtracted
+        if not isinstance(flag, bool):
+            raise ValueError(f"black_level_subtracted must be a bool, got {flag!r}")
+        low, high = ACHROMATIC_INDICES[0], ACHROMATIC_INDICES[-1]
+        object.__setattr__(self, "patch_index", whole(self.patch_index, "patch_index", low, high))
+        illum = real_array(self.illuminant, "illuminant", (3,), gt=0)
+        object.__setattr__(self, "illuminant", tuple(illum.tolist()))
 
 
 def measure(data: np.ndarray, layout: ChartLayout) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

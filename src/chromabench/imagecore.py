@@ -19,14 +19,12 @@ Unknown sidecar fields are ignored.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ._util import atomic_write_bytes, atomic_write_text
+from ._util import atomic_write_bytes, atomic_write_text, real, whole
 
 __all__ = [
     "CameraProfile",
@@ -44,7 +42,7 @@ class CameraProfile:
 
     The black level is a single scalar applied to all three channels.  Both
     levels must be finite real numbers other than bools, for a sidecar and a
-    scene spec alike.
+    scene spec alike, and are kept as given.
     """
 
     camera_id: str
@@ -56,26 +54,11 @@ class CameraProfile:
         if not isinstance(self.camera_id, str):
             raise ValueError(f"camera_id must be a string, got {self.camera_id!r}")
         # The PPM stores 16-bit samples.
-        depth = self.bit_depth
-        integral = isinstance(depth, (int, np.integer)) and not isinstance(depth, bool)
-        if not (integral and 1 <= depth <= 16):
-            raise ValueError("bit_depth must be an integer in 1..16")
-        object.__setattr__(self, "bit_depth", int(depth))
-        for name in ("black_level", "saturation_level"):
-            value = getattr(self, name)
-            # JSON true and false arrive as Python bools, which are numbers to math.
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            # An infinite saturation level would switch clipping off unnoticed.
-            try:
-                finite = math.isfinite(value)
-            except OverflowError:  # an integer past the float range
-                finite = False
-            if not finite:
-                raise ValueError(f"{name} must be finite")
-        if self.black_level < 0:
-            raise ValueError("black_level must be >= 0")
-        if not self.saturation_level > self.black_level:
+        object.__setattr__(self, "bit_depth", whole(self.bit_depth, "bit_depth", 1, 16))
+        # The levels keep the type they were given: the sidecar writes 129 and 129.0 apart.
+        # An infinite saturation level would switch clipping off unnoticed.
+        black = real(self.black_level, "black_level", ge=0)
+        if not real(self.saturation_level, "saturation_level") > black:
             raise ValueError("saturation_level must exceed black_level")
 
 
@@ -124,9 +107,9 @@ def load_counts(path: str | Path) -> tuple[np.ndarray, CameraProfile]:
 
     Returns the samples as a C-contiguous native uint16 (H, W, 3) array,
     with the sidecar's camera profile (``CameraProfile``'s defaults for the
-    fields it leaves out).  Raises if the header is malformed, if the
-    sidecar is missing, not valid JSON or not a JSON object, if its
-    ``bit_depth`` is not a whole number, if ``CameraProfile`` refuses the
+    fields it leaves out; a whole-valued float ``bit_depth`` reads as the
+    integer).  Raises if the header is malformed, if the sidecar is missing,
+    not valid JSON or not a JSON object, if ``CameraProfile`` refuses the
     fields (a level that is not a finite number, say), or if any sample
     exceeds the bit depth.
     """
@@ -140,17 +123,10 @@ def load_counts(path: str | Path) -> tuple[np.ndarray, CameraProfile]:
         raise ValueError(f"{meta_file}: sidecar is not valid JSON: {exc}") from None
     if not isinstance(meta, dict):
         raise ValueError(f"{meta_file}: sidecar must be a JSON object")
-    fields = {}
-    if "bit_depth" in meta:
-        depth = meta["bit_depth"]
-        # JSON true and false arrive as Python bools, which are ints.
-        whole = isinstance(depth, int) or (isinstance(depth, float) and depth.is_integer())
-        if isinstance(depth, bool) or not whole:
-            raise ValueError(f"bit_depth must be a whole number, got {depth!r}")
+    fields = {k: meta[k] for k in ("black_level", "saturation_level", "bit_depth") if k in meta}
+    depth = fields.get("bit_depth")
+    if isinstance(depth, float) and depth.is_integer():  # JSON 12.0 is the whole number 12
         fields["bit_depth"] = int(depth)
-    for name in ("black_level", "saturation_level"):
-        if name in meta:
-            fields[name] = meta[name]
     camera = CameraProfile(meta.get("camera_id", "unknown"), **fields)
 
     raw = path.read_bytes()

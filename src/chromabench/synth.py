@@ -15,13 +15,12 @@ not measurements of any physical target.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from ._util import atomic_write_text
+from ._util import atomic_write_text, real, real_array, whole
 from .chartgeom import (
     ACHROMATIC_INDICES,
     CANONICAL_CORNERS,
@@ -45,7 +44,6 @@ __all__ = [
     "WHITE_REFLECTANCE",
     "check_image_id",
     "default_pose",
-    "float_array",
     "pose_from_corners",
     "random_pose",
     "render",
@@ -137,33 +135,17 @@ def random_pose(
     return pose_from_corners(corners)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def float_array(value) -> np.ndarray:
-    """``value`` as a float64 array, an integer past the float range as +-inf (its IEEE
-    rounding), so that each field's check refuses it as it refuses a NaN."""
-    try:
-        return np.asarray(value, dtype=np.float64)
-    except OverflowError:
-        if _is_int(value):
-            return np.asarray(math.inf if value > 0 else -math.inf)
-        return np.array([float_array(v) for v in value])
-
-
 @dataclass(frozen=True, eq=False)
 class SceneSpec:
-    """Everything needed to render one scene deterministically."""
+    """Everything needed to render one scene deterministically, every field checked here:
+    arrays kept as read-only float64 copies, the camera fields as given, in ``camera``."""
 
     illuminant: tuple[float, float, float] = (1.0, 1.0, 1.0)
     pose: np.ndarray | None = None  # canonical chart -> image; None = centered
     width: int = 640
     height: int = 480
     exposure: float = 2000.0
-    reflectance_table: np.ndarray = field(
-        default_factory=lambda: DEFAULT_REFLECTANCES.copy()
-    )
+    reflectance_table: np.ndarray = field(default_factory=lambda: DEFAULT_REFLECTANCES)
     background: np.ndarray | tuple[float, float, float] = (0.35, 0.35, 0.35)
     black_level: float = 0.0
     noise_sigma: float = 0.0
@@ -175,59 +157,32 @@ class SceneSpec:
     camera: CameraProfile = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        illum = tuple(float(float_array(v)) for v in self.illuminant)
-        if len(illum) != 3 or not all(math.isfinite(v) and v > 0 for v in illum):
-            raise ValueError("illuminant must be finite and positive in every channel")
-        object.__setattr__(self, "illuminant", illum)
-        if not (_is_int(self.width) and _is_int(self.height) and min(self.width, self.height) >= 8):
-            raise ValueError("width and height must be integers >= 8")
+        width, height = whole(self.width, "width", 8), whole(self.height, "height", 8)
         profile = (self.camera_id, self.black_level, self.saturation_level, self.bit_depth)
-        object.__setattr__(self, "camera", CameraProfile(*profile))
-        for name in ("exposure", "noise_sigma"):
-            value = getattr(self, name)
-            if not math.isfinite(float_array(value) if _is_int(value) else value):
-                raise ValueError(f"{name} must be finite")
-        if self.exposure <= 0:
-            raise ValueError("exposure must be > 0")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
-        if not (_is_int(self.rng_seed) and self.rng_seed >= 0):
-            raise ValueError("rng_seed must be a non-negative integer")
-        table = float_array(self.reflectance_table)
-        if table.shape != (CHART_ROWS * CHART_COLS, 3):
-            raise ValueError("reflectance_table must be 24 RGB triples")
-        if not np.all((table >= 0) & (table <= 1)):
-            raise ValueError("reflectances must lie in [0, 1]")
-        achromatic = table[list(ACHROMATIC_INDICES)]
+        camera = CameraProfile(*profile)
+        top, clip = 2**camera.bit_depth - 1, self.clip_level
+        coerced = {
+            "illuminant": tuple(real_array(self.illuminant, "illuminant", (3,), gt=0).tolist()),
+            "width": width, "height": height, "camera": camera,
+            "exposure": real(self.exposure, "exposure", gt=0),
+            "noise_sigma": real(self.noise_sigma, "noise_sigma", ge=0),
+            "rng_seed": whole(self.rng_seed, "rng_seed", 0),
+            "reflectance_table": real_array(
+                self.reflectance_table, "reflectance_table", DEFAULT_REFLECTANCES.shape, ge=0, le=1
+            ),
+            "pose": None if self.pose is None else real_array(self.pose, "pose", (3, 3)),
+            "background": real_array(
+                self.background, "background", (3,), (height, width, 3), ge=0, le=1
+            ),
+            "clip_level": float(top) if clip is None else real(clip, "clip_level", gt=0, le=top),
+        }
+        achromatic = coerced["reflectance_table"][list(ACHROMATIC_INDICES)]
         if not np.all(achromatic[:, 0:1] == achromatic):
             raise ValueError("achromatic-row reflectances must be gray (R=G=B)")
         if not np.all(np.diff(achromatic[:, 0]) < 0):
             raise ValueError("achromatic-row reflectances must strictly decrease")
-        table.setflags(write=False)
-        object.__setattr__(self, "reflectance_table", table)
-        if self.pose is not None:
-            pose = float_array(self.pose)
-            if pose.shape != (3, 3):
-                raise ValueError("pose must be a 3x3 matrix")
-            if not np.all(np.isfinite(pose)):
-                raise ValueError("pose must be finite")
-            pose.setflags(write=False)
-            object.__setattr__(self, "pose", pose)
-        bg = float_array(self.background)
-        if bg.shape not in ((3,), (self.height, self.width, 3)):
-            raise ValueError(
-                "background must be an RGB triple or a (height, width, 3) field"
-            )
-        if not np.all((bg >= 0) & (bg <= 1)):
-            raise ValueError("background reflectance must lie in [0, 1]")
-        bg.setflags(write=False)
-        object.__setattr__(self, "background", bg)
-        clip = self.clip_level
-        if clip is None:
-            clip = float(2 ** self.camera.bit_depth - 1)
-        if not 0 < clip <= 2 ** self.camera.bit_depth - 1:
-            raise ValueError("clip_level must be in (0, 2**bit_depth - 1]")
-        object.__setattr__(self, "clip_level", float(clip))
+        for name, value in coerced.items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True, eq=False)

@@ -269,9 +269,9 @@ def test_sample_patch_rejects_out_of_bounds():
 
 
 def test_sample_patches_reject_a_negative_half_size():
-    with pytest.raises(ValueError, match="half_size must be >= 0"):
+    with pytest.raises(ValueError, match=r"^half_size must be an integer in 0\.\.199$"):
         patch_centers(default_corner_patch_centers(), -1)
-    with pytest.raises(ValueError, match="half_size must be >= 0"):
+    with pytest.raises(ValueError, match=r"^half_size must be an integer in 0\.\.199$"):
         sample_patches(np.zeros((VIEW_H, VIEW_W, 3)), ChartLayout(VIEW_CORNERS, half_size=-1))
 
 
@@ -334,7 +334,7 @@ def test_layout_leaves_the_callers_arrays_writable():
 
 @pytest.mark.parametrize("half_size", [2.5, 2.0, True, False, "2", None])
 def test_layout_refuses_a_half_size_that_is_not_an_integer(half_size):
-    with pytest.raises(ValueError, match="^half_size must be an integer$"):
+    with pytest.raises(ValueError, match=r"^half_size must be an integer in 0\.\.199$"):
         ChartLayout(VIEW_CORNERS, half_size=half_size)
 
 
@@ -387,7 +387,7 @@ def test_chart_file_malformed(tmp_path, content):
          "malformed chart file: repeated key 'corners'"),
         ("corners: 0 0 99 0 99 49 0 49\nhalf_size: 3\nhalf_size: 4\n",
          "malformed chart file: repeated key 'half_size'"),
-        ("corners: 0 0 99 0 99 49 0 49\nhalf_size: -1\n", "half_size must be >= 0"),
+        ("corners: 0 0 99 0 99 49 0 49\nhalf_size: -1\n", "half_size must be an integer in 0..199"),
         ("corners: 0 0 99 0 99 49 0 49\nhalf_size: 60\n",
          "sample squares overlap adjacent patches"),
     ],

@@ -96,7 +96,7 @@ INF = float("1e400")  # a JSON 1e400 reads as this; Python's json writes it as I
 @pytest.mark.parametrize(
     "field, value, message",
     [
-        ("width", 640.5, "width and height must be integers >= 8"),
+        pytest.param("width", 640.5, "width must be an integer >= 8", id="width-640.5"),
         ("bit_depth", 2000, "bit_depth must be an integer in 1..16"),
         ("camera_id", None, "camera_id must be a string, got None"),
         # A JSON true reached the sidecar, whose level extract-gt then refused.
@@ -116,14 +116,8 @@ INF = float("1e400")  # a JSON 1e400 reads as this; Python's json writes it as I
         # Each now gets the message a NaN in the field gets.
         pytest.param("exposure", HUGE, "exposure must be finite", id="huge-exposure"),
         pytest.param("noise_sigma", HUGE, "noise_sigma must be finite", id="huge-noise_sigma"),
-        pytest.param(
-            "illuminant", [1, HUGE, 1], "illuminant must be finite and positive in every channel",
-            id="huge-illuminant",
-        ),
-        pytest.param(
-            "background", [0.1, HUGE, 0.1], "background reflectance must lie in [0, 1]",
-            id="huge-background",
-        ),
+        pytest.param("illuminant", [1, HUGE, 1], "illuminant must be finite", id="huge-illuminant"),
+        pytest.param("background", [0.1, HUGE, 0.1], "background must be finite", id="huge-background"),
         pytest.param(
             "corners", [HUGE, 0, 1, 0, 1, 1, 0, 1], "corners must be finite", id="huge-corners"
         ),
@@ -141,11 +135,38 @@ INF = float("1e400")  # a JSON 1e400 reads as this; Python's json writes it as I
         ),
         pytest.param(
             "achromatic_reflectances", [HUGE, 0.5, 0.4, 0.3, 0.2, 0.1],
-            "reflectances must lie in [0, 1]", id="huge-achromatic_reflectances",
+            "achromatic_reflectances must be finite", id="huge-achromatic_reflectances",
         ),
         pytest.param(
-            "reflectance_table", [[0.5, 0.5, HUGE]] * 24, "reflectances must lie in [0, 1]",
+            "reflectance_table", [[0.5, 0.5, HUGE]] * 24, "reflectance_table must be finite",
             id="huge-reflectance_table",
+        ),
+        # A JSON true in these was read as 1.0, and the scene rendered with exit 0.
+        *(
+            pytest.param(field, value, f"{field} must be {what}, got True", id=f"true-{field}")
+            for field, value, what in (
+                ("exposure", True, "a number"),
+                ("noise_sigma", True, "a number"),
+                ("clip_level", True, "a number"),
+                ("illuminant", [1, True, 1], "an array of numbers"),
+                ("background", [True, 0.3, 0.3], "an array of numbers"),
+                ("pose", [[True, 0, 0], [0, 1, 0], [0, 0, 1]], "an array of numbers"),
+                ("corners", [True, 0, 599, 0, 599, 399, 0, 399], "an array of numbers"),
+                ("achromatic_reflectances", [True, 0.5, 0.4, 0.3, 0.2, 0.1], "an array of numbers"),
+            )
+        ),
+        # These rendered too, or named no field: "must be real number, not str",
+        # "'<' not supported ..." and "could not convert string to float".
+        pytest.param(
+            "illuminant", ["1", 1, 1], "illuminant must be an array of numbers, got '1'",
+            id="text-illuminant",
+        ),
+        pytest.param("exposure", "2000", "exposure must be a number, got '2000'", id="text-exposure"),
+        pytest.param("noise_sigma", None, "noise_sigma must be a number, got None", id="null-noise_sigma"),
+        pytest.param("clip_level", "x", "clip_level must be a number, got 'x'", id="text-clip_level"),
+        pytest.param(
+            "reflectance_table", "abc", "reflectance_table must be an array of numbers, got 'abc'",
+            id="text-reflectance_table",
         ),
     ],
 )
@@ -164,7 +185,7 @@ def test_synth_rng_seed_that_is_not_a_non_negative_integer_exits_1(
     # With noise it used to end in numpy's TypeError; without, the seed went unchecked.
     spec = write_scene_json(tmp_path / "scene.json", noise_sigma=noise_sigma, rng_seed=rng_seed)
     assert run(["synth", "--spec", spec, "--out", tmp_path / "o"]) == 1
-    message = "error: invalid scene spec: rng_seed must be a non-negative integer\n"
+    message = "error: invalid scene spec: rng_seed must be an integer >= 0\n"
     assert capsys.readouterr().err == message
     assert not (tmp_path / "o").exists()
 
@@ -182,6 +203,14 @@ def test_synth_black_level_at_or_above_saturation_is_refused_as_a_spec(
     message = "error: invalid scene spec: saturation_level must exceed black_level\n"
     assert capsys.readouterr().err == message
     assert not (tmp_path / "o").exists()
+
+
+def test_synth_keeps_the_type_of_an_int_level_in_the_sidecar(tmp_path):
+    # The sidecar writes a level as the spec gave it: 129, not 129.0.
+    spec = write_scene_json(tmp_path / "scene.json", black_level=129, saturation_level=3300.0)
+    assert run(["synth", "--spec", spec, "--out", tmp_path / "o"]) == 0
+    sidecar = (tmp_path / "o" / "scene.meta.json").read_text()
+    assert '"black_level": 129,' in sidecar and '"saturation_level": 3300.0\n' in sidecar
 
 
 @pytest.mark.parametrize("image_id", ["../escaped", "", ".", "..", "a/b", "a\\b", "/abs"])
@@ -487,6 +516,25 @@ def test_estimate_repeated_spec_parameter_exits_1(tmp_path, capsys):
     argv = ["estimate", "--images", corpus, "--algo", "n=1,p=2,n=2", "--out", out, "--jobs", "1"]
     assert run(argv) == 1
     assert "estimator spec repeats 'n'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "algo, message",
+    [
+        # These said "invalid literal for int() with base 10: '1.0'" and "could
+        # not convert string to float", naming no parameter.
+        ("n=1.0", "n must be an integer in 0..2"),
+        ("p=abc", "p must be a number, got 'abc'"),
+        ("sigma=x", "sigma must be a number, got 'x'"),
+    ],
+    ids=["n", "p", "sigma"],
+)
+def test_estimate_names_the_bad_algo_parameter(tmp_path, capsys, algo, message):
+    corpus = constant_color_corpus(tmp_path, [(500, 400, 300)])
+    out = tmp_path / "e.csv"
+    assert run(["estimate", "--images", corpus, "--algo", algo, "--out", out, "--jobs", "1"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 

@@ -83,9 +83,9 @@ def test_impulse_center_matches_kernel_formula():
 
 def test_smooth_rejects_negative_sigma():
     # A spec is the only way a sigma reaches the blur, and specs refuse one below 0.
-    with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
+    with pytest.raises(ValueError, match="^sigma must be >= 0$"):
         EstimatorSpec("x", 1, 6.0, -1.0)
-    with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
+    with pytest.raises(ValueError, match="^sigma must be >= 0$"):
         spec_from_string("n=1,p=6,sigma=-0.5")
 
 
@@ -127,7 +127,7 @@ def test_second_order_on_ramp_is_zero():
 def test_bad_order_rejected():
     # Orders are checked once, where a spec is made; the engine trusts them.
     for n in (-1, 3):
-        with pytest.raises(ValueError, match=r"^derivative order n must be 0, 1 or 2$"):
+        with pytest.raises(ValueError, match=r"^n must be an integer in 0\.\.2$"):
             EstimatorSpec("x", n, 1.0, 0.0)
 
 
@@ -250,8 +250,9 @@ def test_pool_infinity_is_the_max():
 
 def test_pool_rejects_p_below_one():
     # A spec is the only way a p reaches the pool, and specs refuse one below 1.
-    for text in ("n=0,p=0.5,sigma=0", "n=1,p=-1,sigma=2", "n=0,p=nan,sigma=0"):
-        with pytest.raises(ValueError, match=r"Minkowski norm p must be >= 1"):
+    cases = {"n=0,p=0.5,sigma=0": ">= 1", "n=1,p=-1,sigma=2": ">= 1", "n=0,p=nan,sigma=0": "finite"}
+    for text, rule in cases.items():
+        with pytest.raises(ValueError, match=f"^p must be {rule}$"):
             spec_from_string(text)
 
 
@@ -693,14 +694,9 @@ def test_spec_from_string_rejects_a_repeated_parameter():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        EstimatorSpec("x", 0, 0.5, 0.0)
-    with pytest.raises(ValueError):
-        EstimatorSpec("x", 0, 1.0, -1.0)
+    # EstimatorSpec's own refusals are in test_util's test of every record field.
     for sigma in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="sigma"):
-            EstimatorSpec("x", 0, 1.0, sigma)
-        with pytest.raises(ValueError, match="sigma"):
+        with pytest.raises(ValueError, match="^sigma must be finite$"):
             spec_from_string(f"n=1,p=6,sigma={sigma}")
 
 

@@ -220,10 +220,30 @@ def test_skipping_subtraction_shifts_by_exactly_129(tmp_path):
 
 
 def test_record_rejects_non_achromatic_patch():
-    with pytest.raises(ValueError, match="achromatic"):
+    with pytest.raises(ValueError, match=r"^patch_index must be an integer in 18\.\.23$"):
         GroundTruthRecord("x", (1, 1, 1), 7, "cam", True)
-    with pytest.raises(ValueError, match="> 0"):
+    with pytest.raises(ValueError, match="^illuminant must be > 0$"):
         GroundTruthRecord("x", (0, 1, 1), 18, "cam", True)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        # write_gt wrote 18.0, which read_gt then refused as "invalid literal for int()".
+        ("patch_index", 18.0, r"patch_index must be an integer in 18\.\.23"),
+        ("image_id", 5, "image_id must be a string, got 5"),
+        ("camera_id", None, "camera_id must be a string, got None"),
+        ("black_level_subtracted", 1, "black_level_subtracted must be a bool, got 1"),
+        ("black_level_subtracted", "false", "black_level_subtracted must be a bool, got 'false'"),
+    ],
+    ids=["float-patch", "number-image", "null-camera", "number-flag", "text-flag"],
+)
+def test_record_refuses_a_field_of_the_wrong_type(tmp_path, field, value, message):
+    fields = dict(image_id="x", illuminant=(1, 1, 1), patch_index=18, camera_id="cam",
+                  black_level_subtracted=True)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        write_gt([GroundTruthRecord(**{**fields, field: value})], tmp_path / "gt.csv")
+    assert not (tmp_path / "gt.csv").exists()
 
 
 def test_a_record_survives_a_pickle_round_trip_and_stays_frozen():
@@ -290,7 +310,7 @@ def test_read_rejects_non_achromatic_patch_index(tmp_path):
         "image_id,R,G,B,patch_index,camera_id,black_level_subtracted\n"
         "x,1,1,1,7,cam,true\n"
     )
-    with pytest.raises(ValueError, match="achromatic"):
+    with pytest.raises(ValueError, match=r"line 2: patch_index must be an integer in 18\.\.23$"):
         read_gt(path)
 
 

@@ -67,7 +67,7 @@ def test_load_rejects_infinite_saturation_level(tmp_path):
 def test_load_rejects_bit_depth_that_is_not_a_whole_number(tmp_path, bit_depth):
     p = tmp_path / "frac.ppm"
     write_ppm(p, [1, 2, 3], 1, 1, meta={"bit_depth": bit_depth})
-    with pytest.raises(ValueError, match="bit_depth must be a whole number"):
+    with pytest.raises(ValueError, match=r"^bit_depth must be an integer in 1\.\.16$"):
         load_counts(p)
 
 
@@ -85,7 +85,7 @@ def test_load_rejects_bit_depth_outside_1_to_16(tmp_path, bit_depth):
     [
         ("[12]", r"/meta\.meta\.json: sidecar must be a JSON object$"),
         ('"cam"', r"/meta\.meta\.json: sidecar must be a JSON object$"),
-        ('{"bit_depth": true}', r"^bit_depth must be a whole number, got True$"),
+        ('{"bit_depth": true}', r"^bit_depth must be an integer in 1\.\.16$"),
         ('{"black_level": true}', r"^black_level must be a number, got True$"),
         ('{"black_level": "129"}', r"^black_level must be a number, got '129'$"),
         ('{"saturation_level": false}', r"^saturation_level must be a number, got False$"),
@@ -290,15 +290,7 @@ def test_camera_profile_invariants():
         CameraProfile("c", black_level=-1)
     with pytest.raises(ValueError):
         CameraProfile("c", black_level=100, saturation_level=100)
-    for field in ("black_level", "saturation_level"):
-        for bad in (float("inf"), float("-inf"), float("nan")):
-            with pytest.raises(ValueError, match=f"{field} must be finite"):
-                CameraProfile("c", **{field: bad})
-    # A bool is refused with load_counts's message for a sidecar's JSON true or false.
-    for field in ("black_level", "saturation_level"):
-        for bad in (True, False):
-            with pytest.raises(ValueError, match=f"^{field} must be a number, got {bad}$"):
-                CameraProfile("c", **{field: bad})
+    # Non-finite, bool and non-number levels: test_util's test of every record field.
     assert CameraProfile("c").saturation_level == 3300.0
     # numpy integers pass and are stored as int, which the sidecar's JSON writes as a number.
     camera = CameraProfile("c", bit_depth=np.int64(16))

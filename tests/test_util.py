@@ -1,14 +1,22 @@
-"""The package's one CSV dialect: ``write_csv`` and ``read_csv``."""
+"""The package's one CSV dialect (``write_csv`` and ``read_csv``) and the field
+rules of every record (``real``, ``whole`` and ``real_array``)."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import chromabench
-from chromabench._util import MissingColumns, read_csv, write_csv
+from chromabench import synth
+from chromabench._util import MissingColumns, read_csv, real, real_array, whole, write_csv
+from chromabench.chartgeom import CANONICAL_CORNERS, ChartLayout, default_corner_patch_centers
+from chromabench.estimators import EstimatorSpec, IlluminantEstimate
+from chromabench.groundtruth import GroundTruthRecord
+from chromabench.imagecore import CameraProfile
 
 HEADER = ("image_id", "algorithm", "note")
 
@@ -145,3 +153,136 @@ def test_only_util_constructs_a_csv_reader():
             if named:
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+# --- field rules -------------------------------------------------------------
+
+HUGE = 10**400  # an integer past the float range
+
+# Each record, with valid values for the fields that have no default.
+RECORDS = {
+    CameraProfile: {"camera_id": "c"},
+    synth.SceneSpec: {},
+    ChartLayout: {"corners": CANONICAL_CORNERS},
+    EstimatorSpec: {"name": "x", "n": 1, "p": 6.0, "sigma": 2.0},
+    IlluminantEstimate: {"image_id": "i", "algorithm": "a", "rgb": (0.6, 0.8, 0.0)},
+    GroundTruthRecord: {"image_id": "i", "illuminant": (1.0, 1.0, 1.0), "patch_index": 18,
+                        "camera_id": "c", "black_level_subtracted": True},
+}
+NOT_NUMBERS = {"camera_id", "image_id", "algorithm", "name", "black_level_subtracted"}
+
+# Every numeric field of every record: (record, field, coercer, a valid value).
+FIELDS = [
+    (CameraProfile, "black_level", real, 0.0),
+    (CameraProfile, "saturation_level", real, 3300.0),
+    (CameraProfile, "bit_depth", whole, 12),
+    (synth.SceneSpec, "illuminant", real_array, (1.0, 1.0, 1.0)),
+    (synth.SceneSpec, "pose", real_array, synth.default_pose(640, 480).tolist()),
+    (synth.SceneSpec, "width", whole, 640),
+    (synth.SceneSpec, "height", whole, 480),
+    (synth.SceneSpec, "exposure", real, 2000.0),
+    (synth.SceneSpec, "reflectance_table", real_array, synth.DEFAULT_REFLECTANCES.tolist()),
+    (synth.SceneSpec, "background", real_array, (0.35, 0.35, 0.35)),
+    (synth.SceneSpec, "black_level", real, 0.0),
+    (synth.SceneSpec, "noise_sigma", real, 0.0),
+    (synth.SceneSpec, "bit_depth", whole, 12),
+    (synth.SceneSpec, "clip_level", real, 4000.0),
+    (synth.SceneSpec, "rng_seed", whole, 0),
+    (synth.SceneSpec, "saturation_level", real, 3300.0),
+    (ChartLayout, "corners", real_array, CANONICAL_CORNERS.tolist()),
+    (ChartLayout, "corner_patch_centers", real_array, default_corner_patch_centers().tolist()),
+    (ChartLayout, "half_size", whole, 15),
+    (EstimatorSpec, "n", whole, 1),
+    (EstimatorSpec, "p", real, 6.0),
+    (EstimatorSpec, "sigma", real, 2.0),
+    (IlluminantEstimate, "rgb", real_array, (0.6, 0.8, 0.0)),
+    (GroundTruthRecord, "illuminant", real_array, (1.0, 1.0, 1.0)),
+    (GroundTruthRecord, "patch_index", whole, 18),
+]
+
+
+def _with_first(valid, bad):
+    """``valid`` as nested lists, its first number replaced by ``bad``."""
+    head, *rest = valid
+    return [_with_first(head, bad) if isinstance(head, (list, tuple)) else bad, *rest]
+
+
+def _bad_values(record, field, coercer, valid):
+    """A bool, NaN, +-inf, 10**400, a string and a wrong shape, as the field holds them."""
+    bads = {"bool": True, "nan": float("nan"), "inf": np.inf, "-inf": -np.inf, "huge": HUGE,
+            "text": "1"}
+    if (record, field) == (EstimatorSpec, "p"):
+        del bads["inf"]  # p = inf is the maximum, white-patch's pool
+    if field in ("width", "height", "rng_seed"):
+        bads["huge"] = -HUGE  # no upper bound: a huge integer is one of these
+    if coercer is whole:
+        bads["float"] = float(valid)  # a whole-valued float is not an integer
+    if coercer is real_array:
+        return {**{k: _with_first(valid, v) for k, v in bads.items()}, "shape": valid[:-1]}
+    return {**bads, "shape": [valid]}
+
+
+CASES = [
+    pytest.param(record, field, bad, id=f"{record.__name__}.{field}-{kind}")
+    for record, field, coercer, valid in FIELDS
+    for kind, bad in _bad_values(record, field, coercer, valid).items()
+]
+
+
+def test_every_numeric_field_is_listed_with_a_valid_value():
+    # A record field that is added joins FIELDS, and so the test below, or this fails.
+    listed = {(record, field) for record, field, _, _ in FIELDS}
+    for record in RECORDS:
+        for f in dataclasses.fields(record):
+            assert not f.init or f.name in NOT_NUMBERS or (record, f.name) in listed, f.name
+    for record, field, _, valid in FIELDS:
+        record(**{**RECORDS[record], field: valid})
+
+
+@pytest.mark.parametrize("record, field, bad", CASES)
+def test_every_record_refuses_a_bad_number_naming_the_field(record, field, bad):
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        record(**{**RECORDS[record], field: bad})
+
+
+def test_coercers_return_plain_values_and_read_only_copies():
+    assert type(real(np.float32(0.5), "x")) is float and real(3, "x", gt=0, le=3) == 3.0
+    assert type(whole(np.int64(3), "n", 0, 5)) is int
+    mine = np.arange(6.0).reshape(3, 2)
+    for value in (mine, mine.tolist(), mine.astype(np.int32), [np.array([0, 1]), (2, 3), [4, 5]]):
+        arr = real_array(value, "a", (2, 3), (3, 2))
+        assert arr.dtype == np.float64 and not arr.flags.writeable
+        assert np.array_equal(arr, mine) and not np.shares_memory(arr, mine)
+    assert mine.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: real(True, "x"), "x must be a number, got True"),
+        (lambda: real(-1, "x", ge=0), "x must be >= 0"),
+        (lambda: real(2, "x", gt=0, le=1), "x must be > 0 and <= 1"),
+        (lambda: whole(2.0, "n", 0, 5), "n must be an integer in 0..5"),
+        (lambda: whole(-1, "n", 0), "n must be an integer >= 0"),
+        (lambda: real_array([1, np.bool_(True)], "a", (2,)), "a must be an array of numbers, got True"),
+        (lambda: real_array([[1, 2], [3]], "a", (2, 2)),
+         "a must be an array of shape (2, 2), got rows of different lengths"),
+        (lambda: real_array(np.zeros(3), "a", (2,), (4, 3)),
+         "a must be an array of shape (2,) or (4, 3), got (3,)"),
+        (lambda: real_array(np.full(100, 2.0), "a", (100,), ge=0, le=1), "a must be >= 0 and <= 1"),
+        (lambda: real_array(np.full(100, np.nan), "a", (100,), ge=0, le=1), "a must be finite"),
+    ],
+)
+def test_coercer_messages_take_one_form(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_an_integer_past_the_float_range_reads_as_an_infinity():
+    # It is refused as "must be finite", as a NaN is, and not by a bound or
+    # with an OverflowError ("int too large to convert to float").
+    with pytest.raises(ValueError, match="^x must be finite$"):
+        real(-HUGE, "x", ge=0)
+    with pytest.raises(ValueError, match="^x must be finite$"):
+        real_array([[1, -HUGE], [HUGE, 2]], "x", (2, 2), ge=0)
